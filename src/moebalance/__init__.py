@@ -19,7 +19,6 @@ from .reorder import (
     anneal_reorder,
     anneal_sample_placement,
     apply_plan,
-    incremental_swap_update,
     lpt_initial,
     static_plan,
 )

@@ -71,13 +71,18 @@ def _threads(value: int) -> int:
     return value if value > 0 else (os.cpu_count() or 1)
 
 
-def _anneal_config(args) -> ro.AnnealConfig:
-    return ro.AnnealConfig(
-        seeds=chain_seeds(args.seed, args.seeds),
-        cooling_rate=args.cooling,
-        termination_eps=args.eps,
-        eps_frac=args.eps_frac,
-        beta=args.beta,
+def _sim_configs(args) -> sim.SimConfigs:
+    return sim.SimConfigs(
+        anneal=ro.AnnealConfig(
+            seeds=chain_seeds(args.seed, args.seeds),
+            cooling_rate=args.cooling,
+            termination_eps=args.eps,
+            eps_frac=args.eps_frac,
+            beta=args.beta,
+        ),
+        replica=rep.ReplicaConfig(slots_per_gpu=args.replica_slots),
+        sample_locality=bool(args.sample_locality),
+        threads=_threads(args.threads),
     )
 
 
@@ -124,55 +129,32 @@ def cmd_gen(args) -> int:
 def cmd_solve(args) -> int:
     trace = rt.load_trace(args.trace)
     topo, model, hw = trace.topo, trace.model, trace.topo.profile
-    cfg = _anneal_config(args)
-    smoothing = cm.SmoothingConfig(beta=args.beta)
+    if args.sample_locality and trace.samples is None:
+        raise SystemExit("error: --sample-locality needs a trace with a sample table")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    plans: list[ro.ReorderPlan] = []
+    bundle, _ = sim.build_policy_bundle(trace, "relibra", topo, model, hw, _sim_configs(args))
+    plans, placement, replication = bundle.reorder, bundle.sample_placement, bundle.replication
+    smoothing = cm.SmoothingConfig(beta=args.beta)
     objectives: list[dict] = []
-    for layer in range(model.num_layers):
+    for layer, plan in enumerate(plans):
         agg = rt.aggregate_batch(trace, layer)
         lpt = ro.lpt_initial(agg, topo)
         lpt_cost = cm.moe_time(cm.compute_loads(agg, lpt.assignment, topo), model, hw).t_moe
-        plan = ro.anneal_reorder(agg, topo, model, hw, cfg,
-                                 extra_initial_plans=[ro.static_plan(model.num_experts, topo)])
-        loads = cm.compute_loads(agg, plan.assignment, topo)
-        est = cm.moe_time(loads, model, hw, smoothing=smoothing)
-        plans.append(plan)
+        est = cm.moe_time(cm.compute_loads(agg, plan.assignment, topo), model, hw, smoothing=smoothing)
         objectives.append({"exact": est.t_moe, "smoothed": est.t_moe_smoothed})
         print(f"layer {layer}: reorder objective {lpt_cost:.6g} (LPT) -> {est.t_moe:.6g} (annealed)")
-
-    placement = None
-    if args.sample_locality:
-        if trace.samples is None:
-            raise SystemExit("error: --sample-locality needs a trace with a sample table")
-        placement = ro.anneal_sample_placement(trace, plans, topo, model, hw, cfg)
+    if placement is not None:
         moved = int((placement.source_gpu != trace.samples.source_gpu).sum())
         print(f"sample placement: {moved}/{trace.samples.num_samples} samples relocated")
 
-    matrices = (ro.rewrite_trace_matrices(trace, placement) if placement is not None
-                else trace.matrices.astype(np.float64))
-    replica_cfg = rep.ReplicaConfig(slots_per_gpu=args.replica_slots)
-    replication = rep.ReplicationPlan()
-    home_total = 0.0
-    replicated_total = 0.0
-    tasks = []
-    for mb in range(trace.num_micro_batches):
-        for layer in range(model.num_layers):
-            tasks.append(((mb, layer), (lambda m=mb, l=layer: rep.greedy_replicate(
-                matrices[m, l], plans[l], topo, model, hw, replica_cfg))))
-    results = sim.solve_tasks(tasks, _threads(args.threads))
-    for (mb, layer), (pl, split) in results.items():
-        x = matrices[mb, layer]
-        base = cm.moe_time(cm.compute_loads(x, plans[layer].assignment, topo), model, hw).t_moe
-        achieved = cm.moe_time(
-            cm.compute_loads(x, plans[layer].assignment, topo, splits=split.to_split_map(pl)),
-            model, hw).t_moe
-        home_total += base
-        replicated_total += achieved
-        replication.entries[(mb, layer)] = rep.ReplicationEntry(pl, split, achieved)
-    print(f"replication: batch objective {home_total:.6g} (reorder only) -> {replicated_total:.6g}")
+    reorder_only = sim.evaluate_bundle(trace, sim.PlanBundle(plans, placement), topo, model, hw)
+    replicated = sim.evaluate_bundle(trace, bundle, topo, model, hw)
+    for (mb, layer), entry in replication.entries.items():
+        entry.objective = float(replicated.entry_times[mb, layer])
+    print(f"replication: batch objective {reorder_only.total_time:.6g} (reorder only) "
+          f"-> {replicated.total_time:.6g}")
 
     config_echo = {
         "seeds": args.seeds, "cooling": args.cooling, "eps_frac": args.eps_frac,
@@ -195,21 +177,13 @@ def cmd_simulate(args) -> int:
             raise SystemExit(f"error: unknown policy {name!r}; choose from {', '.join(sorted(set(POLICY_ALIASES)))}")
         policies.append(POLICY_ALIASES[name])
 
-    cfgs = sim.SimConfigs(
-        anneal=_anneal_config(args),
-        replica=rep.ReplicaConfig(slots_per_gpu=args.replica_slots),
-        smoothing=cm.SmoothingConfig(beta=args.beta),
-        sample_locality=bool(args.sample_locality),
-        threads=_threads(args.threads),
-    )
+    cfgs = _sim_configs(args)
     reports = []
     for policy in policies:
         if policy == "relibra" and args.plans:
             bundle = planio.load_plan_bundle(args.plans, trace)
             report = sim.evaluate_bundle(trace, bundle, topo, model, hw, policy="relibra")
             report.trace_id = trace.trace_id()
-        elif policy == "relibra" and not args.plans:
-            report = sim.run_baseline(trace, policy, topo, model, hw, cfgs)
         else:
             report = sim.run_baseline(trace, policy, topo, model, hw, cfgs)
         reports.append(report)

@@ -10,11 +10,12 @@ EP group, with a log-sum-exp surrogate available for search.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .topology import ClusterTopology, HardwareProfile, TrafficClass
+from .topology import ClusterTopology, HardwareProfile
 
 SPLIT_TOL = 1e-6
 
@@ -61,33 +62,6 @@ class CostEstimate:
     t_moe_smoothed: float | None = None
 
 
-def _accumulate_direction(flow: np.ndarray, topo: ClusterTopology, nvlink_tx, nvlink_rx, rdma_tx, rdma_rx) -> None:
-    """Charge one transfer direction described by flow[src, dst] token masses.
-
-    nv pairs use NVLink end to end; sr pairs use RDMA end to end; cr pairs
-    hop over NVLink to the rail-matched relay on the source node and then
-    RDMA to the destination. loc pairs move nothing.
-    """
-    cls = topo.class_matrix
-    g = topo.num_gpus
-
-    nv = np.where(cls == TrafficClass.NV, flow, 0.0)
-    nvlink_tx += nv.sum(axis=1)
-    nvlink_rx += nv.sum(axis=0)
-
-    sr = np.where(cls == TrafficClass.SR, flow, 0.0)
-    rdma_tx += sr.sum(axis=1)
-    rdma_rx += sr.sum(axis=0)
-
-    cr = np.where(cls == TrafficClass.CR, flow, 0.0)
-    nvlink_tx += cr.sum(axis=1)
-    rdma_rx += cr.sum(axis=0)
-    relay = topo.relay_matrix.ravel()
-    crw = cr.ravel()
-    nvlink_rx += np.bincount(relay, weights=crw, minlength=g)
-    rdma_tx += np.bincount(relay, weights=crw, minlength=g)
-
-
 def flow_matrix(x: np.ndarray, placement: np.ndarray, topo: ClusterTopology, splits: SplitMap | None = None) -> np.ndarray:
     """(G, G) token masses flow[src, serving GPU] induced by x, placement, splits."""
     g = topo.num_gpus
@@ -128,8 +102,8 @@ def compute_loads(x: np.ndarray, placement: np.ndarray, topo: ClusterTopology, s
     """Derive per-GPU computation and link loads from routing and placement.
 
     Dispatch moves tokens from their source GPU to the serving GPU; combine
-    sends results back along the mirror path. Both phases are folded into
-    one load vector per link direction.
+    sends results back along the mirror path. The topology's charge
+    operator folds both phases into one load vector per link direction.
     """
     x = np.asarray(x, dtype=np.float64)
     g = topo.num_gpus
@@ -141,13 +115,7 @@ def compute_loads(x: np.ndarray, placement: np.ndarray, topo: ClusterTopology, s
     if x.shape[0] != g:
         raise ValueError(f"routing matrix has {x.shape[0]} source rows, topology has {g} GPUs")
 
-    flow = flow_matrix(x, placement, topo, splits)
-    comp = flow.sum(axis=0)
-    zeros = [np.zeros(g) for _ in range(4)]
-    nvlink_tx, nvlink_rx, rdma_tx, rdma_rx = zeros
-    _accumulate_direction(flow, topo, nvlink_tx, nvlink_rx, rdma_tx, rdma_rx)
-    # combine: identical masses, source and destination exchanged
-    _accumulate_direction(flow.T, topo, nvlink_tx, nvlink_rx, rdma_tx, rdma_rx)
+    comp, nvlink_tx, nvlink_rx, rdma_tx, rdma_rx = topo.charges.loads(flow_matrix(x, placement, topo, splits))
     return LoadVector(
         comp=comp,
         nvlink_tx=nvlink_tx,
@@ -156,6 +124,39 @@ def compute_loads(x: np.ndarray, placement: np.ndarray, topo: ClusterTopology, s
         rdma_rx=rdma_rx,
         expert_load=x.sum(axis=0),
     )
+
+
+@dataclass(frozen=True, eq=False)
+class TimeUnits:
+    """Seconds per token for each row of a (5, G) load array.
+
+    Rows are comp, nvlink_tx, nvlink_rx, rdma_tx, rdma_rx, the layout of
+    `ChargeOperator.loads`. The incremental planners keep loads in this form
+    and convert them here.
+    """
+
+    per_row: np.ndarray  # (5,)
+
+    @classmethod
+    def of(cls, model, hw: HardwareProfile) -> "TimeUnits":
+        nvlink = hw.bytes_per_token / hw.bw_nvlink
+        rdma = hw.bytes_per_token / hw.bw_rdma
+        comp = 6.0 * model.hidden_size * model.intermediate_size / hw.flops_per_gpu
+        return cls(np.array([comp, nvlink, nvlink, rdma, rdma]))
+
+    def times(self, loads5: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(G,) computation seconds and (4, G) seconds per link direction."""
+        return loads5[0] * self.per_row[0], loads5[1:] * self.per_row[1:, None]
+
+    def exact(self, loads5: np.ndarray) -> float:
+        """max comp time + max link time."""
+        comp_t, rows_t = self.times(loads5)
+        return float(comp_t.max() + rows_t.max())
+
+    def smoothed(self, loads5: np.ndarray, beta: float) -> float:
+        """LSE surrogate of `exact`; see smoothed_moe_time."""
+        comp_t, rows_t = self.times(loads5)
+        return lse(comp_t, beta) + lse(rows_t, beta)
 
 
 def comp_time(load, model, hw: HardwareProfile):
@@ -188,15 +189,18 @@ def lse(values, beta: float) -> float:
     if not beta > 0:
         raise ValueError(f"beta must be > 0, got {beta!r}")
     m = values.max()
-    return float(m + np.log(np.exp(beta * (values - m)).sum()) / beta)
+    return float(m + math.log(np.exp(beta * (values - m)).sum()) / beta)
 
 
 def smoothed_moe_time(loads: LoadVector, model, hw: HardwareProfile, cfg: SmoothingConfig) -> float:
-    """LSE surrogate of moe_time; every max of Eq-style nesting is smoothed."""
+    """LSE surrogate of moe_time; every max of Eq-style nesting is smoothed.
+
+    The per-GPU LSE over link directions nested in an LSE over GPUs equals
+    one LSE over all (direction, GPU) terms, which is what is computed.
+    """
     comp = comp_time(loads.comp, model, hw)
     rows = comm_row_times(loads, hw)
-    smoothed_comm = np.array([lse(rows[:, g], cfg.beta) for g in range(rows.shape[1])])
-    return lse(comp, cfg.beta) + lse(smoothed_comm, cfg.beta)
+    return lse(comp, cfg.beta) + lse(rows, cfg.beta)
 
 
 def moe_time(loads: LoadVector, model, hw: HardwareProfile, smoothing: SmoothingConfig | None = None) -> CostEstimate:

@@ -10,7 +10,10 @@ the initial objective until it drops below the termination threshold.
 
 State is cached per GPU and updated incrementally per swap from a
 precomputed per-(expert, host) contribution tensor; a periodic full
-refresh bounds floating-point drift.
+refresh bounds floating-point drift. Loads come from the topology's charge
+operator (`topology.ChargeOperator`): the tensor is one contraction of the
+routing matrix with it, and the sample pass charges each sample's source
+row through it. `costmodel.TimeUnits` turns loads into times.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import costmodel as cm
-from .topology import ClusterTopology, HardwareProfile, TrafficClass
+from .topology import ClusterTopology, HardwareProfile
 
 REFRESH_EVERY = 4096
 
@@ -89,92 +92,8 @@ class SamplePlacement:
 # incremental load accounting
 
 
-def _dest_contrib(col: np.ndarray, host: int, topo: ClusterTopology) -> np.ndarray:
-    """(5, G) load contribution of serving per-source masses `col` at `host`.
-
-    Rows: comp, nvlink_tx, nvlink_rx, rdma_tx, rdma_rx. Covers dispatch and
-    the mirrored combine.
-    """
-    g = topo.num_gpus
-    out = np.zeros((5, g))
-    out[0, host] = col.sum()
-    cls = topo.class_matrix[:, host]
-
-    nv = np.where(cls == TrafficClass.NV, col, 0.0)
-    sr = np.where(cls == TrafficClass.SR, col, 0.0)
-    cr = np.where(cls == TrafficClass.CR, col, 0.0)
-    nv_sum, sr_sum, cr_sum = nv.sum(), sr.sum(), cr.sum()
-
-    # dispatch: source j -> host
-    out[1] += nv + cr                      # nvlink tx at sources
-    out[2, host] += nv_sum                 # nvlink rx at host
-    out[3] += sr                           # rdma tx at sources
-    out[4, host] += sr_sum + cr_sum        # rdma rx at host
-    relay_mass = np.bincount(topo.relay_matrix[:, host], weights=cr, minlength=g)
-    out[2] += relay_mass                   # nvlink rx at source-side relays
-    out[3] += relay_mass                   # rdma tx at source-side relays
-
-    # combine: host -> source j, same class, mirrored charges
-    out[1, host] += nv_sum + cr_sum
-    out[2] += nv
-    out[3, host] += sr_sum
-    out[4] += sr + cr
-    relay_back = np.bincount(topo.relay_matrix[host, :], weights=cr, minlength=g)
-    out[2] += relay_back                   # relays on the host's node
-    out[3] += relay_back
-    return out
-
-
-def _source_contrib(mass_by_dst: np.ndarray, src: int, topo: ClusterTopology) -> np.ndarray:
-    """(5, G) load contribution of source `src` sending mass_by_dst[g] to each GPU."""
-    g = topo.num_gpus
-    out = np.zeros((5, g))
-    out[0] += mass_by_dst
-    cls = topo.class_matrix[src, :]
-
-    nv = np.where(cls == TrafficClass.NV, mass_by_dst, 0.0)
-    sr = np.where(cls == TrafficClass.SR, mass_by_dst, 0.0)
-    cr = np.where(cls == TrafficClass.CR, mass_by_dst, 0.0)
-    nv_sum, sr_sum, cr_sum = nv.sum(), sr.sum(), cr.sum()
-
-    # dispatch: src -> destinations
-    out[1, src] += nv_sum + cr_sum
-    out[2] += nv
-    out[3, src] += sr_sum
-    out[4] += sr + cr
-    relay_mass = np.bincount(topo.relay_matrix[src, :], weights=cr, minlength=g)
-    out[2] += relay_mass
-    out[3] += relay_mass
-
-    # combine: destinations -> src
-    out[1] += nv + cr
-    out[2, src] += nv_sum
-    out[3] += sr
-    out[4, src] += sr_sum + cr_sum
-    relay_back = np.bincount(topo.relay_matrix[:, src], weights=cr, minlength=g)
-    out[2] += relay_back
-    out[3] += relay_back
-    return out
-
-
-def _time_units(model, hw: HardwareProfile) -> tuple[float, np.ndarray]:
-    comp_unit = 6.0 * model.hidden_size * model.intermediate_size / hw.flops_per_gpu
-    row_units = np.array([
-        hw.bytes_per_token / hw.bw_nvlink,
-        hw.bytes_per_token / hw.bw_nvlink,
-        hw.bytes_per_token / hw.bw_rdma,
-        hw.bytes_per_token / hw.bw_rdma,
-    ])
-    return comp_unit, row_units
-
-
-def _lse(values: np.ndarray, beta: float) -> float:
-    m = values.max()
-    return float(m + math.log(np.exp(beta * (values - m)).sum()) / beta)
-
-
 class AnnealState:
-    """Cached loads for one placement; swaps update in O(G)."""
+    """Cached (5, G) loads for one placement; swaps update in O(G)."""
 
     def __init__(self, x: np.ndarray, assignment: np.ndarray, topo: ClusterTopology,
                  model, hw: HardwareProfile, beta: float = 20.0):
@@ -182,14 +101,9 @@ class AnnealState:
         self.topo = topo
         self.beta = beta
         self.assignment = np.asarray(assignment).copy()
-        num_experts = self.x.shape[1]
-        g = topo.num_gpus
-        self.contrib = np.zeros((num_experts, g, 5, g))
-        for e in range(num_experts):
-            col = self.x[:, e]
-            for h in range(g):
-                self.contrib[e, h] = _dest_contrib(col, h, topo)
-        self.comp_unit, self.row_units = _time_units(model, hw)
+        # contrib[e, h]: loads of serving expert e's column x[:, e] at host h
+        self.contrib = np.tensordot(self.x, topo.charges.dense(), axes=(0, 0))
+        self.units = cm.TimeUnits.of(model, hw)
         self._swaps_since_refresh = 0
         self.refresh()
 
@@ -201,8 +115,7 @@ class AnnealState:
         clone.beta = self.beta
         clone.assignment = np.asarray(assignment).copy()
         clone.contrib = self.contrib
-        clone.comp_unit = self.comp_unit
-        clone.row_units = self.row_units
+        clone.units = self.units
         clone._swaps_since_refresh = 0
         clone.refresh()
         return clone
@@ -220,6 +133,7 @@ class AnnealState:
         )
 
     def apply_swap(self, e_a: int, e_b: int, delta: np.ndarray | None = None) -> None:
+        """Swap the hosts of two experts, updating cached loads incrementally."""
         if delta is None:
             delta = self.swap_delta(e_a, e_b)
         self.loads5 += delta
@@ -228,18 +142,11 @@ class AnnealState:
         if self._swaps_since_refresh >= REFRESH_EVERY:
             self.refresh()
 
-    def times(self, loads5: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        loads5 = self.loads5 if loads5 is None else loads5
-        return loads5[0] * self.comp_unit, loads5[1:] * self.row_units[:, None]
-
     def exact_time(self, loads5: np.ndarray | None = None) -> float:
-        comp_t, rows_t = self.times(loads5)
-        return float(comp_t.max() + rows_t.max())
+        return self.units.exact(self.loads5 if loads5 is None else loads5)
 
     def smoothed_time(self, loads5: np.ndarray | None = None) -> float:
-        # LSE of per-GPU inner LSEs collapses to one LSE over all link terms
-        comp_t, rows_t = self.times(loads5)
-        return _lse(comp_t, self.beta) + _lse(rows_t.ravel(), self.beta)
+        return self.units.smoothed(self.loads5 if loads5 is None else loads5, self.beta)
 
     def load_vector(self) -> cm.LoadVector:
         return cm.LoadVector(
@@ -250,12 +157,6 @@ class AnnealState:
             rdma_rx=self.loads5[4].copy(),
             expert_load=self.x.sum(axis=0),
         )
-
-
-def incremental_swap_update(state: AnnealState, e_a: int, e_b: int) -> AnnealState:
-    """Swap the hosts of two experts, updating cached loads incrementally."""
-    state.apply_swap(e_a, e_b)
-    return state
 
 
 # ---------------------------------------------------------------------------
@@ -369,14 +270,13 @@ def anneal_reorder(
 class _SampleState:
     """Per-(micro_batch, layer) cached loads under a sample placement."""
 
-    def __init__(self, trace, topo, beta: float, comp_unit: float, row_units: np.ndarray,
+    def __init__(self, trace, topo, beta: float, units: cm.TimeUnits,
                  dst_mass: np.ndarray, placement: np.ndarray | None = None):
         self.trace = trace
         self.topo = topo
         self.beta = beta
         self.samples = trace.samples
-        self.comp_unit = comp_unit
-        self.row_units = row_units
+        self.units = units
         self.dst_mass = dst_mass
         s = self.samples
         mb_count = trace.num_micro_batches
@@ -391,13 +291,12 @@ class _SampleState:
             self._apply_sample(i, int(self.placement[i]), sign=1.0)
 
     def fork(self, placement: np.ndarray) -> "_SampleState":
-        return _SampleState(self.trace, self.topo, self.beta, self.comp_unit,
-                            self.row_units, self.dst_mass, placement=placement)
+        return _SampleState(self.trace, self.topo, self.beta, self.units, self.dst_mass, placement=placement)
 
     def _apply_sample(self, i: int, gpu: int, sign: float) -> None:
         mb = int(self.samples.micro_batch[i])
         for layer in range(self.dst_mass.shape[1]):
-            self.loads5[mb, layer] += sign * _source_contrib(self.dst_mass[i, layer], gpu, self.topo)
+            self.loads5[mb, layer] += sign * self.topo.charges.loads(self.dst_mass[i, layer], src=gpu)
         self.totals[mb, gpu] += sign * float(self.samples.tokens[i])
 
     def move(self, i: int, new_gpu: int) -> None:
@@ -406,27 +305,13 @@ class _SampleState:
         self.placement[i] = new_gpu
 
     def entry_smoothed(self, mb: int) -> float:
-        total = 0.0
-        for layer in range(self.loads5.shape[1]):
-            comp_t = self.loads5[mb, layer, 0] * self.comp_unit
-            rows_t = self.loads5[mb, layer, 1:] * self.row_units[:, None]
-            total += _lse(comp_t, self.beta) + _lse(rows_t.ravel(), self.beta)
-        return total
+        return sum(self.units.smoothed(loads5, self.beta) for loads5 in self.loads5[mb])
 
     def entry_exact(self, mb: int) -> float:
-        total = 0.0
-        for layer in range(self.loads5.shape[1]):
-            comp_t = self.loads5[mb, layer, 0] * self.comp_unit
-            rows_t = self.loads5[mb, layer, 1:] * self.row_units[:, None]
-            total += float(comp_t.max() + rows_t.max())
-        return total
+        return sum(self.units.exact(loads5) for loads5 in self.loads5[mb])
 
     def entry_comm(self, mb: int) -> float:
-        total = 0.0
-        for layer in range(self.loads5.shape[1]):
-            rows_t = self.loads5[mb, layer, 1:] * self.row_units[:, None]
-            total += float(rows_t.max())
-        return total
+        return sum(float(self.units.times(loads5)[1].max()) for loads5 in self.loads5[mb])
 
     def smoothed_total(self) -> float:
         return sum(self.entry_smoothed(mb) for mb in range(self.loads5.shape[0]))
@@ -442,7 +327,6 @@ def _build_sample_state(trace, plans: Sequence[ReorderPlan], topo, model, hw, be
     s = trace.samples
     layers = trace.model.num_layers
     g = topo.num_gpus
-    comp_unit, row_units = _time_units(model, hw)
     # per-sample, per-layer destination masses under the expert plans
     dst_mass = np.zeros((s.num_samples, layers, g))
     for layer in range(layers):
@@ -451,7 +335,7 @@ def _build_sample_state(trace, plans: Sequence[ReorderPlan], topo, model, hw, be
             dst_mass[i, layer] = np.bincount(
                 hosts, weights=s.counts[i, layer].astype(np.float64), minlength=g
             )
-    return _SampleState(trace, topo, beta, comp_unit, row_units, dst_mass, placement=placement)
+    return _SampleState(trace, topo, beta, cm.TimeUnits.of(model, hw), dst_mass, placement=placement)
 
 
 def greedy_sample_initial(trace, plans: Sequence[ReorderPlan], topo, model, hw,

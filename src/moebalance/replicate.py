@@ -11,7 +11,8 @@ is always feasible.
 The planner is an incremental greedy: repeatedly give the bottleneck GPU's
 hottest expert one more replica on the cheapest candidate GPU, re-solve the
 split LP (warm-started), and stop when slots, candidates, or improvement
-run out.
+run out. The LP's per-token charges are rows of the topology's charge
+operator (`topology.ChargeOperator`) scaled by `costmodel.TimeUnits`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from . import costmodel as cm
 from .lp import DenseSimplex, LPError
 from .reorder import ReorderPlan
-from .topology import ClusterTopology, HardwareProfile, TrafficClass
+from .topology import ClusterTopology, HardwareProfile
 
 IMPROVE_RTOL = 1e-9
 ENUM_GUARD = 2**20
@@ -161,13 +162,7 @@ class TokenSplitLP:
         self.home = np.asarray(home)
         self.topo = topo
         g = topo.num_gpus
-        self.comp_unit = 6.0 * model.hidden_size * model.intermediate_size / hw.flops_per_gpu
-        self.link_units = np.array([
-            hw.bytes_per_token / hw.bw_nvlink,
-            hw.bytes_per_token / hw.bw_nvlink,
-            hw.bytes_per_token / hw.bw_rdma,
-            hw.bytes_per_token / hw.bw_rdma,
-        ])
+        self.units = cm.TimeUnits.of(model, hw)
 
         base = cm.compute_loads(self.x, self.home, topo)
         comp_consts = cm.comp_time(base.comp, model, hw)
@@ -195,31 +190,10 @@ class TokenSplitLP:
         """Time charge on the 5G bound rows per token moved from j to g."""
         key = (j, g)
         cached = self._charge_cache.get(key)
-        if cached is not None:
-            return cached
-        gq = self.topo.num_gpus
-        vec = np.zeros(5 * gq)
-        vec[g] += self.comp_unit
-        cls = int(self.topo.class_matrix[j, g])
-        u_nv = self.link_units[0]
-        u_rd = self.link_units[2]
-
-        def comm(direction: int, gpu: int, unit: float) -> None:
-            vec[gq + direction * gq + gpu] += unit
-
-        if cls == TrafficClass.NV:
-            comm(0, j, u_nv); comm(1, g, u_nv)       # dispatch
-            comm(0, g, u_nv); comm(1, j, u_nv)       # combine
-        elif cls == TrafficClass.SR:
-            comm(2, j, u_rd); comm(3, g, u_rd)
-            comm(2, g, u_rd); comm(3, j, u_rd)
-        elif cls == TrafficClass.CR:
-            rj = int(self.topo.relay_matrix[j, g])   # relay on j's node
-            rg = int(self.topo.relay_matrix[g, j])   # relay on g's node
-            comm(0, j, u_nv); comm(1, rj, u_nv); comm(2, rj, u_rd); comm(3, g, u_rd)
-            comm(0, g, u_nv); comm(1, rg, u_nv); comm(2, rg, u_rd); comm(3, j, u_rd)
-        self._charge_cache[key] = vec
-        return vec
+        if cached is None:
+            cached = (self.topo.charges.pair(j, g) * self.units.per_row[:, None]).ravel()
+            self._charge_cache[key] = cached
+        return cached
 
     def add_replica(self, e: int, gpu: int) -> None:
         prior = self.replicas.get(e, [])
@@ -328,12 +302,6 @@ def solve_token_split_lp(
 def _exact_objective(x, placement: ReplicaPlacement, split: SplitPlan, topo, model, hw) -> float:
     loads = cm.compute_loads(x, placement.home, topo, splits=split.to_split_map(placement))
     return cm.moe_time(loads, model, hw).t_moe
-
-
-def _bottleneck_scores(x, placement, split, topo, model, hw) -> np.ndarray:
-    loads = cm.compute_loads(x, placement.home, topo, splits=split.to_split_map(placement))
-    est = cm.moe_time(loads, model, hw)
-    return est.comp_times + est.comm_times
 
 
 def _served_tokens(x: np.ndarray, placement: ReplicaPlacement, split: SplitPlan, e: int, gpu: int) -> float:
@@ -559,20 +527,60 @@ def replication_plan_to_dict(plan: ReplicationPlan) -> dict:
     return {"version": 1, "entries": entries}
 
 
+def _plan_field(obj, key: str, where: str, kind: type | tuple = object):
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"{where}: missing required key {key!r}")
+    if not isinstance(obj[key], kind):
+        raise ValueError(f"{where}.{key} has the wrong type: {obj[key]!r}")
+    return obj[key]
+
+
+def _plan_index(value, bound: float, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < bound:
+        raise ValueError(f"{what} = {value!r} is not an index in [0, {bound})")
+    return value
+
+
+def _plan_row(row, width: int, what: str) -> list:
+    if not isinstance(row, list) or len(row) != width:
+        raise ValueError(f"{what} must be a list of {width} values, got {row!r}")
+    return row
+
+
 def replication_plan_from_dict(data: dict, home_per_layer: dict[int, np.ndarray], num_gpus: int) -> ReplicationPlan:
+    """Inverse of replication_plan_to_dict.
+
+    Raises ValueError naming the entry and field of a missing key, an index
+    out of range, or a split row served by a GPU that holds no copy.
+    """
     plan = ReplicationPlan()
-    for entry in data["entries"]:
-        mb, layer = entry["micro_batch"], entry["layer"]
+    number = (int, float)
+    for n, entry in enumerate(_plan_field(data, "entries", "plan", list)):
+        where = f"entries[{n}]"
+        mb = _plan_index(_plan_field(entry, "micro_batch", where), float("inf"), f"{where}.micro_batch")
+        layer = _plan_index(_plan_field(entry, "layer", where), len(home_per_layer), f"{where}.layer")
         home = home_per_layer[layer]
         placement = ReplicaPlacement(home=home)
-        for e, g in entry["replicas"]:
-            placement.replicas.setdefault(int(e), []).append(int(g))
+        for r, row in enumerate(_plan_field(entry, "replicas", where, list)):
+            what = f"{where}.replicas[{r}]"
+            e, g = _plan_row(row, 2, what)
+            e = _plan_index(e, len(home), f"{what} expert")
+            placement.replicas.setdefault(e, []).append(_plan_index(g, num_gpus, f"{what} gpu"))
         split = SplitPlan()
-        for j, e, gpu, value in entry["splits"]:
-            e = int(e)
+        for r, row in enumerate(_plan_field(entry, "splits", where, list)):
+            what = f"{where}.splits[{r}]"
+            j, e, gpu, value = _plan_row(row, 4, what)
+            j = _plan_index(j, num_gpus, f"{what} source")
+            e = _plan_index(e, len(home), f"{what} expert")
+            gpu = _plan_index(gpu, num_gpus, f"{what} gpu")
+            if isinstance(value, bool) or not isinstance(value, number):
+                raise ValueError(f"{what} fraction = {value!r} is not a number")
+            copies = placement.copies(e)
+            if gpu not in copies:
+                raise ValueError(f"{what} gpu = {gpu} holds no copy of expert {e} (copies {copies})")
             if e not in split.fractions:
-                split.fractions[e] = np.zeros((num_gpus, len(placement.copies(e))))
-            col = placement.copies(e).index(int(gpu))
-            split.fractions[e][int(j), col] = value
-        plan.entries[(mb, layer)] = ReplicationEntry(placement=placement, split=split, objective=entry["objective"])
+                split.fractions[e] = np.zeros((num_gpus, len(copies)))
+            split.fractions[e][j, copies.index(gpu)] = value
+        objective = _plan_field(entry, "objective", where, number)
+        plan.entries[(mb, layer)] = ReplicationEntry(placement=placement, split=split, objective=objective)
     return plan

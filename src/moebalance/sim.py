@@ -33,7 +33,6 @@ class SimConfigs:
 
     anneal: ro.AnnealConfig = field(default_factory=ro.AnnealConfig)
     replica: rep.ReplicaConfig = field(default_factory=rep.ReplicaConfig)
-    smoothing: cm.SmoothingConfig = field(default_factory=cm.SmoothingConfig)
     sample_locality: bool = False
     threads: int = 1
 
@@ -333,14 +332,10 @@ def trace_summary(trace: rt.RoutingTrace, hot_k: int = 8) -> dict:
         out["skewness_raw"].append([float(s) for s in skews])
         out["expert_load_share"].append(shares.tolist())
         if trace.num_micro_batches >= 2:
-            out["intersection_ratio"].append(hot_intersection_series(trace, layer, k).tolist())
+            out["intersection_ratio"].append(rt.hot_expert_intersection(trace, layer, k).tolist())
         else:
             out["intersection_ratio"].append([])
     return out
-
-
-def hot_intersection_series(trace: rt.RoutingTrace, layer: int, k: int) -> np.ndarray:
-    return rt.hot_expert_intersection(trace, layer, k)
 
 
 def reports_to_dict(trace: rt.RoutingTrace, reports: list[SimReport]) -> dict:

@@ -5,6 +5,11 @@ The rail of a GPU is its local rank; NICs on the same rail across nodes
 share a leaf switch, so inter-node traffic between same-rank GPUs goes
 straight over RDMA while cross-rail traffic needs an NVLink hop to the
 rail-matched GPU on the source node first.
+
+This module is the one place that turns traffic classes into link charges:
+`ChargeOperator` maps a token moved from a source GPU to the GPU serving it
+onto the computation and link loads of dispatch and the mirrored combine.
+Every planner and evaluator charges traffic through it.
 """
 
 from __future__ import annotations
@@ -113,6 +118,85 @@ class ClusterTopology:
         nodes = ids // self.gpus_per_node
         rails = ids % self.gpus_per_node
         return (nodes[:, None] * self.gpus_per_node + rails[None, :]).astype(np.int32)
+
+    @cached_property
+    def charges(self) -> "ChargeOperator":
+        """The dispatch+combine charge operator of this topology."""
+        return ChargeOperator.build(self)
+
+
+# rows of a (5, G) load array
+COMP, NVLINK_TX, NVLINK_RX, RDMA_TX, RDMA_RX = range(5)
+
+# the links one transfer a -> b loads, per traffic class: nv pairs use
+# NVLink, sr pairs RDMA, and cr pairs hop over NVLink to r, the GPU on a's
+# node with b's rail, then RDMA to b; loc pairs move nothing
+PATHS = {
+    TrafficClass.NV: ((NVLINK_TX, "a"), (NVLINK_RX, "b")),
+    TrafficClass.SR: ((RDMA_TX, "a"), (RDMA_RX, "b")),
+    TrafficClass.CR: ((NVLINK_TX, "a"), (NVLINK_RX, "r"), (RDMA_TX, "r"), (RDMA_RX, "b")),
+}
+
+
+@dataclass(frozen=True, eq=False)
+class ChargeOperator:
+    """Loads caused by one token served away from its source, per GPU pair.
+
+    Row p = src * G + dst of `index`/`weight` lists where one token routed
+    from src to dst lands in a (5, G) load array (rows comp, nvlink_tx,
+    nvlink_rx, rdma_tx, rdma_rx; `index` is the flat position, padding has
+    weight 0). The token is computed at dst; dispatch carries it src -> dst
+    and combine carries the result back, each over the links that `PATHS`
+    lists for the pair's traffic class.
+    """
+
+    num_gpus: int
+    index: np.ndarray   # (G*G, K) int64, K <= 9
+    weight: np.ndarray  # (G*G, K) float64
+
+    @classmethod
+    def build(cls, topo: ClusterTopology) -> "ChargeOperator":
+        g = topo.num_gpus
+        src, dst = np.divmod(np.arange(g * g), g)
+        index = np.zeros((g * g, 9), dtype=np.int64)
+        weight = np.zeros((g * g, 9))
+        index[:, 0] = COMP * g + dst
+        weight[:, 0] = 1.0
+        dispatch = {"a": src, "b": dst, "r": topo.relay_matrix.ravel()}
+        combine = {"a": dst, "b": src, "r": topo.relay_matrix.T.ravel()}
+        for kind, path in PATHS.items():
+            pairs = topo.class_matrix.ravel() == kind
+            hops = [(row, ends[end]) for ends in (dispatch, combine) for row, end in path]
+            for col, (row, gpu) in enumerate(hops, start=1):
+                index[pairs, col] = row * g + gpu[pairs]
+                weight[pairs, col] = 1.0
+        width = 1 + int(weight[:, 1:].any(axis=0).sum())
+        return cls(g, index[:, :width].copy(), weight[:, :width].copy())
+
+    def loads(self, flow: np.ndarray, src: int | None = None) -> np.ndarray:
+        """(5, G) loads of token masses flow[src, dst].
+
+        With `src` given, flow is that one source's (G,) masses by
+        destination. Each load sums its pair charges in pair order, so a
+        GPU's computation load adds its sources in ascending order.
+        """
+        g = self.num_gpus
+        pairs = slice(None) if src is None else slice(src * g, (src + 1) * g)
+        index, weight = self.index[pairs], self.weight[pairs]
+        mass = np.asarray(flow, dtype=np.float64).reshape(len(index), 1) * weight
+        return np.bincount(index.ravel(), weights=mass.ravel(), minlength=5 * g).reshape(5, g)
+
+    def pair(self, src: int, dst: int) -> np.ndarray:
+        """(5, G) loads of one token served at dst for source src."""
+        p = src * self.num_gpus + dst
+        return np.bincount(self.index[p], weights=self.weight[p], minlength=5 * self.num_gpus).reshape(5, -1)
+
+    def dense(self) -> np.ndarray:
+        """(G, G, 5, G) array of `pair(src, dst)` for every pair (5*G**3 floats)."""
+        g = self.num_gpus
+        offsets = np.arange(g * g)[:, None] * (5 * g)
+        flat = np.bincount((self.index + offsets).ravel(), weights=self.weight.ravel(), minlength=5 * g ** 3)
+        return flat.reshape(g, g, 5, g)
 
 
 def build_topology(num_nodes: int, gpus_per_node: int, profile: HardwareProfile) -> ClusterTopology:

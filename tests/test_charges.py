@@ -1,0 +1,101 @@
+"""Property tests of the dispatch+combine charge operator."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from moebalance.topology import HardwareProfile, build_topology
+
+HW = HardwareProfile(flops_per_gpu=1e12, bw_nvlink=1e9, bw_rdma=1e8)
+COMP, NV_TX, NV_RX, RDMA_TX, RDMA_RX = range(5)
+
+
+@st.composite
+def topo_and_flow(draw):
+    topo = build_topology(draw(st.integers(1, 4)), draw(st.integers(1, 4)), HW)
+    g = topo.num_gpus
+    masses = st.one_of(st.just(0.0), st.integers(0, 5000).map(float),
+                       st.floats(0.0, 1e4, allow_nan=False, allow_infinity=False))
+    return topo, draw(arrays(np.float64, (g, g), elements=masses))
+
+
+def loop_loads(topo, flow):
+    """Per-pair reference: each token is computed at its destination, then
+    dispatch and combine each cross NVLink inside a node, RDMA between
+    same-rail GPUs, or NVLink to the rail-matched relay and then RDMA."""
+    g, gpn = topo.num_gpus, topo.gpus_per_node
+    out = np.zeros((5, g))
+    for src in range(g):
+        for dst in range(g):
+            m = flow[src, dst]
+            out[COMP, dst] += m
+            for a, b in ((src, dst), (dst, src)):
+                if a == b:
+                    continue
+                if a // gpn == b // gpn:
+                    out[NV_TX, a] += m
+                    out[NV_RX, b] += m
+                elif a % gpn == b % gpn:
+                    out[RDMA_TX, a] += m
+                    out[RDMA_RX, b] += m
+                else:
+                    relay = (a // gpn) * gpn + b % gpn
+                    out[NV_TX, a] += m
+                    out[NV_RX, relay] += m
+                    out[RDMA_TX, relay] += m
+                    out[RDMA_RX, b] += m
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(topo_and_flow())
+def test_matches_per_pair_loop(case):
+    topo, flow = case
+    np.testing.assert_allclose(topo.charges.loads(flow), loop_loads(topo, flow), rtol=1e-12, atol=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(topo_and_flow())
+def test_conservation(case):
+    topo, flow = case
+    loads = topo.charges.loads(flow)
+    scale = max(flow.sum(), 1.0)
+    np.testing.assert_allclose(loads[COMP], flow.sum(axis=0), rtol=1e-12, atol=1e-12 * scale)
+    assert abs(loads[NV_TX].sum() - loads[NV_RX].sum()) <= 1e-12 * scale
+    assert abs(loads[RDMA_TX].sum() - loads[RDMA_RX].sum()) <= 1e-12 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(topo_and_flow())
+def test_local_pairs_charge_no_link(case):
+    topo, flow = case
+    local = np.diag(np.diag(flow))
+    loads = topo.charges.loads(local)
+    assert not loads[1:].any()
+    np.testing.assert_array_equal(loads[COMP], np.diag(flow))
+
+
+@settings(max_examples=40, deadline=None)
+@given(topo_and_flow(), st.data())
+def test_row_pair_and_dense_views_agree(case, data):
+    topo, flow = case
+    ops = topo.charges
+    g = topo.num_gpus
+    src = data.draw(st.integers(0, g - 1))
+    dst = data.draw(st.integers(0, g - 1))
+    only_row = np.zeros_like(flow)
+    only_row[src] = flow[src]
+    np.testing.assert_array_equal(ops.loads(flow[src], src=src), ops.loads(only_row))
+    unit = np.zeros_like(flow)
+    unit[src, dst] = 1.0
+    np.testing.assert_array_equal(ops.pair(src, dst), ops.loads(unit))
+    np.testing.assert_array_equal(ops.dense()[src, dst], ops.pair(src, dst))
+
+
+def test_operator_is_cached_per_topology():
+    topo = build_topology(2, 4, HW)
+    assert topo.charges is topo.charges
+    assert topo.charges.index.shape == (64, 9)
+    assert build_topology(1, 4, HW).charges.index.shape == (16, 5)
+    assert build_topology(1, 1, HW).charges.index.shape == (1, 1)

@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 
 import pytest
 
@@ -164,3 +165,73 @@ def test_solve_with_samples_and_locality(tmp_path):
     assert data["sample_placement"] is not None
     assert run(["simulate", "--trace", trace, "--out", report, "--plans", plans,
                 "--policies", "static,relibra", "--threads", "1"] + SOLVE_SPEED) == 0
+
+
+@pytest.fixture(scope="module")
+def solved(tmp_path_factory):
+    root = tmp_path_factory.mktemp("solved")
+    assert run(GEN_ARGS + ["--out", root / "trace"]) == 0
+    assert run(["solve", "--trace", root / "trace", "--out", root / "plans", "--replica-slots", "1",
+                "--threads", "1"] + SOLVE_SPEED) == 0
+    return root
+
+
+def _first_replicated(data):
+    return next(entry for entry in data["entries"] if entry["splits"])
+
+
+def _set_split_source(data):
+    _first_replicated(data)["splits"][0][0] = 999
+
+
+def _set_replica_expert(data):
+    _first_replicated(data)["replicas"][0][0] = 999
+
+
+def _drop_micro_batch(data):
+    del data["entries"][0]["micro_batch"]
+
+
+def _drop_served_replica(data):
+    # the split rows of the dropped replica now name a GPU without a copy
+    entry = _first_replicated(data)
+    held = [[e, g] for e, g in entry["replicas"]]
+    served = next([e, g] for _, e, g, _ in entry["splits"] if [e, g] in held)
+    entry["replicas"].remove(served)
+
+
+def _short_reorder_layer(data):
+    data["plans"][0].pop()
+
+
+def _empty_trace_id(data):
+    data["trace_id"] = ""
+
+
+def _missing_trace_id(data):
+    del data["trace_id"]
+
+
+@pytest.mark.parametrize("file,mutate,expected", [
+    ("replication.json", _set_split_source, "splits[0] source = 999"),
+    ("replication.json", _set_replica_expert, "replicas[0] expert = 999"),
+    ("replication.json", _drop_micro_batch, "entries[0]: missing required key 'micro_batch'"),
+    ("replication.json", _drop_served_replica, "holds no copy of expert"),
+    ("reorder.json", _short_reorder_layer, "plans[0] has 15 entries, the trace has 16 experts"),
+    ("reorder.json", _empty_trace_id, "trace_id is missing or empty"),
+    ("replication.json", _missing_trace_id, "trace_id is missing or empty"),
+])
+def test_simulate_rejects_malformed_plan_files(solved, tmp_path, capsys, file, mutate, expected):
+    plans = tmp_path / "plans"
+    shutil.copytree(solved / "plans", plans)
+    path = plans / file
+    data = json.loads(path.read_text())
+    mutate(data)
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    code = run(["simulate", "--trace", solved / "trace", "--out", tmp_path / "r", "--plans", plans,
+                "--policies", "relibra", "--threads", "1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert file in err and expected in err, err

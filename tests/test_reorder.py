@@ -111,7 +111,7 @@ class TestAnnealState:
         state = ro.AnnealState(x, plan.assignment, topo, model, hw)
         for _ in range(50):
             e_a, e_b = rng.integers(0, x.shape[1], size=2)
-            ro.incremental_swap_update(state, int(e_a), int(e_b))
+            state.apply_swap(int(e_a), int(e_b))
             ref = cm.compute_loads(x, state.assignment, topo)
             np.testing.assert_allclose(state.loads5[0], ref.comp, rtol=1e-9)
             np.testing.assert_allclose(state.loads5[1:], ref.comm_rows(), rtol=1e-9, atol=1e-9)
