@@ -63,28 +63,31 @@ class CostEstimate:
 
 
 def flow_matrix(x: np.ndarray, placement: np.ndarray, topo: ClusterTopology, splits: SplitMap | None = None) -> np.ndarray:
-    """(G, G) token masses flow[src, serving GPU] induced by x, placement, splits."""
+    """(G, G) token masses flow[src, serving GPU] induced by x, placement, splits.
+
+    Experts without a split go to their home GPU in one contraction, exact
+    for integer token counts; split experts then add their fractional
+    shares one after another, in the order of `splits`.
+    """
     g = topo.num_gpus
     num_experts = x.shape[1]
     x = np.asarray(x, dtype=np.float64)
-    flow = np.zeros((g, g), dtype=np.float64)
-    split_experts = set(splits) if splits else set()
-    for dst in range(g):
-        cols = np.flatnonzero(placement == dst)
-        if split_experts:
-            cols = cols[~np.isin(cols, list(split_experts))]
-        if cols.size:
-            flow[:, dst] += x[:, cols].sum(axis=1)
-    if splits:
-        for e, (gpus, frac) in splits.items():
-            _check_split_entry(x, placement, e, gpus, frac, num_experts)
-            flow[:, gpus] += x[:, e, None] * frac
+    splits = splits or {}
+    for e in splits:
+        if not 0 <= e < num_experts:
+            raise ValueError(f"split entry for unknown expert {e}")
+    kept = np.ones(num_experts, dtype=bool)
+    kept[list(splits)] = False
+    home = np.zeros((num_experts, g))
+    home[np.flatnonzero(kept), placement[kept]] = 1.0
+    flow = x @ home
+    for e, (gpus, frac) in splits.items():
+        _check_split_entry(x, placement, e, gpus, frac)
+        flow[:, gpus] += x[:, e, None] * frac
     return flow
 
 
-def _check_split_entry(x: np.ndarray, placement: np.ndarray, e: int, gpus: np.ndarray, frac: np.ndarray, num_experts: int) -> None:
-    if not 0 <= e < num_experts:
-        raise ValueError(f"split entry for unknown expert {e}")
+def _check_split_entry(x: np.ndarray, placement: np.ndarray, e: int, gpus: np.ndarray, frac: np.ndarray) -> None:
     if placement[e] not in gpus:
         raise ValueError(f"split for expert {e} omits its home GPU {placement[e]}")
     if frac.shape != (x.shape[0], len(gpus)):

@@ -7,8 +7,9 @@ variables only need an upper bound of one, which the bounded pivot rules
 handle without a constraint row.
 
 The tableau keeps the slack block explicit, which makes B^-1 available for
-warm starts: after an optimal solve, new structural columns (and new rows)
-can be appended and the solve resumed from the current basis. Pricing is
+warm starts: after an optimal solve, new structural columns and new rows
+can be appended and the solve resumed from the current basis. Rows are
+appended in batches, one tableau allocation per batch. Pricing is
 Dantzig with a Bland fallback once the objective stalls, which prevents
 cycling on degenerate vertices.
 """
@@ -86,38 +87,49 @@ class DenseSimplex:
         self.at_upper = np.concatenate([self.at_upper, np.zeros(c_new.size, dtype=bool)])
         self.struct_idx = np.concatenate([self.struct_idx, np.arange(start, start + c_new.size)])
 
-    def add_row(self, coefs: dict[int, float], b_new: float) -> None:
-        """Append one <= row; keys of coefs are structural positions.
+    def add_row(self, rows: list[dict[int, float]], b_new) -> None:
+        """Append <= rows in one tableau allocation.
 
-        The current point must satisfy the row (its slack starts basic and
-        non-negative).
+        rows[i] maps structural positions to coefficients and b_new[i] is
+        its bound. The current point must satisfy every row (each slack
+        starts basic and non-negative). A new row has no coefficient on the
+        slack of another, so rows appended together equal rows appended one
+        at a time, bit for bit.
         """
+        b_new = np.asarray(b_new, dtype=np.float64).ravel()
+        k = len(rows)
+        if b_new.shape != (k,):
+            raise LPError(f"{k} new rows but {b_new.size} bounds")
         m, ncols = self.tab.shape
-        orig = np.zeros(ncols)
-        for pos, value in coefs.items():
-            orig[self.struct_idx[pos]] = value
+        orig = np.zeros((k, ncols))
+        for r, coefs in enumerate(rows):
+            for pos, value in coefs.items():
+                orig[r, self.struct_idx[pos]] = value
         x_now = self._full_solution()
-        slack_value = b_new - float(orig @ x_now)
-        if slack_value < -PIVOT_TOL:
+        slack = np.empty(k)
+        for r in range(k):
+            cols = np.flatnonzero(orig[r])
+            slack[r] = b_new[r] - float(orig[r, cols] @ x_now[cols])
+        if (slack < -PIVOT_TOL).any():
             raise LPError("new row is violated at the current point")
-        # express the new row in the current basis
-        t_row = orig.copy()
-        for i in range(m):
-            coef = orig[self.basis[i]]
-            if coef != 0.0:
-                t_row -= coef * self.tab[i]
-        grown = np.zeros((m + 1, ncols + 1))
+        grown = np.zeros((m + k, ncols + k))
         grown[:m, :ncols] = self.tab
-        grown[m, :ncols] = t_row
-        grown[m, ncols] = 1.0
+        for r in range(k):
+            # express the new row in the current basis
+            t_row = grown[m + r, :ncols]
+            t_row[:] = orig[r]
+            for i in np.flatnonzero(orig[r, self.basis]):
+                t_row -= orig[r, self.basis[i]] * self.tab[i]
+        new_slacks = np.arange(ncols, ncols + k)
+        grown[np.arange(m, m + k), new_slacks] = 1.0
         self.tab = grown
-        self.rhs = np.concatenate([self.rhs, [max(slack_value, 0.0)]])
-        self.cost = np.concatenate([self.cost, [0.0]])
-        self.red = np.concatenate([self.red, [0.0]])
-        self.upper = np.concatenate([self.upper, [np.inf]])
-        self.at_upper = np.concatenate([self.at_upper, [False]])
-        self.slack_idx = np.concatenate([self.slack_idx, [ncols]])
-        self.basis = np.concatenate([self.basis, [ncols]])
+        self.rhs = np.concatenate([self.rhs, np.where(slack < 0.0, 0.0, slack)])
+        self.cost = np.concatenate([self.cost, np.zeros(k)])
+        self.red = np.concatenate([self.red, np.zeros(k)])
+        self.upper = np.concatenate([self.upper, np.full(k, np.inf)])
+        self.at_upper = np.concatenate([self.at_upper, np.zeros(k, dtype=bool)])
+        self.slack_idx = np.concatenate([self.slack_idx, new_slacks])
+        self.basis = np.concatenate([self.basis, new_slacks])
 
     # ------------------------------------------------------------------
     # pivoting

@@ -152,7 +152,7 @@ class TokenSplitLP:
     the four link-direction times; both bounds are shifted so the home-only
     split sits at the origin. An expert's first replica only appends bounded
     columns (v <= 1 doubles as the fraction budget); a second replica
-    materializes one budget row per routed source.
+    materializes one budget row per routed source, all in one batch.
     """
 
     N_AUX = 4  # pc, qc, pm, qm: signed deviations of the two maxima
@@ -164,9 +164,9 @@ class TokenSplitLP:
         g = topo.num_gpus
         self.units = cm.TimeUnits.of(model, hw)
 
-        base = cm.compute_loads(self.x, self.home, topo)
-        comp_consts = cm.comp_time(base.comp, model, hw)
-        comm_consts = cm.comm_row_times(base, hw).ravel()  # (4G,) in [dir][gpu] order
+        self.base = cm.compute_loads(self.x, self.home, topo)  # home-only loads
+        comp_consts = cm.comp_time(self.base.comp, model, hw)
+        comm_consts = cm.comm_row_times(self.base, hw).ravel()  # (4G,) in [dir][gpu] order
         self.t0_comp = float(comp_consts.max())
         self.t0_comm = float(comm_consts.max())
 
@@ -179,7 +179,8 @@ class TokenSplitLP:
         b = np.concatenate([self.t0_comp - comp_consts, self.t0_comm - comm_consts])
         c = np.array([1.0, -1.0, 1.0, -1.0])
         self.solver = DenseSimplex(c, a, b)
-        self.var_meta: list[tuple[int, int, int]] = []  # (source, expert, gpu) per v column
+        # (source, expert, copy) per v column; copy indexes ReplicaPlacement.copies(expert)
+        self.var_meta: list[tuple[int, int, int]] = []
         self.col_pos: dict[tuple[int, int, int], int] = {}
         self.sum_rows: dict[tuple[int, int], int] = {}
         self.rows_built: set[int] = set()
@@ -206,14 +207,15 @@ class TokenSplitLP:
         if prior and e not in self.rows_built:
             # second replica: the fraction budget now couples two columns,
             # so the v <= 1 bounds no longer suffice
-            for j in sources:
-                j = int(j)
-                pos = self.col_pos[(j, e, prior[0])]
-                self.solver.add_row({pos: 1.0}, 1.0)
-                self.sum_rows[(j, e)] = self.solver.num_rows - 1
+            first = self.solver.num_rows
+            self.solver.add_row([{self.col_pos[(int(j), e, prior[0])]: 1.0} for j in sources],
+                                np.ones(sources.size))
+            for row, j in enumerate(sources, start=first):
+                self.sum_rows[(int(j), e)] = row
             self.rows_built.add(e)
         m = self.solver.num_rows
         gq = self.topo.num_gpus
+        copy = len(self.replicas[e])  # gpu's position in [home] + replicas
         cols = np.zeros((m, sources.size))
         for idx, j in enumerate(sources):
             j = int(j)
@@ -222,7 +224,7 @@ class TokenSplitLP:
             if e in self.rows_built:
                 cols[self.sum_rows[(j, e)], idx] = 1.0
             self.col_pos[(j, e, gpu)] = self.N_AUX + len(self.var_meta)
-            self.var_meta.append((j, e, gpu))
+            self.var_meta.append((j, e, copy))
         self.solver.add_columns(cols, np.zeros(sources.size), upper_new=np.ones(sources.size))
 
     def solve(self) -> float:
@@ -255,24 +257,36 @@ class TokenSplitLP:
         self.replicas = {e: list(g) for e, g in snap["replicas"].items()}
 
     def split_plan(self) -> SplitPlan:
+        """Fractions of the current solution; the home copy takes the rest.
+
+        Raises LPError when a routed source's replica fractions sum outside
+        [-SPLIT_TOL, 1 + SPLIT_TOL]; smaller drift is clipped and
+        renormalized away.
+        """
         values = self.solver.solution()[self.N_AUX:]
+        source, expert, copy = np.array(self.var_meta, dtype=np.int64).reshape(-1, 3).T
         plan = SplitPlan()
         g = self.topo.num_gpus
         for e, gpus in self.replicas.items():
-            copies = [int(self.home[e])] + gpus
-            frac = np.zeros((g, len(copies)))
+            frac = np.zeros((g, 1 + len(gpus)))
             frac[:, 0] = 1.0
-            plan.fractions[e] = frac
-        for (j, e, gpu), v in zip(self.var_meta, values):
-            frac = plan.fractions[e]
-            col = ([int(self.home[e])] + self.replicas[e]).index(gpu)
-            frac[j, col] = v
-        for e, frac in plan.fractions.items():
+            mine = np.flatnonzero(expert == e)
+            frac[source[mine], copy[mine]] = values[mine]
             routed = np.flatnonzero(self.x[:, e] > 0)
-            frac[routed, 0] = 1.0 - frac[routed, 1:].sum(axis=1)
+            moved = frac[routed, 1:].sum(axis=1)
+            outside = np.maximum(moved - 1.0, -moved)
+            if (outside > cm.SPLIT_TOL).any():
+                i = int(np.argmax(outside))
+                raise LPError(
+                    f"token-split LP residual: replica fractions of expert {e} from source "
+                    f"{int(routed[i])} sum to {moved[i]:.9g}, {outside[i]:.3e} outside [0, 1] "
+                    f"(tolerance {cm.SPLIT_TOL:g})"
+                )
+            frac[routed, 0] = 1.0 - moved
             np.clip(frac, 0.0, 1.0, out=frac)
             sums = frac[routed].sum(axis=1, keepdims=True)
             frac[routed] /= sums
+            plan.fractions[e] = frac
         return plan
 
 
@@ -299,9 +313,9 @@ def solve_token_split_lp(
 # planners
 
 
-def _exact_objective(x, placement: ReplicaPlacement, split: SplitPlan, topo, model, hw) -> float:
+def _estimate(x, placement: ReplicaPlacement, split: SplitPlan, topo, model, hw) -> cm.CostEstimate:
     loads = cm.compute_loads(x, placement.home, topo, splits=split.to_split_map(placement))
-    return cm.moe_time(loads, model, hw).t_moe
+    return cm.moe_time(loads, model, hw)
 
 
 def _served_tokens(x: np.ndarray, placement: ReplicaPlacement, split: SplitPlan, e: int, gpu: int) -> float:
@@ -355,12 +369,11 @@ def greedy_replicate(
         return placement, split
 
     lp = TokenSplitLP(x, home, topo, model, hw)
-    best_obj = _exact_objective(x, placement, split, topo, model, hw)
+    # estimate of the accepted placement; an accepted trial hands over its own
+    est = cm.moe_time(lp.base, model, hw)
     slots = placement.slot_usage(topo.num_gpus)
 
     while (slots < cfg.slots_per_gpu).any():
-        loads = cm.compute_loads(x, home, topo, splits=split.to_split_map(placement))
-        est = cm.moe_time(loads, model, hw)
         scores = est.comp_times + est.comm_times
         accepted = False
         for g_b in _bottleneck_candidates(est.comp_times, est.comm_times):
@@ -388,11 +401,11 @@ def greedy_replicate(
                 e: list(gpus) for e, gpus in lp.replicas.items()
             })
             trial_split = lp.split_plan()
-            trial_obj = _exact_objective(x, trial_placement, trial_split, topo, model, hw)
-            if trial_obj < best_obj * (1.0 - IMPROVE_RTOL):
+            trial = _estimate(x, trial_placement, trial_split, topo, model, hw)
+            if trial.t_moe < est.t_moe * (1.0 - IMPROVE_RTOL):
                 placement = trial_placement
                 split = trial_split
-                best_obj = trial_obj
+                est = trial
                 slots = placement.slot_usage(topo.num_gpus)
                 accepted = True
                 break
@@ -440,7 +453,7 @@ def exact_milp_small(
         if e == num_experts:
             placement = ReplicaPlacement(home=home, replicas={k: list(v) for k, v in chosen.items() if v})
             split = solve_token_split_lp(x, placement, topo, model, hw)
-            obj = _exact_objective(x, placement, split, topo, model, hw)
+            obj = _estimate(x, placement, split, topo, model, hw).t_moe
             if best is None or obj < best[0] - 1e-15:
                 best = (obj, placement, split)
             return

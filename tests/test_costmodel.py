@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moebalance import costmodel as cm
 from moebalance.routing import ModelProfile
-from moebalance.topology import HardwareProfile, build_topology
+from moebalance.topology import ChargeOperator, HardwareProfile, build_topology
 
 HW = HardwareProfile(flops_per_gpu=1e12, bw_nvlink=1e9, bw_rdma=1e8, bytes_per_token=1.0)
 MODEL = ModelProfile(num_layers=1, num_experts=2, top_k=1, hidden_size=1024, intermediate_size=512)
@@ -193,7 +195,7 @@ def test_home_only_split_matches_no_split():
         np.testing.assert_allclose(getattr(with_split, field), getattr(plain, field), rtol=1e-12)
 
 
-def test_bad_split_rejected():
+def test_bad_split_rejected(monkeypatch):
     topo = one_node_pair()
     x = np.array([[10.0, 0.0], [0.0, 4.0]])
     placement = np.array([0, 1])
@@ -203,6 +205,56 @@ def test_bad_split_rejected():
     missing_home = {0: (np.array([1]), np.ones((2, 1)))}
     with pytest.raises(ValueError):
         cm.compute_loads(x, placement, topo, splits=missing_home)
+
+    # a split valid for expert 1: key -1 would pass every other check if it
+    # indexed from the end, so the key check must come before any load
+    def no_loads(*args, **kwargs):
+        raise AssertionError("loads computed for an invalid split key")
+
+    monkeypatch.setattr(ChargeOperator, "loads", no_loads)
+    for key in (-1, x.shape[1]):
+        split = {key: (np.array([1, 0]), np.array([[1.0, 0.0], [0.5, 0.5]]))}
+        with pytest.raises(ValueError, match="unknown expert"):
+            cm.compute_loads(x, placement, topo, splits=split)
+        with pytest.raises(ValueError, match="unknown expert"):
+            cm.flow_matrix(x, placement, topo, splits=split)
+
+
+@st.composite
+def integer_routing_with_splits(draw):
+    nodes = draw(st.integers(1, 3))
+    gpn = draw(st.integers(1, 4))
+    topo = build_topology(nodes, gpn, HW)
+    g = topo.num_gpus
+    num_experts = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.integers(0, 5000, size=(g, num_experts)).astype(np.float64)
+    x[rng.random(x.shape) < 0.3] = 0.0
+    placement = rng.integers(0, g, size=num_experts)
+    splits = {}
+    for e in rng.permutation(num_experts)[: draw(st.integers(0, num_experts))]:
+        e = int(e)
+        others = rng.permutation([d for d in range(g) if d != placement[e]])
+        gpus = np.array([placement[e], *others[: int(rng.integers(0, len(others) + 1))]])
+        splits[e] = (gpus, rng.dirichlet(np.ones(gpus.size), size=g))
+    return topo, x, placement, splits
+
+
+@settings(max_examples=60, deadline=None)
+@given(integer_routing_with_splits())
+def test_flow_matrix_matches_per_expert_loop(case):
+    topo, x, placement, splits = case
+    g = topo.num_gpus
+    ref = np.zeros((g, g))
+    for e in range(x.shape[1]):
+        if e not in splits:
+            for j in range(g):
+                ref[j, placement[e]] += x[j, e]
+    for e, (gpus, frac) in splits.items():
+        for j in range(g):
+            for col, gpu in enumerate(gpus):
+                ref[j, gpu] += x[j, e] * frac[j, col]
+    assert np.array_equal(cm.flow_matrix(x, placement, topo, splits), ref)
 
 
 def test_placement_must_cover_all_experts():

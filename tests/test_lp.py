@@ -1,5 +1,9 @@
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from moebalance.lp import DenseSimplex, LPError, solve_lp
@@ -87,7 +91,7 @@ def test_added_row_binds_existing_column():
     solver.solve()
     assert solver.objective == pytest.approx(-4.0)
     # x1 became basic at 4; a fresh row x1 + x2 <= 4.5 must transform correctly
-    solver.add_row({0: 1.0}, 4.5)
+    solver.add_row([{0: 1.0}], [4.5])
     col = np.zeros((2, 1))
     col[1, 0] = 1.0  # x2 appears only in the new row
     solver.add_columns(col, [-3.0])
@@ -101,7 +105,7 @@ def test_violated_row_rejected():
     solver = DenseSimplex([-1.0], [[1.0]], [4.0])
     solver.solve()
     with pytest.raises(LPError, match="violated"):
-        solver.add_row({0: 1.0}, 3.0)
+        solver.add_row([{0: 1.0}], [3.0])
 
 
 def test_upper_bounds_respected():
@@ -152,3 +156,32 @@ def test_snapshot_restore_round_trip():
     if ref.success:
         assert solver.objective == pytest.approx(ref.fun, abs=1e-7)
     assert solver.solution().shape == (4,)
+
+
+def _warm_lp_and_rows(seed: int, k: int):
+    """A solved random LP with finite bounds plus k rows its optimum satisfies."""
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+    solver = DenseSimplex(rng.normal(0, 1, size=n), rng.normal(0, 1, size=(m, n)),
+                          rng.uniform(0.1, 5.0, size=m), upper=rng.uniform(0.2, 3.0, size=n))
+    solver.solve()
+    x = solver.solution()
+    rows, bounds = [], []
+    for _ in range(k):
+        cols = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        coefs = {int(c): float(v) for c, v in zip(cols, rng.normal(0, 1, size=cols.size))}
+        rows.append(coefs)
+        bounds.append(sum(v * x[c] for c, v in coefs.items()) + float(rng.uniform(0.0, 2.0)) + 1e-6)
+    return solver, rows, bounds
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+def test_batched_rows_equal_single_rows(seed, k):
+    together, rows, bounds = _warm_lp_and_rows(seed, k)
+    apart = copy.deepcopy(together)
+    together.add_row(rows, bounds)
+    for coefs, bound in zip(rows, bounds):
+        apart.add_row([coefs], [bound])
+    for name in ("tab", "rhs", "basis", "slack_idx", "cost", "red", "upper", "at_upper"):
+        assert np.array_equal(getattr(together, name), getattr(apart, name)), name

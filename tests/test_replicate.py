@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moebalance import costmodel as cm
 from moebalance import replicate as rep
 from moebalance import reorder as ro
 from moebalance import routing as rt
+from moebalance.lp import LPError
 from moebalance.topology import HardwareProfile, build_topology
 
 UNIT_MODEL = rt.ModelProfile(num_layers=1, num_experts=2, top_k=1, hidden_size=1, intermediate_size=1)
@@ -37,6 +40,32 @@ def random_instance(rng, max_experts=4, max_gpus=4):
     x = rng.integers(0, 30, size=(g, num_experts)).astype(float)
     plan = ro.lpt_initial(x, topo)
     return x, plan, topo, model, hw
+
+
+def per_variable_split_plan(lp):
+    """TokenSplitLP.split_plan written as one step per LP column."""
+    values = lp.solver.solution()
+    fractions = {}
+    for e, gpus in lp.replicas.items():
+        frac = np.zeros((lp.x.shape[0], 1 + len(gpus)))
+        frac[:, 0] = 1.0
+        fractions[e] = frac
+    for (j, e, gpu), pos in lp.col_pos.items():
+        col = ([int(lp.home[e])] + lp.replicas[e]).index(gpu)
+        fractions[e][j, col] = values[pos]
+    for e, frac in fractions.items():
+        routed = np.flatnonzero(lp.x[:, e] > 0)
+        frac[routed, 0] = 1.0 - frac[routed, 1:].sum(axis=1)
+        np.clip(frac, 0.0, 1.0, out=frac)
+        sums = frac[routed].sum(axis=1, keepdims=True)
+        frac[routed] /= sums
+    return fractions
+
+
+def assert_same_fractions(plan, ref):
+    assert list(plan.fractions) == list(ref)
+    for e, frac in ref.items():
+        assert np.array_equal(plan.fractions[e], frac), e
 
 
 class TestTokenSplitLP:
@@ -94,6 +123,43 @@ class TestTokenSplitLP:
         rep.validate_split(split, placement, x)
         loads = cm.compute_loads(x, plan.assignment, topo, splits=split.to_split_map(placement))
         np.testing.assert_allclose(loads.comp, [12.0, 12.0, 12.0], atol=1e-6)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_split_plan_matches_per_variable_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        x, plan, topo, model, hw = random_instance(rng, max_experts=8)
+        lp = rep.TokenSplitLP(x, plan.assignment, topo, model, hw)
+        adds = [(int(e), int(g)) for e in rng.permutation(x.shape[1])
+                for g in rng.permutation(rep.candidate_gpus(int(e), plan.assignment, topo))
+                if rng.random() < 0.6]
+        for e, g in adds[:-1]:
+            lp.add_replica(e, g)
+        lp.solve()
+        assert_same_fractions(lp.split_plan(), per_variable_split_plan(lp))
+        if adds:
+            snap = lp.snapshot()
+            lp.add_replica(*adds[-1])
+            lp.solve()
+            assert_same_fractions(lp.split_plan(), per_variable_split_plan(lp))
+            lp.restore(snap)
+            assert_same_fractions(lp.split_plan(), per_variable_split_plan(lp))
+
+    def test_split_residual_beyond_tolerance_raises(self, monkeypatch):
+        x, plan, topo = twelve_vs_four()
+        lp = rep.TokenSplitLP(x, plan.assignment, topo, UNIT_MODEL, COMM_FREE)
+        lp.add_replica(0, 1)
+        lp.solve()
+
+        def stub_solution(v):
+            values = np.concatenate([np.zeros(lp.N_AUX), np.full(len(lp.var_meta), v)])
+            monkeypatch.setattr(lp.solver, "solution", lambda: values)
+
+        stub_solution(1.5)
+        with pytest.raises(LPError, match=r"expert 0 from source 0 sum to 1\.5, 5\.000e-01 outside"):
+            lp.split_plan()
+        stub_solution(1.0 + 1e-9)  # drift within tolerance is renormalized
+        assert lp.split_plan().fractions[0][0].tolist() == [0.0, 1.0]
 
     def test_infeasible_placement_rejected(self):
         x, plan, topo = twelve_vs_four()
