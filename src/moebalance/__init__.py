@@ -2,14 +2,10 @@
 
 from .costmodel import (
     CostEstimate,
-    LoadVector,
-    SmoothingConfig,
-    comm_time,
-    comp_time,
+    TimeUnits,
     compute_loads,
     lse,
     moe_time,
-    smoothed_moe_time,
 )
 from .reorder import (
     AnnealConfig,
@@ -18,7 +14,6 @@ from .reorder import (
     SamplePlacement,
     anneal_reorder,
     anneal_sample_placement,
-    apply_plan,
     lpt_initial,
     static_plan,
 )

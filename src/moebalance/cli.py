@@ -136,13 +136,12 @@ def cmd_solve(args) -> int:
 
     bundle, _ = sim.build_policy_bundle(trace, "relibra", topo, model, hw, _sim_configs(args))
     plans, placement, replication = bundle.reorder, bundle.sample_placement, bundle.replication
-    smoothing = cm.SmoothingConfig(beta=args.beta)
     objectives: list[dict] = []
     for layer, plan in enumerate(plans):
         agg = rt.aggregate_batch(trace, layer)
         lpt = ro.lpt_initial(agg, topo)
         lpt_cost = cm.moe_time(cm.compute_loads(agg, lpt.assignment, topo), model, hw).t_moe
-        est = cm.moe_time(cm.compute_loads(agg, plan.assignment, topo), model, hw, smoothing=smoothing)
+        est = cm.moe_time(cm.compute_loads(agg, plan.assignment, topo), model, hw, beta=args.beta)
         objectives.append({"exact": est.t_moe, "smoothed": est.t_moe_smoothed})
         print(f"layer {layer}: reorder objective {lpt_cost:.6g} (LPT) -> {est.t_moe:.6g} (annealed)")
     if placement is not None:

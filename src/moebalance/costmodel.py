@@ -2,10 +2,11 @@
 
 Loads are measured in tokens. A routing matrix x[j, e] (tokens on source
 GPU j routed to expert e) plus an expert placement, and optionally a
-replica/split assignment, yield per-GPU computation and per-link
-communication loads; those convert to seconds through the hardware
-profile. The aggregate time is max-of-comp plus max-of-comm across the
-EP group, with a log-sum-exp surrogate available for search.
+replica/split assignment, yield a (5, G) load array: per-GPU computation
+and the four link directions, rows `topology.COMP` ... `topology.RDMA_RX`.
+`TimeUnits` is the one conversion of such an array to seconds. The
+aggregate time is max-of-comp plus max-of-comm across the EP group, with a
+log-sum-exp surrogate available for search.
 """
 
 from __future__ import annotations
@@ -23,33 +24,6 @@ SPLIT_TOL = 1e-6
 # Rows of the fraction matrix sum to 1 for sources with tokens routed to
 # the expert; experts absent from the dict are served entirely at home.
 SplitMap = dict[int, tuple[np.ndarray, np.ndarray]]
-
-
-@dataclass(frozen=True)
-class SmoothingConfig:
-    """Sharpness of the log-sum-exp surrogate; larger tracks max closer."""
-
-    beta: float = 20.0
-
-    def __post_init__(self) -> None:
-        if not self.beta > 0:
-            raise ValueError(f"beta must be > 0, got {self.beta!r}")
-
-
-@dataclass
-class LoadVector:
-    """Token loads per GPU (computation and the four link directions)."""
-
-    comp: np.ndarray
-    nvlink_tx: np.ndarray
-    nvlink_rx: np.ndarray
-    rdma_tx: np.ndarray
-    rdma_rx: np.ndarray
-    expert_load: np.ndarray
-
-    def comm_rows(self) -> np.ndarray:
-        """(4, G) array of [nvlink_tx, nvlink_rx, rdma_tx, rdma_rx]."""
-        return np.stack([self.nvlink_tx, self.nvlink_rx, self.rdma_tx, self.rdma_rx])
 
 
 @dataclass
@@ -82,31 +56,41 @@ def flow_matrix(x: np.ndarray, placement: np.ndarray, topo: ClusterTopology, spl
     home[np.flatnonzero(kept), placement[kept]] = 1.0
     flow = x @ home
     for e, (gpus, frac) in splits.items():
-        _check_split_entry(x, placement, e, gpus, frac)
+        check_split(x, placement, e, gpus, frac)
         flow[:, gpus] += x[:, e, None] * frac
     return flow
 
 
-def _check_split_entry(x: np.ndarray, placement: np.ndarray, e: int, gpus: np.ndarray, frac: np.ndarray) -> None:
-    if placement[e] not in gpus:
-        raise ValueError(f"split for expert {e} omits its home GPU {placement[e]}")
+def check_split(x: np.ndarray, home: np.ndarray, e: int, gpus: np.ndarray, frac: np.ndarray) -> None:
+    """Reject a split of expert e that cannot be a valid token assignment.
+
+    gpus must include e's home GPU and frac must be a (G, len(gpus)) array
+    of finite fractions within [0, 1]; every source routing tokens to e
+    must split them with fractions summing to 1. Both bounds allow
+    SPLIT_TOL of LP drift.
+    """
+    if home[e] not in gpus:
+        raise ValueError(f"split for expert {e} omits its home GPU {home[e]}")
     if frac.shape != (x.shape[0], len(gpus)):
         raise ValueError(f"split fractions for expert {e} have shape {frac.shape}, expected {(x.shape[0], len(gpus))}")
+    if not np.isfinite(frac).all():
+        raise ValueError(f"split fractions for expert {e} are not finite")
     if frac.min() < -SPLIT_TOL or frac.max() > 1 + SPLIT_TOL:
         raise ValueError(f"split fractions for expert {e} outside [0, 1]")
     active = x[:, e] > 0
-    row_sums = frac[active].sum(axis=1)
-    if active.any() and np.abs(row_sums - 1.0).max() > SPLIT_TOL:
-        bad = float(np.abs(row_sums - 1.0).max())
-        raise ValueError(f"split fractions for expert {e} violate conservation by {bad:.3e}")
+    if active.any():
+        err = float(np.abs(frac[active].sum(axis=1) - 1.0).max())
+        if err > SPLIT_TOL:
+            raise ValueError(f"split fractions for expert {e} violate conservation by {err:.3e}")
 
 
-def compute_loads(x: np.ndarray, placement: np.ndarray, topo: ClusterTopology, splits: SplitMap | None = None) -> LoadVector:
-    """Derive per-GPU computation and link loads from routing and placement.
+def compute_loads(x: np.ndarray, placement: np.ndarray, topo: ClusterTopology, splits: SplitMap | None = None) -> np.ndarray:
+    """(5, G) computation and link loads from routing and placement.
 
     Dispatch moves tokens from their source GPU to the serving GPU; combine
     sends results back along the mirror path. The topology's charge
-    operator folds both phases into one load vector per link direction.
+    operator folds both phases into one load per GPU and link direction;
+    rows are `topology.COMP`, `NVLINK_TX`, `NVLINK_RX`, `RDMA_TX`, `RDMA_RX`.
     """
     x = np.asarray(x, dtype=np.float64)
     g = topo.num_gpus
@@ -117,71 +101,54 @@ def compute_loads(x: np.ndarray, placement: np.ndarray, topo: ClusterTopology, s
         raise ValueError("placement references GPU ids outside the topology")
     if x.shape[0] != g:
         raise ValueError(f"routing matrix has {x.shape[0]} source rows, topology has {g} GPUs")
-
-    comp, nvlink_tx, nvlink_rx, rdma_tx, rdma_rx = topo.charges.loads(flow_matrix(x, placement, topo, splits))
-    return LoadVector(
-        comp=comp,
-        nvlink_tx=nvlink_tx,
-        nvlink_rx=nvlink_rx,
-        rdma_tx=rdma_tx,
-        rdma_rx=rdma_rx,
-        expert_load=x.sum(axis=0),
-    )
+    return topo.charges.loads(flow_matrix(x, placement, topo, splits))
 
 
 @dataclass(frozen=True, eq=False)
 class TimeUnits:
-    """Seconds per token for each row of a (5, G) load array.
+    """The conversion of a (5, G) load array to seconds.
 
-    Rows are comp, nvlink_tx, nvlink_rx, rdma_tx, rdma_rx, the layout of
-    `ChargeOperator.loads`. The incremental planners keep loads in this form
-    and convert them here.
+    A token costs scale / rate seconds on each row: 6*h*h' FLOPs at the
+    GPU's FLOP rate for computation, bytes_per_token at the NVLink or RDMA
+    bandwidth for the link directions. Loads are multiplied by the scale
+    before they are divided by the rate; every planner and the evaluator
+    convert here, so the same loads always give bit-identical times.
     """
 
-    per_row: np.ndarray  # (5,)
+    scale: np.ndarray  # (5, G)
+    rate: np.ndarray   # (5, G)
 
     @classmethod
-    def of(cls, model, hw: HardwareProfile) -> "TimeUnits":
-        nvlink = hw.bytes_per_token / hw.bw_nvlink
-        rdma = hw.bytes_per_token / hw.bw_rdma
-        comp = 6.0 * model.hidden_size * model.intermediate_size / hw.flops_per_gpu
-        return cls(np.array([comp, nvlink, nvlink, rdma, rdma]))
+    def of(cls, model, hw: HardwareProfile, num_gpus: int) -> "TimeUnits":
+        bpt = hw.bytes_per_token
+        scale = [6.0 * model.hidden_size * model.intermediate_size, bpt, bpt, bpt, bpt]
+        rate = [hw.flops_per_gpu, hw.bw_nvlink, hw.bw_nvlink, hw.bw_rdma, hw.bw_rdma]
+        # full (5, G) operands: the annealer converts once per proposal, and at
+        # this size broadcasting a (5, 1) column costs twice the arithmetic
+        return cls(np.repeat(scale, num_gpus).reshape(5, num_gpus),
+                   np.repeat(rate, num_gpus).reshape(5, num_gpus))
 
-    def times(self, loads5: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(G,) computation seconds and (4, G) seconds per link direction."""
-        return loads5[0] * self.per_row[0], loads5[1:] * self.per_row[1:, None]
+    def times(self, loads: np.ndarray) -> np.ndarray:
+        """(5, G) seconds: computation, then NVLink tx/rx and RDMA tx/rx."""
+        return loads * self.scale / self.rate
 
-    def exact(self, loads5: np.ndarray) -> float:
-        """max comp time + max link time."""
-        comp_t, rows_t = self.times(loads5)
-        return float(comp_t.max() + rows_t.max())
+    def exact(self, loads: np.ndarray) -> float:
+        """max comp time + max link time.
 
-    def smoothed(self, loads5: np.ndarray, beta: float) -> float:
-        """LSE surrogate of `exact`; see smoothed_moe_time."""
-        comp_t, rows_t = self.times(loads5)
-        return lse(comp_t, beta) + lse(rows_t, beta)
+        Links are full duplex and NVLink/RDMA transfers are overlapped, so
+        a GPU's link directions do not add up; the slowest one rules.
+        """
+        t = self.times(loads)
+        return float(t[0].max() + t[1:].max())
 
+    def smoothed(self, loads: np.ndarray, beta: float) -> float:
+        """LSE surrogate of `exact`.
 
-def comp_time(load, model, hw: HardwareProfile):
-    """Seconds to run `load` tokens through one GPU's experts: 6*h*h'*L/F."""
-    return 6.0 * model.hidden_size * model.intermediate_size * np.asarray(load, dtype=np.float64) / hw.flops_per_gpu
-
-
-def comm_row_times(loads: LoadVector, hw: HardwareProfile) -> np.ndarray:
-    """(4, G) seconds per link direction: NVLink tx/rx, RDMA tx/rx."""
-    rows = loads.comm_rows() * hw.bytes_per_token
-    rows[0:2] /= hw.bw_nvlink
-    rows[2:4] /= hw.bw_rdma
-    return rows
-
-
-def comm_time(loads: LoadVector, hw: HardwareProfile) -> np.ndarray:
-    """Per-GPU communication time: the slowest of its four link directions.
-
-    Links are full duplex and NVLink/RDMA transfers are overlapped, so the
-    directions do not add up; the max rules.
-    """
-    return comm_row_times(loads, hw).max(axis=0)
+        The per-GPU LSE over link directions nested in an LSE over GPUs
+        equals one LSE over all (direction, GPU) terms, which is computed.
+        """
+        t = self.times(loads)
+        return lse(t[0], beta) + lse(t[1:], beta)
 
 
 def lse(values, beta: float) -> float:
@@ -195,26 +162,17 @@ def lse(values, beta: float) -> float:
     return float(m + math.log(np.exp(beta * (values - m)).sum()) / beta)
 
 
-def smoothed_moe_time(loads: LoadVector, model, hw: HardwareProfile, cfg: SmoothingConfig) -> float:
-    """LSE surrogate of moe_time; every max of Eq-style nesting is smoothed.
+def moe_time(loads: np.ndarray, model, hw: HardwareProfile, beta: float | None = None) -> CostEstimate:
+    """Aggregate MoE execution time of (5, G) loads: max comp time + max comm time.
 
-    The per-GPU LSE over link directions nested in an LSE over GPUs equals
-    one LSE over all (direction, GPU) terms, which is what is computed.
+    A GPU's communication time is its slowest link direction. With `beta`,
+    the estimate also carries the LSE surrogate at that sharpness.
     """
-    comp = comp_time(loads.comp, model, hw)
-    rows = comm_row_times(loads, hw)
-    return lse(comp, cfg.beta) + lse(rows, cfg.beta)
-
-
-def moe_time(loads: LoadVector, model, hw: HardwareProfile, smoothing: SmoothingConfig | None = None) -> CostEstimate:
-    """Aggregate MoE execution time: max comp time + max comm time."""
-    comp = comp_time(loads.comp, model, hw)
-    comm = comm_time(loads, hw)
-    est = CostEstimate(
-        comp_times=comp,
-        comm_times=comm,
-        t_moe=float(comp.max() + comm.max()),
+    units = TimeUnits.of(model, hw, loads.shape[1])
+    t = units.times(loads)
+    return CostEstimate(
+        comp_times=t[0],
+        comm_times=t[1:].max(axis=0),
+        t_moe=units.exact(loads),
+        t_moe_smoothed=None if beta is None else units.smoothed(loads, beta),
     )
-    if smoothing is not None:
-        est.t_moe_smoothed = smoothed_moe_time(loads, model, hw, smoothing)
-    return est

@@ -103,7 +103,7 @@ class AnnealState:
         self.assignment = np.asarray(assignment).copy()
         # contrib[e, h]: loads of serving expert e's column x[:, e] at host h
         self.contrib = np.tensordot(self.x, topo.charges.dense(), axes=(0, 0))
-        self.units = cm.TimeUnits.of(model, hw)
+        self.units = cm.TimeUnits.of(model, hw, topo.num_gpus)
         self._swaps_since_refresh = 0
         self.refresh()
 
@@ -147,16 +147,6 @@ class AnnealState:
 
     def smoothed_time(self, loads5: np.ndarray | None = None) -> float:
         return self.units.smoothed(self.loads5 if loads5 is None else loads5, self.beta)
-
-    def load_vector(self) -> cm.LoadVector:
-        return cm.LoadVector(
-            comp=self.loads5[0].copy(),
-            nvlink_tx=self.loads5[1].copy(),
-            nvlink_rx=self.loads5[2].copy(),
-            rdma_tx=self.loads5[3].copy(),
-            rdma_rx=self.loads5[4].copy(),
-            expert_load=self.x.sum(axis=0),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +301,7 @@ class _SampleState:
         return sum(self.units.exact(loads5) for loads5 in self.loads5[mb])
 
     def entry_comm(self, mb: int) -> float:
-        return sum(float(self.units.times(loads5)[1].max()) for loads5 in self.loads5[mb])
+        return sum(float(self.units.times(loads5)[1:].max()) for loads5 in self.loads5[mb])
 
     def smoothed_total(self) -> float:
         return sum(self.entry_smoothed(mb) for mb in range(self.loads5.shape[0]))
@@ -335,7 +325,7 @@ def _build_sample_state(trace, plans: Sequence[ReorderPlan], topo, model, hw, be
             dst_mass[i, layer] = np.bincount(
                 hosts, weights=s.counts[i, layer].astype(np.float64), minlength=g
             )
-    return _SampleState(trace, topo, beta, cm.TimeUnits.of(model, hw), dst_mass, placement=placement)
+    return _SampleState(trace, topo, beta, cm.TimeUnits.of(model, hw, g), dst_mass, placement=placement)
 
 
 def greedy_sample_initial(trace, plans: Sequence[ReorderPlan], topo, model, hw,
@@ -456,47 +446,12 @@ def anneal_sample_placement(
     return SamplePlacement(source_gpu=np.asarray(best).copy())
 
 
-def apply_plan(
-    x: np.ndarray,
-    plan: ReorderPlan,
-    placement: SamplePlacement | None = None,
-    trace=None,
-    micro_batch: int | None = None,
-    layer: int | None = None,
-) -> np.ndarray:
-    """Re-express one routing matrix under an expert plan and sample placement.
-
-    Expert relocation never changes matrix values (only traffic classes);
-    relocated samples move their token counts between source rows.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[1] != len(plan.assignment):
-        raise ValueError(f"matrix has {x.shape[1]} experts, plan covers {len(plan.assignment)}")
-    out = x.copy()
-    if placement is None:
-        return out
-    if trace is None or trace.samples is None or micro_batch is None or layer is None:
-        raise ValueError("sample relocation requires the trace with samples plus micro_batch and layer")
-    s = trace.samples
-    for i in np.flatnonzero(s.micro_batch == micro_batch):
-        src = int(s.source_gpu[i])
-        dst = int(placement.source_gpu[i])
-        if src == dst:
-            continue
-        counts = s.counts[i, layer].astype(np.float64)
-        out[src] -= counts
-        out[dst] += counts
-    if out.min() < 0:
-        raise ValueError("sample relocation produced negative counts; matrix does not match the trace")
-    return out
-
-
 def rewrite_trace_matrices(trace, placement: SamplePlacement) -> np.ndarray:
     """All (MB, L, G, E) matrices with sample rows moved to their new sources."""
     s = trace.samples
     if s is None:
         raise ValueError("trace has no sample table")
-    out = trace.matrices.astype(np.float64).copy()
+    out = trace.matrices.astype(np.float64)
     for i in range(s.num_samples):
         src = int(s.source_gpu[i])
         dst = int(placement.source_gpu[i])

@@ -12,11 +12,12 @@ The planner is an incremental greedy: repeatedly give the bottleneck GPU's
 hottest expert one more replica on the cheapest candidate GPU, re-solve the
 split LP (warm-started), and stop when slots, candidates, or improvement
 run out. The LP's per-token charges are rows of the topology's charge
-operator (`topology.ChargeOperator`) scaled by `costmodel.TimeUnits`.
+operator (`topology.ChargeOperator`) converted by `costmodel.TimeUnits`.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 
@@ -124,21 +125,13 @@ def validate_placement(placement: ReplicaPlacement, topo: ClusterTopology, cfg: 
             )
 
 
-def validate_split(split: SplitPlan, placement: ReplicaPlacement, x: np.ndarray, tol: float = 1e-6) -> None:
+def validate_split(split: SplitPlan, placement: ReplicaPlacement, x: np.ndarray) -> None:
     """Conservation (fractions sum to 1 on routed entries) and coupling
-    (mass only on placed copies, all fractions within [0, 1])."""
+    (mass only on placed copies, all fractions finite and within [0, 1])
+    of every split entry; see costmodel.check_split."""
     x = np.asarray(x, dtype=np.float64)
-    for e, frac in split.fractions.items():
-        k = len(placement.copies(e))
-        if frac.shape != (x.shape[0], k):
-            raise ValueError(f"split for expert {e} has shape {frac.shape}, expected {(x.shape[0], k)}")
-        if frac.min() < -tol or frac.max() > 1 + tol:
-            raise ValueError(f"split fractions for expert {e} escape [0, 1]")
-        active = x[:, e] > 0
-        if active.any():
-            err = np.abs(frac[active].sum(axis=1) - 1.0).max()
-            if err > tol:
-                raise ValueError(f"split for expert {e} violates conservation by {err:.3e}")
+    for e, (gpus, frac) in split.to_split_map(placement).items():
+        cm.check_split(x, placement.home, e, gpus, frac)
 
 
 # ---------------------------------------------------------------------------
@@ -162,11 +155,12 @@ class TokenSplitLP:
         self.home = np.asarray(home)
         self.topo = topo
         g = topo.num_gpus
-        self.units = cm.TimeUnits.of(model, hw)
+        self.units = cm.TimeUnits.of(model, hw, g)
 
         self.base = cm.compute_loads(self.x, self.home, topo)  # home-only loads
-        comp_consts = cm.comp_time(self.base.comp, model, hw)
-        comm_consts = cm.comm_row_times(self.base, hw).ravel()  # (4G,) in [dir][gpu] order
+        base_times = self.units.times(self.base)
+        comp_consts = base_times[0]
+        comm_consts = base_times[1:].ravel()  # (4G,) in [dir][gpu] order
         self.t0_comp = float(comp_consts.max())
         self.t0_comm = float(comm_consts.max())
 
@@ -192,7 +186,7 @@ class TokenSplitLP:
         key = (j, g)
         cached = self._charge_cache.get(key)
         if cached is None:
-            cached = (self.topo.charges.pair(j, g) * self.units.per_row[:, None]).ravel()
+            cached = self.units.times(self.topo.charges.pair(j, g)).ravel()
             self._charge_cache[key] = cached
         return cached
 
@@ -564,14 +558,19 @@ def replication_plan_from_dict(data: dict, home_per_layer: dict[int, np.ndarray]
     """Inverse of replication_plan_to_dict.
 
     Raises ValueError naming the entry and field of a missing key, an index
-    out of range, or a split row served by a GPU that holds no copy.
+    out of range, a split row served by a GPU that holds no copy, or a
+    second entry for the same (micro_batch, layer).
     """
     plan = ReplicationPlan()
     number = (int, float)
+    seen: dict[tuple[int, int], int] = {}
     for n, entry in enumerate(_plan_field(data, "entries", "plan", list)):
         where = f"entries[{n}]"
         mb = _plan_index(_plan_field(entry, "micro_batch", where), float("inf"), f"{where}.micro_batch")
         layer = _plan_index(_plan_field(entry, "layer", where), len(home_per_layer), f"{where}.layer")
+        first = seen.setdefault((mb, layer), n)
+        if first != n:
+            raise ValueError(f"{where} repeats (micro_batch, layer) = ({mb}, {layer}) of entries[{first}]")
         home = home_per_layer[layer]
         placement = ReplicaPlacement(home=home)
         for r, row in enumerate(_plan_field(entry, "replicas", where, list)):
@@ -586,8 +585,9 @@ def replication_plan_from_dict(data: dict, home_per_layer: dict[int, np.ndarray]
             j = _plan_index(j, num_gpus, f"{what} source")
             e = _plan_index(e, len(home), f"{what} expert")
             gpu = _plan_index(gpu, num_gpus, f"{what} gpu")
-            if isinstance(value, bool) or not isinstance(value, number):
-                raise ValueError(f"{what} fraction = {value!r} is not a number")
+            # NaN fails the comparison; an int beyond the float range must not reach numpy
+            if isinstance(value, bool) or not isinstance(value, number) or not abs(value) <= sys.float_info.max:
+                raise ValueError(f"{what} fraction = {value!r} of expert {e} is not a finite float")
             copies = placement.copies(e)
             if gpu not in copies:
                 raise ValueError(f"{what} gpu = {gpu} holds no copy of expert {e} (copies {copies})")

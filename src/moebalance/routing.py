@@ -163,10 +163,6 @@ class RoutingTrace:
     def num_micro_batches(self) -> int:
         return self.matrices.shape[0]
 
-    def matrix(self, micro_batch: int, layer: int) -> np.ndarray:
-        """The (G, E) routing matrix of one micro-batch at one layer."""
-        return self.matrices[micro_batch, layer]
-
     def trace_id(self) -> str:
         h = hashlib.sha256()
         h.update(json.dumps(_manifest_dict(self), sort_keys=True).encode())

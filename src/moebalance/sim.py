@@ -22,7 +22,7 @@ from . import costmodel as cm
 from . import replicate as rep
 from . import reorder as ro
 from . import routing as rt
-from .topology import ClusterTopology, HardwareProfile
+from .topology import COMP, ClusterTopology, HardwareProfile
 
 POLICIES = ("static", "lpt_only", "eplb_like", "lplb_like", "balanced_oracle", "relibra")
 
@@ -97,16 +97,16 @@ def evaluate_bundle(trace: rt.RoutingTrace, bundle: PlanBundle, topo: ClusterTop
                         f"replication entry ({mb}, {layer}) was built for a different expert plan"
                     )
                 rep.validate_placement(entry.placement, topo)
-                rep.validate_split(entry.split, entry.placement, x)
                 splits = entry.split.to_split_map(entry.placement)
+            # compute_loads runs costmodel.check_split on every split entry
             loads = cm.compute_loads(x, plan.assignment, topo, splits=splits)
             total_tokens = float(x.sum())
-            if abs(loads.comp.sum() - total_tokens) > 1e-6 * max(total_tokens, 1.0):
+            if abs(loads[COMP].sum() - total_tokens) > 1e-6 * max(total_tokens, 1.0):
                 raise ValueError(f"token conservation violated at entry ({mb}, {layer})")
             est = cm.moe_time(loads, model, hw)
             entry_times[mb, layer] = est.t_moe
-            comp_loads[mb, layer] = loads.comp
-            skew[mb, layer] = rt.skewness(loads.comp) if total_tokens > 0 else 1.0
+            comp_loads[mb, layer] = loads[COMP]
+            skew[mb, layer] = rt.skewness(loads[COMP]) if total_tokens > 0 else 1.0
 
     return SimReport(
         policy=policy,

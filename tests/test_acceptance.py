@@ -16,7 +16,7 @@ from moebalance import replicate as rep
 from moebalance import reorder as ro
 from moebalance import routing as rt
 from moebalance import sim
-from moebalance.topology import HardwareProfile, TrafficClass, build_topology
+from moebalance.topology import COMP, HardwareProfile, TrafficClass, build_topology
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -175,10 +175,9 @@ def test_criterion_3_incremental_update_fidelity():
             # compare right before the periodic refresh wipes accumulated drift
             if state._swaps_since_refresh == ro.REFRESH_EVERY - 1 or (i + 1) % 5000 == 0:
                 ref = cm.compute_loads(x, state.assignment, topo)
-                scale = max(float(ref.comp.max()), 1.0)
-                rows = np.vstack([ref.comp, ref.comm_rows()])
+                scale = max(float(ref[COMP].max()), 1.0)
                 checks += 1
-                if np.abs(state.loads5 - rows).max() > 1e-9 * scale:
+                if np.abs(state.loads5 - ref).max() > 1e-9 * scale:
                     mismatches += 1
     ok = mismatches == 0 and total_swaps >= 100_000
     report("criterion 3 (incremental update fidelity)", ok,
@@ -222,8 +221,7 @@ def grid_objective_builder(x, home, replicated, copy_gpu, source, topo, model, h
         frac[source] = [1.0 - y, y]
         splits = {replicated: (np.array([int(home[replicated]), copy_gpu]), frac)}
         loads = cm.compute_loads(x, home, topo, splits=splits)
-        return np.concatenate([cm.comp_time(loads.comp, model, hw),
-                               cm.comm_row_times(loads, hw).ravel()])
+        return cm.TimeUnits.of(model, hw, topo.num_gpus).times(loads).ravel()
 
     g = topo.num_gpus
     base = rows_of(0.0)
@@ -267,7 +265,7 @@ def test_criterion_5_split_lp_matches_grid():
 
         placement = rep.ReplicaPlacement(home=home, replicas={replicated: [copy_gpu]})
         split = rep.solve_token_split_lp(x, placement, topo, model, hw)
-        rep.validate_split(split, placement, x, tol=1e-6)  # Eq. 8/9 residuals
+        rep.validate_split(split, placement, x)  # Eq. 8/9 residuals
         lp_obj = exact_obj(x, placement, split, topo, model, hw)
 
         evaluate = grid_objective_builder(x, home, replicated, copy_gpu, source, topo, model, hw)

@@ -1,18 +1,29 @@
-"""The traced benchmark wraps program attributes by name; keep them in place.
+"""The benchmark calls the program by name; keep what it calls in place.
 
 `benchmarks/tracer.py` replaces every `TARGETS` entry through
-`owner.__dict__[attr]` and reads `DenseSimplex._pivots` and `tab.size` after
-each solve. A rename would make the traced run fail only after minutes of
-work; these checks fail at once.
+`owner.__dict__[attr]`, reads `DenseSimplex._pivots` and `tab.size` after
+each solve, and unpacks the `(tasks, threads)` arguments of
+`sim.solve_tasks`. Outside the traced targets, `benchmarks/run.py` builds
+the `lplb_like` bundle itself for its reference check, and
+`benchmarks/perlayer.py` scores LPT plans per layer. A rename would make a
+benchmark run fail only after minutes of work; these checks fail at once.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
-from moebalance.lp import DenseSimplex
+import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+from moebalance import reorder as ro
+from moebalance import replicate as rep
+from moebalance import routing as rt
+from moebalance import sim
+from moebalance.lp import DenseSimplex
+from moebalance.topology import HardwareProfile, build_topology
+
+BENCH = Path(__file__).resolve().parents[1] / "benchmarks"
+TRACER = BENCH / "tracer.py"
 
 
 def load_tracer():
@@ -20,6 +31,20 @@ def load_tracer():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def bench_module(monkeypatch):
+    """Import a benchmark module the way the harness does, by bare name."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    return importlib.import_module
+
+
+def small_trace():
+    topo = build_topology(2, 2, HardwareProfile(2.577e10, 4.5e5, 2.5e4, 1.0))
+    model = rt.ModelProfile(num_layers=1, num_experts=8, top_k=2)
+    spec = rt.TraceGenSpec(num_domains=2, dirichlet_alpha=0.4, tokens_per_gpu=64, rng_seed=1)
+    return rt.generate_synthetic_trace(spec, model, topo, 2)
 
 
 def test_every_target_resolves():
@@ -43,3 +68,38 @@ def test_solve_hook_reads_pivots_and_tableau():
     pivots, cells = tracer._pivots_after(args, before)
     assert pivots == solver._pivots > 0
     assert cells == solver.tab.size == 3 * 5
+
+
+def test_lplb_reference_check_calls(bench_module):
+    refeval = bench_module("refeval")
+    trace = small_trace()
+    cfgs = sim.SimConfigs(replica=rep.ReplicaConfig(1), threads=2)
+    bundle, _ = sim.build_policy_bundle(trace, "lplb_like", trace.topo, trace.model, trace.topo.profile, cfgs)
+    assert bundle.replication.entries
+    got = sim.evaluate_bundle(trace, bundle, trace.topo, trace.model, trace.topo.profile).entry_times
+    assert refeval.max_rel_diff(refeval.bundle_entry_times(trace, bundle), got.tolist()) <= 1e-9
+
+
+def test_layer_quality_calls(bench_module):
+    perlayer = bench_module("perlayer")
+    trace = small_trace()
+    lpt = ro.lpt_initial(rt.aggregate_batch(trace, 0), trace.topo).assignment.tolist()
+    assert perlayer.layer_quality(trace, {"plans": [lpt]}) == [1.0]
+
+
+def test_tasks_hook_unpacks_solve_tasks_calls():
+    tracer = load_tracer().Tracer()
+    trace = small_trace()
+    cfgs = sim.SimConfigs(anneal=ro.AnnealConfig(seeds=(0,), cooling_rate=0.9),
+                          replica=rep.ReplicaConfig(1), threads=2)
+    tracer.install()
+    try:
+        for policy in ("lplb_like", "relibra"):
+            sim.build_policy_bundle(trace, policy, trace.topo, trace.model, trace.topo.profile, cfgs)
+    finally:
+        tracer.uninstall()
+    pools = {span[0]: span for span in tracer.spans if span[1] == "sim.solve_tasks"}
+    assert len(pools) == 2 and all(span[6] == 2 for span in pools.values())
+    # the tasks ran on the pool's worker threads, under the pool's span
+    for name in ("replicate.solve_token_split_lp", "replicate.greedy_replicate"):
+        assert any(span[1] == name and span[4] in pools for span in tracer.spans)

@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import shutil
@@ -200,6 +201,19 @@ def _drop_served_replica(data):
     entry["replicas"].remove(served)
 
 
+def _nan_fraction(data):
+    # NaN compares false against every bound, so it used to pass every check
+    _first_replicated(data)["splits"][0][3] = float("nan")
+
+
+def _huge_fraction(data):
+    _first_replicated(data)["splits"][0][3] = 10**400
+
+
+def _repeat_entry(data):
+    data["entries"].append(copy.deepcopy(data["entries"][0]))
+
+
 def _short_reorder_layer(data):
     data["plans"][0].pop()
 
@@ -217,6 +231,9 @@ def _missing_trace_id(data):
     ("replication.json", _set_replica_expert, "replicas[0] expert = 999"),
     ("replication.json", _drop_micro_batch, "entries[0]: missing required key 'micro_batch'"),
     ("replication.json", _drop_served_replica, "holds no copy of expert"),
+    ("replication.json", _nan_fraction, "fraction = nan of expert"),
+    ("replication.json", _huge_fraction, "is not a finite float"),
+    ("replication.json", _repeat_entry, "repeats (micro_batch, layer) = (0, 0) of entries[0]"),
     ("reorder.json", _short_reorder_layer, "plans[0] has 15 entries, the trace has 16 experts"),
     ("reorder.json", _empty_trace_id, "trace_id is missing or empty"),
     ("replication.json", _missing_trace_id, "trace_id is missing or empty"),

@@ -6,11 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moebalance import costmodel as cm
+from moebalance import reorder as ro
+from moebalance import replicate as rep
+from moebalance import routing as rt
 from moebalance.routing import ModelProfile
-from moebalance.topology import ChargeOperator, HardwareProfile, build_topology
+from moebalance.topology import (
+    COMP,
+    NVLINK_RX,
+    NVLINK_TX,
+    RDMA_RX,
+    RDMA_TX,
+    ChargeOperator,
+    HardwareProfile,
+    build_topology,
+)
 
 HW = HardwareProfile(flops_per_gpu=1e12, bw_nvlink=1e9, bw_rdma=1e8, bytes_per_token=1.0)
 MODEL = ModelProfile(num_layers=1, num_experts=2, top_k=1, hidden_size=1024, intermediate_size=512)
+QUICKSTART_HW = HardwareProfile(flops_per_gpu=2.577e10, bw_nvlink=4.5e5, bw_rdma=2.5e4, bytes_per_token=1.0)
 
 
 def one_node_pair():
@@ -21,8 +34,7 @@ def test_comp_loads_direct_sum():
     topo = one_node_pair()
     x = np.array([[3, 1], [2, 4]])
     loads = cm.compute_loads(x, np.array([0, 1]), topo)
-    assert loads.comp.tolist() == [5.0, 5.0]
-    assert loads.expert_load.tolist() == [5.0, 5.0]
+    assert loads[COMP].tolist() == [5.0, 5.0]
 
 
 def test_dispatch_combine_mirror():
@@ -30,9 +42,9 @@ def test_dispatch_combine_mirror():
     x = np.array([[0, 7], [0, 0]])
     loads = cm.compute_loads(x, np.array([0, 1]), topo)
     # dispatch: tx at 0, rx at 1; combine mirrors
-    assert loads.nvlink_tx.tolist() == [7.0, 7.0]
-    assert loads.nvlink_rx.tolist() == [7.0, 7.0]
-    assert loads.rdma_tx.tolist() == [0.0, 0.0]
+    assert loads[NVLINK_TX].tolist() == [7.0, 7.0]
+    assert loads[NVLINK_RX].tolist() == [7.0, 7.0]
+    assert loads[RDMA_TX].tolist() == [0.0, 0.0]
 
 
 def test_cross_rail_relay_accounting():
@@ -41,48 +53,43 @@ def test_cross_rail_relay_accounting():
     x[0, 0] = 7
     loads = cm.compute_loads(x, np.array([3]), topo)
     # dispatch 0 -> relay 1 -> 3; combine 3 -> relay 2 -> 0
-    assert loads.nvlink_tx.tolist() == [7.0, 0.0, 0.0, 7.0]
-    assert loads.nvlink_rx.tolist() == [0.0, 7.0, 7.0, 0.0]
-    assert loads.rdma_tx.tolist() == [0.0, 7.0, 7.0, 0.0]
-    assert loads.rdma_rx.tolist() == [7.0, 0.0, 0.0, 7.0]
+    assert loads[NVLINK_TX].tolist() == [7.0, 0.0, 0.0, 7.0]
+    assert loads[NVLINK_RX].tolist() == [0.0, 7.0, 7.0, 0.0]
+    assert loads[RDMA_TX].tolist() == [0.0, 7.0, 7.0, 0.0]
+    assert loads[RDMA_RX].tolist() == [7.0, 0.0, 0.0, 7.0]
+
+
+def comp_seconds(tokens, model, hw):
+    loads = np.zeros((5, 1))
+    loads[COMP] = tokens
+    return cm.TimeUnits.of(model, hw, 1).times(loads)[COMP, 0]
 
 
 def test_comp_time_formula():
-    assert cm.comp_time(0, MODEL, HW) == 0.0
-    got = cm.comp_time(100, MODEL, HW)
+    assert comp_seconds(0, MODEL, HW) == 0.0
+    got = comp_seconds(100, MODEL, HW)
     assert got == pytest.approx(3.145728e-4, rel=1e-12)
-    assert cm.comp_time(200, MODEL, HW) == pytest.approx(2 * got, rel=1e-12)
+    assert comp_seconds(200, MODEL, HW) == pytest.approx(2 * got, rel=1e-12)
 
 
 def test_comm_time_direction_max():
-    loads = cm.LoadVector(
-        comp=np.zeros(1),
-        nvlink_tx=np.array([10.0]),
-        nvlink_rx=np.zeros(1),
-        rdma_tx=np.zeros(1),
-        rdma_rx=np.array([10.0]),
-        expert_load=np.zeros(1),
-    )
+    loads = np.zeros((5, 1))
+    loads[NVLINK_TX] = 10.0
+    loads[RDMA_RX] = 10.0
     hw = HardwareProfile(1e12, 1e9, 1e8, 1.0)
-    t = cm.comm_time(loads, hw)
+    t = cm.moe_time(loads, MODEL, hw).comm_times
     # rdma term dominates by the 10x bandwidth gap
     assert t[0] == pytest.approx(10.0 / 1e8)
-    zero = cm.LoadVector(np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1))
-    assert cm.comm_time(zero, hw)[0] == 0.0
+    assert cm.moe_time(np.zeros((5, 1)), MODEL, hw).comm_times[0] == 0.0
 
 
 def test_moe_time_sums_independent_maxima():
     # comp times (3, 1) and comm times (0.5, 2) must combine to 3 + 2 = 5
     model = ModelProfile(1, 2, 1, hidden_size=1, intermediate_size=1)
     hw = HardwareProfile(6.0, 1.0, 1.0, 1.0)  # comp unit = 1 s/token, links 1 token/s
-    loads = cm.LoadVector(
-        comp=np.array([3.0, 1.0]),
-        nvlink_tx=np.array([0.5, 2.0]),
-        nvlink_rx=np.zeros(2),
-        rdma_tx=np.zeros(2),
-        rdma_rx=np.zeros(2),
-        expert_load=np.array([3.0, 1.0]),
-    )
+    loads = np.zeros((5, 2))
+    loads[COMP] = [3.0, 1.0]
+    loads[NVLINK_TX] = [0.5, 2.0]
     assert cm.moe_time(loads, model, hw).t_moe == pytest.approx(5.0)
 
 
@@ -99,6 +106,40 @@ def test_moe_time_gpu_permutation_invariant():
     placement2 = perm[placement]
     got = cm.moe_time(cm.compute_loads(x2, placement2, topo), model, HW).t_moe
     assert got == pytest.approx(base, rel=1e-12)
+
+
+def test_planners_convert_loads_like_the_evaluator():
+    # every planner sums integer loads exactly, so equal times need the
+    # evaluator's own loads-to-seconds arithmetic, not one close to it
+    hw = QUICKSTART_HW
+    topo = build_topology(2, 4, hw)
+    g = topo.num_gpus
+    model = ModelProfile(num_layers=2, num_experts=16, top_k=2)
+    for seed in range(10):
+        spec = rt.TraceGenSpec(num_domains=2, dirichlet_alpha=0.4, tokens_per_gpu=1024, rng_seed=seed,
+                               samples_per_gpu=2)
+        trace = rt.generate_synthetic_trace(spec, model, topo, 3)
+        plans = [ro.lpt_initial(rt.aggregate_batch(trace, layer), topo) for layer in range(2)]
+        for layer, plan in enumerate(plans):
+            x = rt.aggregate_batch(trace, layer).astype(np.float64)
+            est = cm.moe_time(cm.compute_loads(x, plan.assignment, topo), model, hw, beta=20.0)
+            state = ro.AnnealState(x, plan.assignment, topo, model, hw, beta=20.0)
+            assert state.exact_time() == est.t_moe
+            assert state.smoothed_time() == est.t_moe_smoothed
+            lp = rep.TokenSplitLP(x, plan.assignment, topo, model, hw)
+            assert lp.t0_comp + lp.t0_comm == est.t_moe
+            rhs = lp.solver.rhs
+            assert np.array_equal(rhs[:g], est.comp_times.max() - est.comp_times)
+            # t0 - t never rises with t, so a GPU's tightest link row is its slowest direction
+            assert np.array_equal(rhs[g:].reshape(4, g).min(axis=0), est.comm_times.max() - est.comm_times)
+        samples = ro._build_sample_state(trace, plans, topo, model, hw, beta=20.0)
+        for mb in range(trace.num_micro_batches):
+            exact = sum(
+                cm.moe_time(cm.compute_loads(trace.matrices[mb, layer], plans[layer].assignment, topo),
+                            model, hw).t_moe
+                for layer in range(2)
+            )
+            assert samples.entry_exact(mb) == exact
 
 
 def test_lse_values():
@@ -137,12 +178,12 @@ def test_smoothed_at_least_exact_and_converges():
         placement = rng.integers(0, 4, size=8)
         loads = cm.compute_loads(x, placement, topo)
         exact = cm.moe_time(loads, model, hw).t_moe
-        smoothed = cm.smoothed_moe_time(loads, model, hw, cm.SmoothingConfig(beta=20.0))
+        smoothed = cm.moe_time(loads, model, hw, beta=20.0).t_moe_smoothed
         assert smoothed >= exact - 1e-12
         g = topo.num_gpus
         slack = (2 * math.log(g) + math.log(4)) / 20.0
         assert smoothed <= exact + slack + 1e-12
-        tight = cm.smoothed_moe_time(loads, model, hw, cm.SmoothingConfig(beta=1e6))
+        tight = cm.moe_time(loads, model, hw, beta=1e6).t_moe_smoothed
         assert abs(tight - exact) < 1e-4 * max(exact, 1e-30)
 
 
@@ -151,9 +192,9 @@ def test_single_gpu_single_link_degenerate_lse():
     x = np.array([[11.0]])
     loads = cm.compute_loads(x, np.array([0]), topo)
     model = ModelProfile(1, 1, 1, hidden_size=2, intermediate_size=2)
-    est = cm.moe_time(loads, model, HW, smoothing=cm.SmoothingConfig(beta=20.0))
+    est = cm.moe_time(loads, model, HW, beta=20.0)
     # all comm is local; the smoothed comm term is an LSE over four zeros
-    assert est.t_moe == pytest.approx(cm.comp_time(11.0, model, HW))
+    assert est.t_moe == pytest.approx(comp_seconds(11.0, model, HW))
     assert est.t_moe_smoothed >= est.t_moe
 
 
@@ -176,9 +217,9 @@ def test_split_conservation_and_symmetry():
             frac = np.stack([1 - frac_replica, frac_replica], axis=1)
             splits[int(expert)] = (np.array([home, copy]), frac)
         loads = cm.compute_loads(x, placement, topo, splits=splits)
-        assert loads.comp.sum() == pytest.approx(x.sum(), rel=1e-12)
-        assert loads.nvlink_tx.sum() == pytest.approx(loads.nvlink_rx.sum(), rel=1e-12)
-        assert loads.rdma_tx.sum() == pytest.approx(loads.rdma_rx.sum(), rel=1e-12)
+        assert loads[COMP].sum() == pytest.approx(x.sum(), rel=1e-12)
+        assert loads[NVLINK_TX].sum() == pytest.approx(loads[NVLINK_RX].sum(), rel=1e-12)
+        assert loads[RDMA_TX].sum() == pytest.approx(loads[RDMA_RX].sum(), rel=1e-12)
 
 
 def test_home_only_split_matches_no_split():
@@ -191,8 +232,7 @@ def test_home_only_split_matches_no_split():
         3: (np.array([placement[3]]), np.ones((4, 1))),
     }
     with_split = cm.compute_loads(x, placement, topo, splits=one_hot)
-    for field in ("comp", "nvlink_tx", "nvlink_rx", "rdma_tx", "rdma_rx"):
-        np.testing.assert_allclose(getattr(with_split, field), getattr(plain, field), rtol=1e-12)
+    np.testing.assert_allclose(with_split, plain, rtol=1e-12)
 
 
 def test_bad_split_rejected(monkeypatch):
@@ -205,6 +245,10 @@ def test_bad_split_rejected(monkeypatch):
     missing_home = {0: (np.array([1]), np.ones((2, 1)))}
     with pytest.raises(ValueError):
         cm.compute_loads(x, placement, topo, splits=missing_home)
+    # NaN compares false against every bound, so it needs its own check
+    nan = {0: (np.array([0, 1]), np.array([[np.nan, 1.0], [1.0, 0.0]]))}
+    with pytest.raises(ValueError, match="expert 0 are not finite"):
+        cm.compute_loads(x, placement, topo, splits=nan)
 
     # a split valid for expert 1: key -1 would pass every other check if it
     # indexed from the end, so the key check must come before any load

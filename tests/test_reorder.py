@@ -6,7 +6,7 @@ import pytest
 from moebalance import costmodel as cm
 from moebalance import reorder as ro
 from moebalance import routing as rt
-from moebalance.topology import HardwareProfile, build_topology
+from moebalance.topology import COMP, RDMA_TX, HardwareProfile, build_topology
 
 UNIT_HW = HardwareProfile(6.0, 1e18, 1e18, 1.0)  # comp unit 1 s/token, comm negligible
 UNIT_MODEL = rt.ModelProfile(num_layers=1, num_experts=4, top_k=1, hidden_size=1, intermediate_size=1)
@@ -42,14 +42,14 @@ class TestLPT:
         plan = ro.lpt_initial(x, topo)
         assert plan.assignment.tolist() == [0, 1, 1, 0]
         loads = cm.compute_loads(x, plan.assignment, topo)
-        assert loads.comp.max() == 13
+        assert loads[COMP].max() == 13
 
     def test_equal_loads_balance(self):
         topo = build_topology(2, 2, UNIT_HW)
         x = np.full((4, 8), 3.0)
         plan = ro.lpt_initial(x, topo)
         loads = cm.compute_loads(x, plan.assignment, topo)
-        assert np.ptp(loads.comp) == 0
+        assert np.ptp(loads[COMP]) == 0
 
     def test_single_gpu(self):
         topo = build_topology(1, 1, UNIT_HW)
@@ -87,10 +87,8 @@ class TestAnnealState:
                                                           experts=2 * nodes * gpn)
             state = ro.AnnealState(x, plan.assignment, topo, model, hw)
             ref = cm.compute_loads(x, plan.assignment, topo)
-            got = state.load_vector()
-            for field in ("comp", "nvlink_tx", "nvlink_rx", "rdma_tx", "rdma_rx"):
-                np.testing.assert_allclose(getattr(got, field), getattr(ref, field), rtol=1e-12)
-            est = cm.moe_time(ref, model, hw, smoothing=cm.SmoothingConfig(beta=20.0))
+            np.testing.assert_allclose(state.loads5, ref, rtol=1e-12)
+            est = cm.moe_time(ref, model, hw, beta=20.0)
             assert state.exact_time() == pytest.approx(est.t_moe, rel=1e-12)
             assert state.smoothed_time() == pytest.approx(est.t_moe_smoothed, rel=1e-12)
 
@@ -113,8 +111,7 @@ class TestAnnealState:
             e_a, e_b = rng.integers(0, x.shape[1], size=2)
             state.apply_swap(int(e_a), int(e_b))
             ref = cm.compute_loads(x, state.assignment, topo)
-            np.testing.assert_allclose(state.loads5[0], ref.comp, rtol=1e-9)
-            np.testing.assert_allclose(state.loads5[1:], ref.comm_rows(), rtol=1e-9, atol=1e-9)
+            np.testing.assert_allclose(state.loads5, ref, rtol=1e-9, atol=1e-9)
 
     def test_long_chain_drift_bounded(self):
         rng = np.random.default_rng(6)
@@ -124,10 +121,10 @@ class TestAnnealState:
             e_a, e_b = rng.integers(0, 12, size=2)
             state.apply_swap(int(e_a), int(e_b))
         ref = cm.compute_loads(x, state.assignment, topo)
-        scale = max(ref.comp.max(), 1.0)
-        assert np.abs(state.loads5[0] - ref.comp).max() < 1e-9 * scale
+        scale = max(ref[COMP].max(), 1.0)
+        assert np.abs(state.loads5[COMP] - ref[COMP]).max() < 1e-9 * scale
         state.refresh()
-        np.testing.assert_allclose(state.loads5[0], ref.comp, rtol=1e-12)
+        np.testing.assert_allclose(state.loads5[COMP], ref[COMP], rtol=1e-12)
 
 
 class TestAnnealReorder:
@@ -138,7 +135,7 @@ class TestAnnealReorder:
         cfg = ro.AnnealConfig(seeds=(0, 1), cooling_rate=0.95)
         plan = ro.anneal_reorder(x, topo, UNIT_MODEL, UNIT_HW, cfg)
         loads = cm.compute_loads(x, plan.assignment, topo)
-        assert loads.comp.max() == pytest.approx(13.0)  # {10,3} / {6,5}
+        assert loads[COMP].max() == pytest.approx(13.0)  # {10,3} / {6,5}
 
     def test_never_worse_than_lpt(self):
         rng = np.random.default_rng(11)
@@ -260,7 +257,7 @@ class TestSamplePlacement:
         assert placement.source_gpu.tolist() == [0, 1]
         matrices = ro.rewrite_trace_matrices(trace, placement)
         loads = cm.compute_loads(matrices[0, 0], plans[0].assignment, topo)
-        assert loads.rdma_tx.sum() == 0
+        assert loads[RDMA_TX].sum() == 0
 
     def test_never_worse_than_greedy_initial(self):
         rng = np.random.default_rng(21)
@@ -323,8 +320,7 @@ class TestSamplePlacement:
         for mb in range(trace.num_micro_batches):
             for layer in range(2):
                 ref = cm.compute_loads(matrices[mb, layer], plans[layer].assignment, topo)
-                rows = np.vstack([ref.comp, ref.comm_rows()])
-                np.testing.assert_allclose(state.loads5[mb, layer], rows, rtol=1e-9, atol=1e-9)
+                np.testing.assert_allclose(state.loads5[mb, layer], ref, rtol=1e-9, atol=1e-9)
             exact = sum(
                 cm.moe_time(cm.compute_loads(matrices[mb, layer], plans[layer].assignment, topo),
                             model, hw).t_moe
@@ -343,30 +339,27 @@ class TestSamplePlacement:
                                        hw, ro.AnnealConfig(seeds=(0,)))
 
 
-class TestApplyPlan:
-    def test_identity(self):
-        topo = build_topology(1, 2, UNIT_HW)
-        x = np.array([[3.0, 1.0], [2.0, 4.0]])
-        plan = ro.ReorderPlan(np.array([0, 1]))
-        np.testing.assert_array_equal(ro.apply_plan(x, plan), x)
-
-    def test_sample_moves_preserve_column_sums(self):
+class TestRewriteTraceMatrices:
+    @staticmethod
+    def two_sample_trace():
         hw = HardwareProfile(6.0, 10.0, 3.0, 1.0)
         topo = build_topology(1, 2, hw)
         model = rt.ModelProfile(num_layers=1, num_experts=3, top_k=1, hidden_size=1, intermediate_size=1)
-        trace = make_sample_trace(
+        return make_sample_trace(
             counts=[[[2, 1, 0]], [[0, 1, 2]]], micro_batch=[0, 0], source_gpu=[0, 1], tokens=[3, 3],
             topo=topo, model=model)
-        plan = ro.ReorderPlan(np.array([0, 1, 1]))
+
+    def test_identity(self):
+        trace = self.two_sample_trace()
+        unmoved = ro.SamplePlacement(trace.samples.source_gpu.copy())
+        np.testing.assert_array_equal(ro.rewrite_trace_matrices(trace, unmoved), trace.matrices)
+
+    def test_sample_moves_preserve_column_sums(self):
+        trace = self.two_sample_trace()
         placement = ro.SamplePlacement(np.array([1, 0]))
         x = trace.matrices[0, 0].astype(float)
-        moved = ro.apply_plan(x, plan, placement, trace, micro_batch=0, layer=0)
+        moved = ro.rewrite_trace_matrices(trace, placement)[0, 0]
         np.testing.assert_allclose(moved.sum(axis=0), x.sum(axis=0))
         assert moved.sum() == x.sum()
         np.testing.assert_allclose(moved[1], [2, 1, 0])
         np.testing.assert_allclose(moved[0], [0, 1, 2])
-
-    def test_dimension_mismatch(self):
-        plan = ro.ReorderPlan(np.array([0, 1]))
-        with pytest.raises(ValueError):
-            ro.apply_plan(np.ones((2, 3)), plan)
