@@ -150,6 +150,13 @@ class TimeUnits:
         t = self.times(loads)
         return lse(t[0], beta) + lse(t[1:], beta)
 
+    def smoothed_rows(self, loads: np.ndarray, beta: float) -> list[float]:
+        """`smoothed` of each (5, G) array in a (C, 5, G) stack, bit for bit."""
+        t = self.times(loads)
+        comp = lse_rows(t[:, 0], beta)
+        comm = lse_rows(t[:, 1:].reshape(len(t), -1), beta)
+        return [a + b for a, b in zip(comp, comm)]
+
 
 def lse(values, beta: float) -> float:
     """(1/beta) * ln(sum(exp(beta * z))), computed with max subtraction."""
@@ -160,6 +167,17 @@ def lse(values, beta: float) -> float:
         raise ValueError(f"beta must be > 0, got {beta!r}")
     m = values.max()
     return float(m + math.log(np.exp(beta * (values - m)).sum()) / beta)
+
+
+def lse_rows(values: np.ndarray, beta: float) -> list[float]:
+    """`lse` of each row of a (C, n) array, bit for bit equal to `lse` per row.
+
+    The max, exp and sum run over all rows at once; numpy sums each row with
+    the pairwise summation of a 1-D sum, and the log stays `math.log`.
+    """
+    m = values.max(axis=1)
+    sums = np.exp(beta * (values - m[:, None])).sum(axis=1)
+    return [mi + math.log(si) / beta for mi, si in zip(m.tolist(), sums.tolist())]
 
 
 def moe_time(loads: np.ndarray, model, hw: HardwareProfile, beta: float | None = None) -> CostEstimate:

@@ -14,6 +14,12 @@ refresh bounds floating-point drift. Loads come from the topology's charge
 operator (`topology.ChargeOperator`): the tensor is one contraction of the
 routing matrix with it, and the sample pass charges each sample's source
 row through it. `costmodel.TimeUnits` turns loads into times.
+
+Two or more chains run in lockstep: one step of every chain is one numpy
+pass over a (chains, 5, G) load stack, and each chain ends exactly where it
+would running alone. A chain's random stream is by definition the one
+`numpy.random.default_rng` gives for its seed; `ChainStream` decodes it
+from raw PCG64 words.
 """
 
 from __future__ import annotations
@@ -28,6 +34,9 @@ from . import costmodel as cm
 from .topology import ClusterTopology, HardwareProfile
 
 REFRESH_EVERY = 4096
+# chain count from which `anneal_reorder` runs its chains in lockstep; one
+# chain alone runs faster in the scalar loop than through per-step numpy calls
+LOCKSTEP_MIN_CHAINS = 2
 
 
 @dataclass
@@ -187,11 +196,71 @@ def static_plan(num_experts: int, topo: ClusterTopology) -> ReorderPlan:
     return ReorderPlan(np.repeat(np.arange(g), num_experts // g))
 
 
+class ChainStream:
+    """The random stream of one annealing chain, decoded from raw PCG64 words.
+
+    A chain's stream is by definition the one
+    `np.random.default_rng(np.random.SeedSequence(seed))` gives: `pair(n)`
+    returns what its `integers(0, n, size=2)` returns and `random()` what
+    its `random()` returns, call for call. The raw words are fetched in
+    blocks and decoded as numpy's `Generator` does: a bounded integer is
+    Lemire's multiply-shift of the next 32-bit half with numpy's rejection
+    threshold, a word's upper half stays buffered for the next integer even
+    across `random()` calls, and a uniform is the top 53 bits of a word.
+    """
+
+    BLOCK = 1024
+
+    def __init__(self, seed: int):
+        self._bits = np.random.PCG64(np.random.SeedSequence(seed))
+        self._words: list[int] = []
+        self._pos = 0
+        self._half: int | None = None  # PCG64's buffered upper half (has_uint32)
+
+    def _word(self) -> int:
+        if self._pos == len(self._words):
+            self._words = self._bits.random_raw(self.BLOCK).tolist()
+            self._pos = 0
+        self._pos += 1
+        return self._words[self._pos - 1]
+
+    def _below(self, n: int, threshold: int) -> int:
+        while True:
+            half = self._half
+            if half is None:
+                word = self._word()
+                self._half = word >> 32
+                half = word & 0xFFFFFFFF
+            else:
+                self._half = None
+            m = half * n
+            if m & 0xFFFFFFFF >= threshold:
+                return m >> 32
+
+    def pair(self, n: int) -> tuple[int, int]:
+        """Two integers in [0, n), 2 <= n < 2**32."""
+        if not 2 <= n < 1 << 32:
+            raise ValueError(f"bound {n} outside [2, 2**32)")
+        threshold = (1 << 32) % n
+        if self._half is None and self._pos < len(self._words):
+            # the common case: both halves of the next word are accepted
+            word = self._words[self._pos]
+            lo, hi = (word & 0xFFFFFFFF) * n, (word >> 32) * n
+            if lo & 0xFFFFFFFF >= threshold and hi & 0xFFFFFFFF >= threshold:
+                self._pos += 1
+                return lo >> 32, hi >> 32
+        return self._below(n, threshold), self._below(n, threshold)
+
+    def random(self) -> float:
+        """A uniform float in [0, 1)."""
+        return (self._word() >> 11) * (1.0 / 9007199254740992.0)
+
+
 def _run_chain(shared: AnnealState, assignment0: np.ndarray, cfg: AnnealConfig, seed: int) -> np.ndarray:
     """One annealing chain; returns its best-so-far placement."""
     state = shared.fork(assignment0)
     num_experts = len(assignment0)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    stream = ChainStream(seed)
     t_cur = state.smoothed_time()
     theta = t_cur if t_cur > 0 else 1.0
     eps = cfg.eps_for(theta)
@@ -201,13 +270,13 @@ def _run_chain(shared: AnnealState, assignment0: np.ndarray, cfg: AnnealConfig, 
         return best_assign
     while theta > eps:
         while True:
-            e_a, e_b = rng.integers(0, num_experts, size=2)
+            e_a, e_b = stream.pair(num_experts)
             if e_a != e_b and state.assignment[e_a] != state.assignment[e_b]:
                 break
         delta = state.swap_delta(e_a, e_b)
         t_new = state.smoothed_time(state.loads5 + delta)
         diff = t_new - t_cur
-        if diff < 0 or rng.random() < math.exp(-min(diff / theta, 745.0)):
+        if diff < 0 or stream.random() < math.exp(-min(diff / theta, 745.0)):
             state.apply_swap(e_a, e_b, delta)
             t_cur = t_new
             if t_cur < best_t:
@@ -215,6 +284,68 @@ def _run_chain(shared: AnnealState, assignment0: np.ndarray, cfg: AnnealConfig, 
                 best_assign = state.assignment.copy()
         theta *= cfg.cooling_rate
     return best_assign
+
+
+def _run_lockstep(shared: AnnealState, assignment0: np.ndarray, cfg: AnnealConfig) -> list[np.ndarray]:
+    """Every chain of cfg.seeds at once; returns each best-so-far placement.
+
+    All chains start from the same state under the same schedule, so they
+    take the same number of steps. Each step draws every chain's pair from
+    its own stream, gathers the four contribution rows of all swaps at once,
+    scores all chains with one `TimeUnits.smoothed_rows` and applies the
+    accepted swaps. Per chain this is `_run_chain` bit for bit: the same
+    draws, the same arithmetic, and a refresh after every REFRESH_EVERY of
+    its own accepted swaps.
+    """
+    state = shared.fork(assignment0)
+    chains = len(cfg.seeds)
+    num_experts, g = len(assignment0), state.topo.num_gpus
+    t0 = state.smoothed_time()
+    theta = t0 if t0 > 0 else 1.0
+    eps = cfg.eps_for(theta)
+    if g < 2 or num_experts < 2:
+        return [state.assignment.copy() for _ in cfg.seeds]
+    streams = [ChainStream(seed) for seed in cfg.seeds]
+    rows = state.contrib.reshape(num_experts * g, 5, g)
+    assign = [state.assignment.tolist() for _ in cfg.seeds]
+    loads = np.repeat(state.loads5[None], chains, axis=0)
+    t_cur = [t0] * chains
+    best_t = [t0] * chains
+    best = [a.copy() for a in assign]
+    swaps = [0] * chains
+    while theta > eps:
+        picks, quads = [], []
+        for stream, a in zip(streams, assign):
+            while True:
+                e_a, e_b = stream.pair(num_experts)
+                g_a, g_b = a[e_a], a[e_b]
+                if g_a != g_b:  # distinct hosts, hence distinct experts
+                    break
+            picks.append((e_a, e_b))
+            quads.append((e_a * g + g_b, e_a * g + g_a, e_b * g + g_a, e_b * g + g_b))
+        gathered = np.take(rows, tuple(zip(*quads)), axis=0)  # (4, C, 5, G)
+        new = loads + (gathered[0] - gathered[1] + gathered[2] - gathered[3])
+        accepted = []
+        for c, t_new in enumerate(state.units.smoothed_rows(new, state.beta)):
+            diff = t_new - t_cur[c]
+            if diff < 0 or streams[c].random() < math.exp(-min(diff / theta, 745.0)):
+                e_a, e_b = picks[c]
+                a = assign[c]
+                a[e_a], a[e_b] = a[e_b], a[e_a]
+                accepted.append(c)
+                t_cur[c] = t_new
+                if t_new < best_t[c]:
+                    best_t[c] = t_new
+                    best[c] = a.copy()
+        if accepted:
+            loads[accepted] = new[accepted]
+            for c in accepted:
+                swaps[c] += 1
+                if swaps[c] >= REFRESH_EVERY:
+                    loads[c] = state.fork(assign[c]).loads5
+                    swaps[c] = 0
+        theta *= cfg.cooling_rate
+    return [np.array(b, dtype=state.assignment.dtype) for b in best]
 
 
 def anneal_reorder(
@@ -240,8 +371,10 @@ def anneal_reorder(
     for plan in extra_initial_plans:
         plan.validate(topo)
         candidates.append(np.asarray(plan.assignment))
-    for seed in cfg.seeds:
-        candidates.append(_run_chain(shared, base.assignment, cfg, seed))
+    if len(cfg.seeds) >= LOCKSTEP_MIN_CHAINS:
+        candidates.extend(_run_lockstep(shared, base.assignment, cfg))
+    else:
+        candidates.extend(_run_chain(shared, base.assignment, cfg, seed) for seed in cfg.seeds)
 
     best = candidates[0]
     best_t = math.inf

@@ -27,7 +27,9 @@ from .topology import ClusterTopology, HardwareProfile, build_topology
 MANIFEST_VERSION = 1
 U32_MAX = 2**32 - 1
 
-MANIFEST_REQUIRED = (
+# required manifest keys by JSON type; "expert_param_bytes" is an optional
+# integer (absent or null derives it from the sizes)
+MANIFEST_INTS = (
     "version",
     "num_layers",
     "num_experts",
@@ -36,11 +38,11 @@ MANIFEST_REQUIRED = (
     "num_nodes",
     "gpus_per_node",
     "tokens_per_gpu",
-    "flops_per_gpu",
-    "bw_nvlink_Bps",
-    "bw_rdma_Bps",
-    "bytes_per_token",
+    "hidden_size",
+    "intermediate_size",
 )
+MANIFEST_NUMBERS = ("flops_per_gpu", "bw_nvlink_Bps", "bw_rdma_Bps", "bytes_per_token")
+MANIFEST_REQUIRED = MANIFEST_INTS + MANIFEST_NUMBERS
 
 DEFAULT_HIDDEN_SIZE = 1024
 DEFAULT_INTERMEDIATE_SIZE = 512
@@ -262,9 +264,7 @@ def load_trace(path: str | Path) -> RoutingTrace:
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as err:
         raise TraceFormatError(f"malformed manifest: {err}") from err
-    missing = [key for key in MANIFEST_REQUIRED if key not in manifest]
-    if missing:
-        raise TraceFormatError(f"manifest missing keys: {', '.join(missing)}")
+    _check_manifest(manifest, manifest_path)
     if manifest["version"] != MANIFEST_VERSION:
         raise TraceFormatError(f"unsupported trace version {manifest['version']}")
 
@@ -272,8 +272,8 @@ def load_trace(path: str | Path) -> RoutingTrace:
         num_layers=manifest["num_layers"],
         num_experts=manifest["num_experts"],
         top_k=manifest["top_k"],
-        hidden_size=manifest.get("hidden_size", DEFAULT_HIDDEN_SIZE),
-        intermediate_size=manifest.get("intermediate_size", DEFAULT_INTERMEDIATE_SIZE),
+        hidden_size=manifest["hidden_size"],
+        intermediate_size=manifest["intermediate_size"],
         expert_param_bytes=manifest.get("expert_param_bytes"),
     )
     topo = build_topology(
@@ -316,6 +316,25 @@ def load_trace(path: str | Path) -> RoutingTrace:
     )
     trace.validate()
     return trace
+
+
+def _check_manifest(manifest, path: Path) -> None:
+    """Every required key present, and every typed key of its JSON type."""
+    if not isinstance(manifest, dict):
+        raise TraceFormatError(f"{path}: manifest is not a JSON object")
+    missing = [key for key in MANIFEST_REQUIRED if key not in manifest]
+    if missing:
+        raise TraceFormatError(f"manifest missing keys: {', '.join(missing)}")
+    typed = {**dict.fromkeys(MANIFEST_INTS, int), **dict.fromkeys(MANIFEST_NUMBERS, float),
+             "expert_param_bytes": int, "has_samples": bool}
+    for key, kind in typed.items():
+        value = manifest.get(key)
+        if value is None and key not in MANIFEST_REQUIRED:
+            continue
+        # exact types: JSON true/false load as bool, which is no count
+        if not (type(value) is kind or (kind is float and type(value) is int)):
+            name = {int: "an integer", float: "a number", bool: "true or false"}[kind]
+            raise TraceFormatError(f"{path}: {key} must be {name}, got {value!r}")
 
 
 def _load_samples(root: Path, shape: tuple) -> SampleTable:

@@ -5,6 +5,7 @@ import shutil
 
 import pytest
 
+from moebalance import routing as rt
 from moebalance.cli import main
 
 GEN_ARGS = [
@@ -252,3 +253,47 @@ def test_simulate_rejects_malformed_plan_files(solved, tmp_path, capsys, file, m
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1, err
     assert file in err and expected in err, err
+
+
+@pytest.fixture(scope="module")
+def generated(tmp_path_factory):
+    root = tmp_path_factory.mktemp("generated")
+    assert run(GEN_ARGS + ["--out", root / "trace", "--samples-per-gpu", "1"]) == 0
+    return root / "trace"
+
+
+def _wrong_type(value):
+    # a string for every count and rate, a count for the flag
+    return 1 if isinstance(value, bool) else str(value)
+
+
+MANIFEST_KEYS = [*rt.MANIFEST_INTS, *rt.MANIFEST_NUMBERS, "expert_param_bytes", "has_samples"]
+
+
+@pytest.mark.parametrize("key,mutate", [
+    *((key, "wrong_type") for key in MANIFEST_KEYS),
+    *((key, "fractional") for key in (*rt.MANIFEST_INTS, "expert_param_bytes")),
+    ("hidden_size", "missing"),
+    ("intermediate_size", "missing"),
+])
+def test_simulate_rejects_malformed_manifest(generated, tmp_path, capsys, key, mutate):
+    trace = tmp_path / "trace"
+    shutil.copytree(generated, trace)
+    path = trace / "manifest.json"
+    manifest = json.loads(path.read_text())
+    if mutate == "missing":
+        del manifest[key]
+    elif mutate == "fractional":
+        manifest[key] = manifest[key] + 0.5
+    else:
+        manifest[key] = _wrong_type(manifest[key])
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    code = run(["simulate", "--trace", trace, "--out", tmp_path / "r", "--policies", "static",
+                "--threads", "1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert key in err, err
+    if mutate != "missing":
+        assert "manifest.json" in err and " must be " in err, err

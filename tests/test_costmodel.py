@@ -166,6 +166,45 @@ def test_lse_bound_property():
             assert got <= values.max() + math.log(n) / beta + 1e-12
 
 
+@st.composite
+def row_stacks(draw):
+    rows = draw(st.integers(1, 6))
+    n = draw(st.sampled_from([1, 2, 3, 7, 8, 9, 31, 32, 33, 127, 128, 129, 160, 300]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    scale = draw(st.sampled_from([1e-6, 1.0, 1e3]))
+    beta = draw(st.sampled_from([1.0, 20.0, 1e3, 1e6]))
+    values = np.random.default_rng(seed).exponential(scale, size=(rows, n))
+    return values, beta
+
+
+@settings(max_examples=80, deadline=None)
+@given(row_stacks())
+def test_lse_rows_equals_lse_per_row(case):
+    values, beta = case
+    assert cm.lse_rows(values, beta) == [cm.lse(row, beta) for row in values]
+    # a column slice of a wider stack, as the smoothed rows take them
+    wide = np.hstack([values, values[:, ::-1]])
+    n = values.shape[1]
+    assert cm.lse_rows(wide[:, n:], beta) == [cm.lse(row[n:], beta) for row in wide]
+
+
+def test_lse_rows_keeps_the_scalar_log():
+    # exp sums spread over [1, 2), where numpy's vectorized log differs from
+    # math.log in the last bit for about 0.4% of arguments
+    u = np.random.default_rng(5).uniform(0.0, 1.0, size=5000)
+    values = np.stack([np.zeros_like(u), np.log(u)], axis=1)
+    assert cm.lse_rows(values, 1.0) == [cm.lse(row, 1.0) for row in values]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 40), st.integers(0, 2**32 - 1),
+       st.sampled_from([1.0, 20.0, 1e6]))
+def test_smoothed_rows_equals_smoothed(rows, g, seed, beta):
+    units = cm.TimeUnits.of(MODEL, QUICKSTART_HW, g)
+    loads = np.random.default_rng(seed).integers(0, 200_000, size=(rows, 5, g)).astype(float)
+    assert units.smoothed_rows(loads, beta) == [units.smoothed(l5, beta) for l5 in loads]
+
+
 def test_smoothed_at_least_exact_and_converges():
     # beta is unitful (1/seconds), so the convergence check runs on
     # instances whose times are of order one

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moebalance import costmodel as cm
 from moebalance import reorder as ro
@@ -212,6 +214,123 @@ class TestAnnealReorder:
             if t <= best * 1.01 + 1e-12:
                 hits += 1
         assert hits >= trials - 1
+
+
+# bounds with rejection thresholds 0, small and near 2**32 (n = 3e9 rejects 30%)
+STREAM_BOUNDS = [2, 3, 6, 7, 48, 96, 128, 1000, 2**31 + 1, 3_000_000_000, 2**32 - 1]
+
+
+class TestChainStream:
+    @staticmethod
+    def replay(seed, n, calls):
+        """Values of `calls` ("pair"/"random") from numpy and from the stream."""
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        stream = ro.ChainStream(seed)
+        want, got = [], []
+        for call in calls:
+            if call == "pair":
+                want.append(tuple(rng.integers(0, n, size=2).tolist()))
+                got.append(stream.pair(n))
+            else:
+                want.append(rng.random())
+                got.append(stream.random())
+        return want, got
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**63), st.sampled_from(STREAM_BOUNDS) | st.integers(2, 2**32 - 1),
+           st.lists(st.sampled_from(["pair", "random"]), min_size=1, max_size=3000))
+    def test_equals_numpy_generator(self, seed, n, calls):
+        want, got = self.replay(seed, n, calls)
+        assert got == want
+
+    def test_rejections_and_buffered_half_occur(self):
+        # an odd number of halves consumed (a rejection) leaves an upper half
+        # buffered; it must survive the random() calls that follow
+        class Counting(ro.ChainStream):
+            words = 0
+
+            def _word(self):
+                self.words += 1
+                return super()._word()
+
+        stream = Counting(7)
+        rejected = buffered_across_random = 0
+        for _ in range(400):
+            words, held = stream.words, stream._half is not None
+            stream.pair(3_000_000_000)
+            rejected += 2 * (stream.words - words) + held - (stream._half is not None) > 2
+            if stream._half is not None:
+                half = stream._half
+                stream.random()
+                buffered_across_random += stream._half == half
+        assert rejected > 50 and buffered_across_random > 20
+        want, got = self.replay(7, 3_000_000_000, ["pair", "random"] * 1000)
+        assert got == want
+
+    def test_bound_checked(self):
+        with pytest.raises(ValueError):
+            ro.ChainStream(0).pair(1)
+        with pytest.raises(ValueError):
+            ro.ChainStream(0).pair(2**32)
+
+
+@st.composite
+def lockstep_cases(draw):
+    nodes, gpn = draw(st.sampled_from([(1, 2), (1, 3), (2, 2), (2, 4)]))
+    g = nodes * gpn
+    num_experts = g * draw(st.integers(1, 3))
+    hw = HardwareProfile(6.0, draw(st.floats(5, 200)), draw(st.floats(2, 60)), 1.0)
+    topo = build_topology(nodes, gpn, hw)
+    x = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(
+        0, 30, size=(g, num_experts)).astype(float)
+    chains = draw(st.integers(2, 6))
+    first = draw(st.integers(0, 10**6))
+    cfg = ro.AnnealConfig(
+        seeds=tuple(range(first, first + chains)),
+        cooling_rate=draw(st.floats(0.8, 0.99)),
+        beta=draw(st.sampled_from([1.0, 20.0, 1e3, 1e6])),
+    )
+    return x, topo, comm_model(num_experts), hw, cfg
+
+
+def assert_lockstep_equals_serial(x, topo, model, hw, cfg):
+    base = ro.lpt_initial(x, topo)
+    shared = ro.AnnealState(x, base.assignment, topo, model, hw, beta=cfg.beta)
+    lockstep = ro._run_lockstep(shared, base.assignment, cfg)
+    serial = [ro._run_chain(shared, base.assignment, cfg, seed) for seed in cfg.seeds]
+    assert len(lockstep) == len(serial)
+    for got, want in zip(lockstep, serial):
+        assert got.dtype == want.dtype
+        assert got.tolist() == want.tolist()
+
+
+class TestLockstep:
+    @settings(max_examples=60, deadline=None)
+    @given(lockstep_cases())
+    def test_equals_serial_chains(self, case):
+        assert_lockstep_equals_serial(*case)
+
+    def test_equals_serial_with_per_chain_refresh(self, monkeypatch):
+        # chains accept different numbers of swaps, so each refreshes on its
+        # own count; a shared count would refresh at the wrong step
+        monkeypatch.setattr(ro, "REFRESH_EVERY", 3)
+        rng = np.random.default_rng(31)
+        hw = HardwareProfile(6.0, 40.0, 7.0, 1.0)
+        topo = build_topology(2, 4, hw)
+        x = rng.uniform(0, 30, size=(8, 24))
+        cfg = ro.AnnealConfig(seeds=(3, 4, 5, 6), cooling_rate=0.99, beta=1e3)
+        assert_lockstep_equals_serial(x, topo, comm_model(24), hw, cfg)
+
+    def test_anneal_reorder_switches_at_the_chain_threshold(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        hw = HardwareProfile(6.0, 40.0, 7.0, 1.0)
+        topo = build_topology(2, 2, hw)
+        x = rng.integers(0, 30, size=(4, 8)).astype(float)
+        cfg = ro.AnnealConfig(seeds=tuple(range(ro.LOCKSTEP_MIN_CHAINS)), cooling_rate=0.95)
+        lockstep = ro.anneal_reorder(x, topo, comm_model(8), hw, cfg)
+        monkeypatch.setattr(ro, "LOCKSTEP_MIN_CHAINS", len(cfg.seeds) + 1)
+        serial = ro.anneal_reorder(x, topo, comm_model(8), hw, cfg)
+        assert lockstep.assignment.tolist() == serial.assignment.tolist()
 
 
 def make_sample_trace(counts, micro_batch, source_gpu, tokens, topo, model):
