@@ -22,18 +22,9 @@ from . import routing as rt
 from . import sim
 from .topology import HardwareProfile, build_topology
 
-POLICY_ALIASES = {
-    "static": "static",
-    "lpt": "lpt_only",
-    "lpt_only": "lpt_only",
-    "eplb": "eplb_like",
-    "eplb_like": "eplb_like",
-    "lplb": "lplb_like",
-    "lplb_like": "lplb_like",
-    "balanced": "balanced_oracle",
-    "balanced_oracle": "balanced_oracle",
-    "relibra": "relibra",
-}
+# every policy by its own name, plus short names
+POLICY_ALIASES = {**{policy: policy for policy in sim.POLICIES},
+                  "lpt": "lpt_only", "eplb": "eplb_like", "lplb": "lplb_like", "balanced": "balanced_oracle"}
 
 
 def chain_seeds(master_seed: int, count: int) -> tuple[int, ...]:
@@ -101,7 +92,6 @@ def cmd_gen(args) -> int:
     spec = rt.TraceGenSpec(
         num_domains=args.domains,
         dirichlet_alpha=args.alpha,
-        domain_mix="shuffled",
         tokens_per_gpu=args.tokens_per_gpu,
         rng_seed=args.seed,
         domain_focus=args.focus,
@@ -110,18 +100,13 @@ def cmd_gen(args) -> int:
     trace = rt.generate_synthetic_trace(spec, model, topo, args.micro_batches)
     rt.save_trace(trace, args.out)
 
-    k = min(8, model.num_experts)
-    skews = []
-    inters = []
-    for layer in range(model.num_layers):
-        per_mb = trace.matrices[:, layer].astype(np.int64).sum(axis=1)
-        skews.extend(rt.skewness(row) for row in per_mb)
-        if trace.num_micro_batches >= 2:
-            inters.extend(rt.hot_expert_intersection(trace, layer, k).tolist())
-    skews = np.array(skews)
+    summary = sim.trace_summary(trace)
+    skews = np.concatenate(summary["skewness_raw"])
+    inters = [r for per_layer in summary["intersection_ratio"] for r in per_layer]
     print(f"trace written to {args.out} (id {trace.trace_id()})")
     print(f"expert-level skewness: mean {skews.mean():.3f} min {skews.min():.3f} max {skews.max():.3f}")
     if inters:
+        k = min(summary["hot_k"], model.num_experts)
         print(f"top-{k} adjacent intersection ratio: mean {np.mean(inters):.3f}")
     return 0
 
@@ -182,7 +167,6 @@ def cmd_simulate(args) -> int:
         if policy == "relibra" and args.plans:
             bundle = planio.load_plan_bundle(args.plans, trace)
             report = sim.evaluate_bundle(trace, bundle, topo, model, hw, policy="relibra")
-            report.trace_id = trace.trace_id()
         else:
             report = sim.run_baseline(trace, policy, topo, model, hw, cfgs)
         reports.append(report)

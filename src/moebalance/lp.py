@@ -210,11 +210,10 @@ class DenseSimplex:
         self.rhs[block_row] = entering_value
         self._pivots += 1
 
-    def solve(self, max_iter: int | None = None) -> float:
+    def solve(self) -> float:
         """Run primal simplex to optimality; returns the objective value."""
         m = self.num_rows
-        if max_iter is None:
-            max_iter = 200 * (m + self.num_struct) + 2000
+        max_iter = 200 * (m + self.num_struct) + 2000
         stall = 0
         last_obj = self.objective
         for _ in range(max_iter):

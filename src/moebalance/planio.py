@@ -4,22 +4,83 @@ reorder.json      per-layer expert->GPU arrays, optional sample->GPU array,
                   and the exact/smoothed objective achieved per layer
 replication.json  per (micro_batch, layer): replica list, split table rows
                   (source_gpu, expert, serving_gpu, fraction), objective
+
+Only this module knows the file keys. Parsing checks JSON types and the
+indices a replication row is decoded through; `load_plan_bundle` runs the
+`sim` checks of fit to the trace and names the file of a failure.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import sys
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
-from . import replicate as rep
 from . import reorder as ro
-from .sim import PlanBundle
+from . import sim
+from .replicate import ReplicaPlacement, ReplicationEntry, ReplicationPlan, SplitPlan
 
 
 class PlanFormatError(ValueError):
     """Raised for malformed or mismatched plan files."""
+
+
+def _plan_field(obj, key: str, where: str, kind: type | tuple = object):
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"{where}: missing required key {key!r}")
+    if not isinstance(obj[key], kind):
+        raise ValueError(f"{where}.{key} has the wrong type: {obj[key]!r}")
+    return obj[key]
+
+
+def _plan_index(value, bound: float, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < bound:
+        raise ValueError(f"{what} = {value!r} is not an index in [0, {bound})")
+    return value
+
+
+def _plan_row(row, width: int, what: str) -> list:
+    if not isinstance(row, list) or len(row) != width:
+        raise ValueError(f"{what} must be a list of {width} values, got {row!r}")
+    return row
+
+
+def _gpu_ids(values, what: str) -> np.ndarray:
+    """A list of GPU ids; their range is checked against the trace in `sim`."""
+    if not isinstance(values, list):
+        raise ValueError(f"{what} must be a list of GPU ids, got {values!r}")
+    return np.array([_plan_index(v, math.inf, f"{what}[{i}]") for i, v in enumerate(values)], dtype=np.int64)
+
+
+@contextmanager
+def _blame(path: Path):
+    """Re-raise a ValueError as a one-line PlanFormatError naming path."""
+    try:
+        yield
+    except ValueError as err:
+        raise PlanFormatError(f"{path}: {err}") from err
+
+
+def _read_plan_file(p: Path, kind: str, trace) -> dict:
+    if not p.is_file():
+        raise FileNotFoundError(f"missing {kind} plan file: {p}")
+    try:
+        data = json.loads(p.read_text())
+    except json.JSONDecodeError as err:
+        raise PlanFormatError(f"{p}: malformed JSON ({err})") from err
+    if not isinstance(data, dict) or data.get("version") != 1:
+        raise PlanFormatError(f"unsupported {kind} plan version in {p}")
+    trace_id = data.get("trace_id")
+    if not isinstance(trace_id, str) or not trace_id:
+        raise PlanFormatError(f"{p}: trace_id is missing or empty, so the plan cannot be matched to a trace")
+    if trace_id != trace.trace_id():
+        raise PlanFormatError(f"{p}: solved for trace {trace_id}, not {trace.trace_id()}")
+    return data
 
 
 def save_reorder_plan(path: str | Path, trace_id: str, plans: list[ro.ReorderPlan],
@@ -37,90 +98,106 @@ def save_reorder_plan(path: str | Path, trace_id: str, plans: list[ro.ReorderPla
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _read_plan_file(p: Path, kind: str) -> dict:
-    if not p.is_file():
-        raise FileNotFoundError(f"missing {kind} plan file: {p}")
-    try:
-        data = json.loads(p.read_text())
-    except json.JSONDecodeError as err:
-        raise PlanFormatError(f"{p}: malformed JSON ({err})") from err
-    if not isinstance(data, dict) or data.get("version") != 1:
-        raise PlanFormatError(f"unsupported {kind} plan version in {p}")
-    trace_id = data.get("trace_id")
-    if not isinstance(trace_id, str) or not trace_id:
-        raise PlanFormatError(f"{p}: trace_id is missing or empty, so the plan cannot be matched to a trace")
-    return data
-
-
-def _is_int_list(values) -> bool:
-    return isinstance(values, list) and all(isinstance(v, int) and not isinstance(v, bool) for v in values)
-
-
-def load_reorder_plan(path: str | Path) -> dict:
+def load_reorder_plan(path: str | Path, trace) -> dict:
     p = Path(path)
-    data = _read_plan_file(p, "reorder")
-    plans = data.get("plans")
-    if not isinstance(plans, list) or not all(_is_int_list(a) for a in plans):
-        raise PlanFormatError(f"{p}: plans must be a list of per-layer lists of GPU ids")
-    data["plans"] = [ro.ReorderPlan(np.asarray(a, dtype=np.int64)) for a in plans]
-    placement = data.get("sample_placement")
-    if placement is not None:
-        if not _is_int_list(placement):
-            raise PlanFormatError(f"{p}: sample_placement must be a list of GPU ids")
-        data["sample_placement"] = ro.SamplePlacement(np.asarray(placement, dtype=np.int64))
+    data = _read_plan_file(p, "reorder", trace)
+    with _blame(p):
+        rows = _plan_field(data, "plans", "plan", list)
+        data["plans"] = [ro.ReorderPlan(_gpu_ids(row, f"plans[{layer}]")) for layer, row in enumerate(rows)]
+        if data.get("sample_placement") is not None:
+            data["sample_placement"] = ro.SamplePlacement(_gpu_ids(data["sample_placement"], "sample_placement"))
     return data
 
 
-def save_replication_plan(path: str | Path, trace_id: str, plan: rep.ReplicationPlan) -> None:
-    payload = rep.replication_plan_to_dict(plan)
+def replication_plan_to_dict(plan: ReplicationPlan) -> dict:
+    entries = []
+    for (mb, layer) in sorted(plan.entries):
+        entry = plan.entries[(mb, layer)]
+        rows = []
+        for e, frac in sorted(entry.split.fractions.items()):
+            copies = entry.placement.copies(e)
+            for j in range(frac.shape[0]):
+                for col, gpu in enumerate(copies):
+                    if frac[j, col] > 0:
+                        rows.append([int(j), int(e), int(gpu), float(frac[j, col])])
+        entries.append({
+            "micro_batch": mb,
+            "layer": layer,
+            "replicas": [[int(e), int(g)] for e in sorted(entry.placement.replicas) for g in entry.placement.replicas[e]],
+            "splits": rows,
+            "objective": entry.objective,
+        })
+    return {"version": 1, "entries": entries}
+
+
+def replication_plan_from_dict(data: dict, home_per_layer: Sequence[np.ndarray], num_gpus: int) -> ReplicationPlan:
+    """Inverse of replication_plan_to_dict.
+
+    Raises ValueError naming the entry and field of a missing key, a value
+    of the wrong type, a layer, expert or source index the plan cannot be
+    decoded through, a split row served by a GPU that holds no copy, or a
+    second entry for the same (micro_batch, layer).
+    """
+    plan = ReplicationPlan()
+    number = (int, float)
+    seen: dict[tuple[int, int], int] = {}
+    for n, entry in enumerate(_plan_field(data, "entries", "plan", list)):
+        where = f"entries[{n}]"
+        mb = _plan_index(_plan_field(entry, "micro_batch", where), math.inf, f"{where}.micro_batch")
+        layer = _plan_index(_plan_field(entry, "layer", where), len(home_per_layer), f"{where}.layer")
+        first = seen.setdefault((mb, layer), n)
+        if first != n:
+            raise ValueError(f"{where} repeats (micro_batch, layer) = ({mb}, {layer}) of entries[{first}]")
+        home = home_per_layer[layer]
+        placement = ReplicaPlacement(home=home)
+        for r, row in enumerate(_plan_field(entry, "replicas", where, list)):
+            what = f"{where}.replicas[{r}]"
+            e, g = _plan_row(row, 2, what)
+            e = _plan_index(e, len(home), f"{what} expert")
+            placement.replicas.setdefault(e, []).append(_plan_index(g, math.inf, f"{what} gpu"))
+        split = SplitPlan()
+        for r, row in enumerate(_plan_field(entry, "splits", where, list)):
+            what = f"{where}.splits[{r}]"
+            j, e, gpu, value = _plan_row(row, 4, what)
+            j = _plan_index(j, num_gpus, f"{what} source")
+            e = _plan_index(e, len(home), f"{what} expert")
+            gpu = _plan_index(gpu, math.inf, f"{what} gpu")
+            # NaN fails the comparison; an int beyond the float range must not reach numpy
+            if isinstance(value, bool) or not isinstance(value, number) or not abs(value) <= sys.float_info.max:
+                raise ValueError(f"{what} fraction = {value!r} of expert {e} is not a finite float")
+            copies = placement.copies(e)
+            if gpu not in copies:
+                raise ValueError(f"{what} gpu = {gpu} holds no copy of expert {e} (copies {copies})")
+            if e not in split.fractions:
+                split.fractions[e] = np.zeros((num_gpus, len(copies)))
+            split.fractions[e][j, copies.index(gpu)] = value
+        objective = _plan_field(entry, "objective", where, number)
+        plan.entries[(mb, layer)] = ReplicationEntry(placement=placement, split=split, objective=objective)
+    return plan
+
+
+def save_replication_plan(path: str | Path, trace_id: str, plan: ReplicationPlan) -> None:
+    payload = replication_plan_to_dict(plan)
     payload["trace_id"] = trace_id
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def load_replication_plan(path: str | Path, home_per_layer: dict[int, np.ndarray], num_gpus: int) -> tuple[rep.ReplicationPlan, str]:
+def load_replication_plan(path: str | Path, trace, home_per_layer: Sequence[np.ndarray]) -> ReplicationPlan:
     p = Path(path)
-    data = _read_plan_file(p, "replication")
-    try:
-        plan = rep.replication_plan_from_dict(data, home_per_layer, num_gpus)
-    except ValueError as err:
-        raise PlanFormatError(f"{p}: {err}") from err
-    return plan, data["trace_id"]
+    data = _read_plan_file(p, "replication", trace)
+    with _blame(p):
+        return replication_plan_from_dict(data, home_per_layer, trace.topo.num_gpus)
 
 
-def _check_indices(path: Path, field: str, values: np.ndarray, count: int, what: str, num_gpus: int) -> None:
-    if len(values) != count:
-        raise PlanFormatError(f"{path}: {field} has {len(values)} entries, the trace has {count} {what}")
-    if count and (values.min() < 0 or values.max() >= num_gpus):
-        raise PlanFormatError(f"{path}: {field} holds a GPU id outside [0, {num_gpus})")
-
-
-def load_plan_bundle(plans_dir: str | Path, trace) -> PlanBundle:
-    """Assemble a PlanBundle for `simulate` from a solve output directory."""
+def load_plan_bundle(plans_dir: str | Path, trace) -> sim.PlanBundle:
+    """Assemble a checked PlanBundle for `simulate` from a solve output directory."""
     root = Path(plans_dir)
-    reorder_path = root / "reorder.json"
-    replication_path = root / "replication.json"
-    if not reorder_path.is_file():
-        raise FileNotFoundError(f"missing plan file for relibra: {reorder_path}")
-    reorder_data = load_reorder_plan(reorder_path)
-    if reorder_data["trace_id"] != trace.trace_id():
-        raise PlanFormatError(
-            f"reorder plan {reorder_path} was solved for trace {reorder_data['trace_id']}, "
-            f"not {trace.trace_id()}"
-        )
-    plans = reorder_data["plans"]
-    g = trace.topo.num_gpus
-    if len(plans) != trace.model.num_layers:
-        raise PlanFormatError(f"{reorder_path}: plan has {len(plans)} layers, the trace has {trace.model.num_layers}")
-    for layer, plan in enumerate(plans):
-        _check_indices(reorder_path, f"plans[{layer}]", plan.assignment, trace.model.num_experts, "experts", g)
-    placement = reorder_data.get("sample_placement")
-    if placement is not None:
-        samples = trace.samples.num_samples if trace.samples is not None else 0
-        _check_indices(reorder_path, "sample_placement", placement.source_gpu, samples, "samples", g)
-    homes = {layer: plans[layer].assignment for layer in range(len(plans))}
-    if not replication_path.is_file():
-        raise FileNotFoundError(f"missing plan file for relibra: {replication_path}")
-    replication, rep_trace_id = load_replication_plan(replication_path, homes, g)
-    if rep_trace_id != trace.trace_id():
-        raise PlanFormatError(f"replication plan {replication_path} belongs to a different trace")
-    return PlanBundle(reorder=plans, sample_placement=placement, replication=replication)
+    reorder = load_reorder_plan(root / "reorder.json", trace)
+    plans, placement = reorder["plans"], reorder.get("sample_placement")
+    with _blame(root / "reorder.json"):
+        sim.check_reorder(trace, plans, placement, trace.topo)
+    replication = load_replication_plan(root / "replication.json", trace, [plan.assignment for plan in plans])
+    bundle = sim.PlanBundle(reorder=plans, sample_placement=placement, replication=replication)
+    with _blame(root / "replication.json"):
+        sim.check_replication(trace, bundle, trace.topo, sim.scored_matrices(trace, placement))
+    return bundle

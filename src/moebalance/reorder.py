@@ -37,6 +37,9 @@ REFRESH_EVERY = 4096
 # chain count from which `anneal_reorder` runs its chains in lockstep; one
 # chain alone runs faster in the scalar loop than through per-step numpy calls
 LOCKSTEP_MIN_CHAINS = 2
+# the sample pass keeps every GPU's per-micro-batch token total within
+# +/-SAMPLE_BAND of the micro-batch mean
+SAMPLE_BAND = 0.10
 
 
 @dataclass
@@ -44,12 +47,6 @@ class ReorderPlan:
     """Capacity-preserving expert-to-GPU assignment for one MoE layer."""
 
     assignment: np.ndarray  # (E,) GPU id per expert
-
-    def experts_on(self, gpu: int) -> np.ndarray:
-        return np.flatnonzero(self.assignment == gpu)
-
-    def copy(self) -> "ReorderPlan":
-        return ReorderPlan(self.assignment.copy())
 
     def validate(self, topo: ClusterTopology) -> None:
         if len(self.assignment) % topo.num_gpus != 0:
@@ -462,7 +459,7 @@ def _build_sample_state(trace, plans: Sequence[ReorderPlan], topo, model, hw, be
 
 
 def greedy_sample_initial(trace, plans: Sequence[ReorderPlan], topo, model, hw,
-                          beta: float = 20.0, band: float = 0.10) -> SamplePlacement:
+                          beta: float = 20.0) -> SamplePlacement:
     """Longest-first greedy: each sample goes to the GPU with the lowest
     resulting per-micro-batch communication time, within the token band."""
     state = _build_sample_state(trace, plans, topo, model, hw, beta)
@@ -475,7 +472,7 @@ def greedy_sample_initial(trace, plans: Sequence[ReorderPlan], topo, model, hw,
     placement = np.zeros(s.num_samples, dtype=np.int64)
     for i in order:
         mb = int(s.micro_batch[i])
-        hi = (1.0 + band) * mean[mb]
+        hi = (1.0 + SAMPLE_BAND) * mean[mb]
         fits = [gpu for gpu in range(g) if state.totals[mb, gpu] + s.tokens[i] <= hi + 1e-9]
         if not fits:
             fits = [int(np.argmin(state.totals[mb]))]
@@ -502,7 +499,7 @@ def _mb_means(trace, g: int) -> dict[int, float]:
 
 
 def _run_sample_chain(base: _SampleState, initial: np.ndarray, mean: dict[int, float],
-                      cfg: AnnealConfig, band: float, seed: int) -> np.ndarray:
+                      cfg: AnnealConfig, seed: int) -> np.ndarray:
     state = base.fork(initial)
     s = state.samples
     num_samples = s.num_samples
@@ -524,7 +521,7 @@ def _run_sample_chain(base: _SampleState, initial: np.ndarray, mean: dict[int, f
         state.move(j, gi)
         in_band = True
         for mb, gpu in {(mbi, gi), (mbi, gj), (mbj, gi), (mbj, gj)}:
-            lo, hi = (1.0 - band) * mean[mb], (1.0 + band) * mean[mb]
+            lo, hi = (1.0 - SAMPLE_BAND) * mean[mb], (1.0 + SAMPLE_BAND) * mean[mb]
             if not (lo - 1e-9 <= state.totals[mb, gpu] <= hi + 1e-9):
                 in_band = False
         after = state.entry_smoothed(mbi) + (state.entry_smoothed(mbj) if mbj != mbi else 0.0)
@@ -548,18 +545,17 @@ def anneal_sample_placement(
     model,
     hw: HardwareProfile,
     cfg: AnnealConfig,
-    band: float = 0.10,
 ) -> SamplePlacement:
     """Second annealing round: swap sample source GPUs under fixed expert plans.
 
     The objective is the smoothed MoE time summed over every micro-batch and
-    layer; moves that would leave a GPU's token total outside the +/-band
+    layer; moves that would leave a GPU's token total outside the +/-SAMPLE_BAND
     around the per-micro-batch mean are rejected. The returned placement is
     never worse than the greedy initial one in summed exact time.
     """
     if trace.samples is None:
         raise ValueError("trace has no sample table")
-    initial = greedy_sample_initial(trace, plans, topo, model, hw, beta=cfg.beta, band=band)
+    initial = greedy_sample_initial(trace, plans, topo, model, hw, beta=cfg.beta)
     g = topo.num_gpus
     base = _build_sample_state(trace, plans, topo, model, hw, cfg.beta, placement=initial.source_gpu)
     mean = _mb_means(trace, g)
@@ -567,7 +563,7 @@ def anneal_sample_placement(
     candidates = [initial.source_gpu.copy()]
     if g >= 2 and trace.samples.num_samples >= 2:
         for seed in cfg.seeds:
-            candidates.append(_run_sample_chain(base, initial.source_gpu, mean, cfg, band, seed))
+            candidates.append(_run_sample_chain(base, initial.source_gpu, mean, cfg, seed))
 
     best = candidates[0]
     best_exact = base.fork(best).exact_total()

@@ -17,7 +17,6 @@ operator (`topology.ChargeOperator`) converted by `costmodel.TimeUnits`.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 
@@ -239,7 +238,7 @@ class TokenSplitLP:
             "col_pos": dict(self.col_pos),
             "sum_rows": dict(self.sum_rows),
             "rows_built": set(self.rows_built),
-            "replicas": {e: list(g) for e, g in self.replicas.items()},
+            "replica_gpus": {e: list(g) for e, g in self.replicas.items()},
         }
 
     def restore(self, snap: dict) -> None:
@@ -248,7 +247,7 @@ class TokenSplitLP:
         self.col_pos = dict(snap["col_pos"])
         self.sum_rows = dict(snap["sum_rows"])
         self.rows_built = set(snap["rows_built"])
-        self.replicas = {e: list(g) for e, g in snap["replicas"].items()}
+        self.replicas = {e: list(g) for e, g in snap["replica_gpus"].items()}
 
     def split_plan(self) -> SplitPlan:
         """Fractions of the current solution; the home copy takes the rest.
@@ -507,93 +506,3 @@ def replica_memory(model, cfg: ReplicaConfig, scheme: str) -> int:
     if scheme == "layer-shared":
         return cfg.slots_per_gpu * model.param_bytes
     raise ValueError(f"unknown buffer scheme {scheme!r}; expected 'per-layer' or 'layer-shared'")
-
-
-# ---------------------------------------------------------------------------
-# plan file round trip
-
-
-def replication_plan_to_dict(plan: ReplicationPlan) -> dict:
-    entries = []
-    for (mb, layer) in sorted(plan.entries):
-        entry = plan.entries[(mb, layer)]
-        rows = []
-        for e, frac in sorted(entry.split.fractions.items()):
-            copies = entry.placement.copies(e)
-            for j in range(frac.shape[0]):
-                for col, gpu in enumerate(copies):
-                    if frac[j, col] > 0:
-                        rows.append([int(j), int(e), int(gpu), float(frac[j, col])])
-        entries.append({
-            "micro_batch": mb,
-            "layer": layer,
-            "replicas": [[int(e), int(g)] for e in sorted(entry.placement.replicas) for g in entry.placement.replicas[e]],
-            "splits": rows,
-            "objective": entry.objective,
-        })
-    return {"version": 1, "entries": entries}
-
-
-def _plan_field(obj, key: str, where: str, kind: type | tuple = object):
-    if not isinstance(obj, dict) or key not in obj:
-        raise ValueError(f"{where}: missing required key {key!r}")
-    if not isinstance(obj[key], kind):
-        raise ValueError(f"{where}.{key} has the wrong type: {obj[key]!r}")
-    return obj[key]
-
-
-def _plan_index(value, bound: float, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < bound:
-        raise ValueError(f"{what} = {value!r} is not an index in [0, {bound})")
-    return value
-
-
-def _plan_row(row, width: int, what: str) -> list:
-    if not isinstance(row, list) or len(row) != width:
-        raise ValueError(f"{what} must be a list of {width} values, got {row!r}")
-    return row
-
-
-def replication_plan_from_dict(data: dict, home_per_layer: dict[int, np.ndarray], num_gpus: int) -> ReplicationPlan:
-    """Inverse of replication_plan_to_dict.
-
-    Raises ValueError naming the entry and field of a missing key, an index
-    out of range, a split row served by a GPU that holds no copy, or a
-    second entry for the same (micro_batch, layer).
-    """
-    plan = ReplicationPlan()
-    number = (int, float)
-    seen: dict[tuple[int, int], int] = {}
-    for n, entry in enumerate(_plan_field(data, "entries", "plan", list)):
-        where = f"entries[{n}]"
-        mb = _plan_index(_plan_field(entry, "micro_batch", where), float("inf"), f"{where}.micro_batch")
-        layer = _plan_index(_plan_field(entry, "layer", where), len(home_per_layer), f"{where}.layer")
-        first = seen.setdefault((mb, layer), n)
-        if first != n:
-            raise ValueError(f"{where} repeats (micro_batch, layer) = ({mb}, {layer}) of entries[{first}]")
-        home = home_per_layer[layer]
-        placement = ReplicaPlacement(home=home)
-        for r, row in enumerate(_plan_field(entry, "replicas", where, list)):
-            what = f"{where}.replicas[{r}]"
-            e, g = _plan_row(row, 2, what)
-            e = _plan_index(e, len(home), f"{what} expert")
-            placement.replicas.setdefault(e, []).append(_plan_index(g, num_gpus, f"{what} gpu"))
-        split = SplitPlan()
-        for r, row in enumerate(_plan_field(entry, "splits", where, list)):
-            what = f"{where}.splits[{r}]"
-            j, e, gpu, value = _plan_row(row, 4, what)
-            j = _plan_index(j, num_gpus, f"{what} source")
-            e = _plan_index(e, len(home), f"{what} expert")
-            gpu = _plan_index(gpu, num_gpus, f"{what} gpu")
-            # NaN fails the comparison; an int beyond the float range must not reach numpy
-            if isinstance(value, bool) or not isinstance(value, number) or not abs(value) <= sys.float_info.max:
-                raise ValueError(f"{what} fraction = {value!r} of expert {e} is not a finite float")
-            copies = placement.copies(e)
-            if gpu not in copies:
-                raise ValueError(f"{what} gpu = {gpu} holds no copy of expert {e} (copies {copies})")
-            if e not in split.fractions:
-                split.fractions[e] = np.zeros((num_gpus, len(copies)))
-            split.fractions[e][j, copies.index(gpu)] = value
-        objective = _plan_field(entry, "objective", where, number)
-        plan.entries[(mb, layer)] = ReplicationEntry(placement=placement, split=split, objective=objective)
-    return plan

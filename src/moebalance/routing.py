@@ -97,18 +97,17 @@ class TraceGenSpec:
     experts at the low indices, with one shared within-block profile per
     layer, so the batch-stable hot region sits in adjacent expert slots
     while which of its members top the ranking churns micro-batch to
-    micro-batch.
+    micro-batch. Micro-batches take the domains in turn, in shuffled order.
 
     With redraw_concentration set, each micro-batch's popularity is a fresh
-    Dirichlet draw around its domain mixture (parameter redraw * |E| * mix),
+    Dirichlet draw around its domain's profile (parameter redraw * |E| * profile),
     so individual expert loads wobble from one micro-batch to the next even
     inside a single domain; smaller values mean stronger wobble. Left unset,
-    a micro-batch uses its domain mixture exactly.
+    a micro-batch uses its domain's profile exactly.
     """
 
     num_domains: int
     dirichlet_alpha: float
-    domain_mix: str | tuple = "shuffled"
     tokens_per_gpu: int = 1024
     rng_seed: int = 0
     domain_focus: float = 0.0
@@ -128,12 +127,6 @@ class TraceGenSpec:
             raise ValueError("tokens_per_gpu must be >= 1")
         if self.samples_per_gpu < 0:
             raise ValueError("samples_per_gpu must be >= 0")
-        if self.domain_mix != "shuffled":
-            for row in self.domain_mix:
-                if len(row) != self.num_domains:
-                    raise ValueError("each domain_mix row needs one weight per domain")
-                if abs(sum(row) - 1.0) > 1e-9 or min(row) < 0:
-                    raise ValueError("domain_mix rows must be non-negative and sum to 1")
 
 
 @dataclass
@@ -203,6 +196,11 @@ class RoutingTrace:
             raise TraceFormatError("sample micro_batch out of range")
         if s.source_gpu.min(initial=0) < 0 or s.source_gpu.max(initial=0) >= g:
             raise TraceFormatError("sample source_gpu out of range")
+        routed = s.counts.astype(np.int64).sum(axis=2)  # (S, L)
+        bad = np.flatnonzero((routed != s.tokens.astype(np.int64)[:, None] * self.model.top_k).any(axis=1))
+        if bad.size:
+            raise TraceFormatError(f"sample {bad[0]} routes {routed[bad[0]].tolist()} expert assignments per layer, "
+                                   f"not tokens * top_k = {s.tokens[bad[0]]} * {self.model.top_k}")
         rebuilt = np.zeros((mb, layers, g, e), dtype=np.int64)
         for i in range(s.num_samples):
             rebuilt[s.micro_batch[i], :, s.source_gpu[i], :] += s.counts[i].astype(np.int64)
@@ -302,20 +300,34 @@ def load_trace(path: str | Path) -> RoutingTrace:
         )
     matrices = np.frombuffer(payload, dtype="<u4").reshape(shape).copy()
 
-    samples = None
-    if manifest.get("has_samples"):
-        samples = _load_samples(root, shape)
-
     trace = RoutingTrace(
         model=model,
         topo=topo,
         matrices=matrices,
         tokens_per_gpu=manifest["tokens_per_gpu"],
-        samples=samples,
         generator=manifest.get("generator", {}),
     )
     trace.validate()
+    if manifest.get("has_samples"):
+        trace.samples = _load_samples(root, shape)
+        try:
+            trace._validate_samples()
+        except TraceFormatError as err:
+            raise TraceFormatError(f"{root / 'samples.json'}: {err}") from err
     return trace
+
+
+def _check_types(obj: dict, typed: dict, where: str, optional=()) -> None:
+    """Every key of `typed` holds a value of exactly its JSON type; a key in
+    `optional` may also be absent or null."""
+    for key, kind in typed.items():
+        value = obj.get(key)
+        if value is None and key in optional:
+            continue
+        # exact types: JSON true/false load as bool, which is no count
+        if not (type(value) is kind or (kind is float and type(value) is int)):
+            name = {int: "an integer", float: "a number", bool: "true or false"}[kind]
+            raise TraceFormatError(f"{where}{key} must be {name}, got {value!r}")
 
 
 def _check_manifest(manifest, path: Path) -> None:
@@ -327,14 +339,7 @@ def _check_manifest(manifest, path: Path) -> None:
         raise TraceFormatError(f"manifest missing keys: {', '.join(missing)}")
     typed = {**dict.fromkeys(MANIFEST_INTS, int), **dict.fromkeys(MANIFEST_NUMBERS, float),
              "expert_param_bytes": int, "has_samples": bool}
-    for key, kind in typed.items():
-        value = manifest.get(key)
-        if value is None and key not in MANIFEST_REQUIRED:
-            continue
-        # exact types: JSON true/false load as bool, which is no count
-        if not (type(value) is kind or (kind is float and type(value) is int)):
-            name = {int: "an integer", float: "a number", bool: "true or false"}[kind]
-            raise TraceFormatError(f"{path}: {key} must be {name}, got {value!r}")
+    _check_types(manifest, typed, f"{path}: ", optional=("expert_param_bytes", "has_samples"))
 
 
 def _load_samples(root: Path, shape: tuple) -> SampleTable:
@@ -342,7 +347,17 @@ def _load_samples(root: Path, shape: tuple) -> SampleTable:
     idx_path = root / "samples.json"
     if not bin_path.is_file() or not idx_path.is_file():
         raise TraceFormatError("manifest declares samples but sample files are missing")
-    index = json.loads(idx_path.read_text())["samples"]
+    try:
+        data = json.loads(idx_path.read_text())
+    except json.JSONDecodeError as err:
+        raise TraceFormatError(f"{idx_path}: malformed JSON ({err})") from err
+    index = data.get("samples") if isinstance(data, dict) else None
+    if not isinstance(index, list):
+        raise TraceFormatError(f"{idx_path}: expected a JSON object with a 'samples' list")
+    for i, sample in enumerate(index):
+        if not isinstance(sample, dict):
+            raise TraceFormatError(f"{idx_path}: samples[{i}] is not a JSON object")
+        _check_types(sample, dict.fromkeys(("micro_batch", "source_gpu", "tokens"), int), f"{idx_path}: samples[{i}].")
     num_samples = len(index)
     _, layers, _, experts = shape
     payload = bin_path.read_bytes()
@@ -374,19 +389,11 @@ def _domain_profiles(spec: TraceGenSpec, model: ModelProfile, rng: np.random.Gen
 
 
 def _micro_batch_popularity(spec: TraceGenSpec, profiles: np.ndarray, num_micro_batches: int, rng: np.random.Generator) -> np.ndarray:
-    """(MB, L, E) per-micro-batch popularity from the domain mix."""
+    """(MB, L, E) per-micro-batch popularity: every domain in turn, shuffled."""
     layers, domains, e = profiles.shape
-    if spec.domain_mix == "shuffled":
-        assignment = np.tile(np.arange(domains), num_micro_batches // domains + 1)[:num_micro_batches]
-        rng.shuffle(assignment)
-        mixed = profiles[:, assignment, :].transpose(1, 0, 2)
-    else:
-        weights = np.asarray(spec.domain_mix, dtype=np.float64)
-        if weights.shape != (num_micro_batches, domains):
-            raise ValueError(
-                f"domain_mix has shape {weights.shape}, expected {(num_micro_batches, domains)}"
-            )
-        mixed = np.einsum("md,lde->mle", weights, profiles)
+    assignment = np.tile(np.arange(domains), num_micro_batches // domains + 1)[:num_micro_batches]
+    rng.shuffle(assignment)
+    mixed = profiles[:, assignment, :].transpose(1, 0, 2)
     if spec.redraw_concentration is None:
         return mixed
     out = np.empty_like(mixed)
@@ -442,7 +449,7 @@ def generate_synthetic_trace(
             "kind": "synthetic",
             "num_domains": spec.num_domains,
             "dirichlet_alpha": spec.dirichlet_alpha,
-            "domain_mix": spec.domain_mix if spec.domain_mix == "shuffled" else [list(r) for r in spec.domain_mix],
+            "domain_mix": "shuffled",
             "domain_focus": spec.domain_focus,
             "redraw_concentration": spec.redraw_concentration,
             "tokens_per_gpu": spec.tokens_per_gpu,

@@ -25,6 +25,8 @@ from . import routing as rt
 from .topology import COMP, ClusterTopology, HardwareProfile
 
 POLICIES = ("static", "lpt_only", "eplb_like", "lplb_like", "balanced_oracle", "relibra")
+# hot-set size of the trace summary's adjacent-micro-batch overlap
+HOT_K = 8
 
 
 @dataclass
@@ -60,44 +62,69 @@ class SimReport:
         return self.entry_times.sum(axis=1)
 
 
+def _check_gpu_ids(name: str, ids: np.ndarray, count: int, what: str, num_gpus: int) -> None:
+    if len(ids) != count:
+        raise ValueError(f"{name} has {len(ids)} entries, the trace has {count} {what}")
+    if count and (ids.min() < 0 or ids.max() >= num_gpus):
+        raise ValueError(f"{name} holds a GPU id outside [0, {num_gpus})")
+
+
+def check_reorder(trace: rt.RoutingTrace, plans: list[ro.ReorderPlan],
+                  sample_placement: ro.SamplePlacement | None, topo: ClusterTopology) -> None:
+    """Check the reorder.json part of a bundle against the trace."""
+    layers = trace.model.num_layers
+    if len(plans) != layers:
+        raise ValueError(f"the bundle has {len(plans)} layer plans, the trace has {layers} layers")
+    for layer, plan in enumerate(plans):
+        _check_gpu_ids(f"plans[{layer}]", plan.assignment, trace.model.num_experts, "experts", topo.num_gpus)
+        plan.validate(topo)
+    if sample_placement is not None:
+        if trace.samples is None:
+            raise ValueError("a sample placement is set, but the trace has no sample table")
+        _check_gpu_ids("the sample placement", sample_placement.source_gpu, trace.samples.num_samples,
+                       "samples", topo.num_gpus)
+
+
+def check_replication(trace: rt.RoutingTrace, bundle: PlanBundle, topo: ClusterTopology,
+                      matrices: np.ndarray | None = None) -> None:
+    """Check the replication.json part of a bundle that passed `check_reorder`.
+    Given the scored matrices, also check split conservation, which
+    `evaluate_bundle` leaves to `compute_loads`."""
+    for (mb, layer), entry in bundle.replication.entries.items():
+        if not (0 <= mb < trace.num_micro_batches and 0 <= layer < trace.model.num_layers):
+            raise ValueError(f"replication entry ({mb}, {layer}) outside the trace")
+        if not np.array_equal(entry.placement.home, bundle.reorder[layer].assignment):
+            raise ValueError(f"replication entry ({mb}, {layer}) was built for a different expert plan")
+        rep.validate_placement(entry.placement, topo)
+        if matrices is not None:
+            rep.validate_split(entry.split, entry.placement, matrices[mb, layer])
+
+
+def scored_matrices(trace: rt.RoutingTrace, sample_placement: ro.SamplePlacement | None) -> np.ndarray:
+    """The (MB, L, G, E) float routing matrices a bundle is scored on."""
+    if sample_placement is not None:
+        return ro.rewrite_trace_matrices(trace, sample_placement)
+    return trace.matrices.astype(np.float64)
+
+
 def evaluate_bundle(trace: rt.RoutingTrace, bundle: PlanBundle, topo: ClusterTopology,
                     model: rt.ModelProfile, hw: HardwareProfile, policy: str = "bundle") -> SimReport:
     """Apply the bundle per (micro_batch, layer) and aggregate times and skew."""
+    check_reorder(trace, bundle.reorder, bundle.sample_placement, topo)
+    check_replication(trace, bundle, topo)
+    matrices = scored_matrices(trace, bundle.sample_placement)
     layers = model.num_layers
     mb_count = trace.num_micro_batches
-    if len(bundle.reorder) != layers:
-        raise ValueError(f"bundle has {len(bundle.reorder)} layer plans, trace has {layers} layers")
-    for plan in bundle.reorder:
-        plan.validate(topo)
-        if len(plan.assignment) != model.num_experts:
-            raise ValueError("plan expert count disagrees with the model")
-
-    if bundle.sample_placement is not None:
-        matrices = ro.rewrite_trace_matrices(trace, bundle.sample_placement)
-    else:
-        matrices = trace.matrices.astype(np.float64)
-
     g = topo.num_gpus
     entry_times = np.zeros((mb_count, layers))
     skew = np.ones((mb_count, layers))
     comp_loads = np.zeros((mb_count, layers, g))
-    for (mb, layer) in bundle.replication.entries:
-        if not (0 <= mb < mb_count and 0 <= layer < layers):
-            raise ValueError(f"replication entry ({mb}, {layer}) outside the trace")
-
     for mb in range(mb_count):
         for layer in range(layers):
             x = matrices[mb, layer]
             plan = bundle.reorder[layer]
             entry = bundle.replication.entries.get((mb, layer))
-            splits = None
-            if entry is not None:
-                if not np.array_equal(entry.placement.home, plan.assignment):
-                    raise ValueError(
-                        f"replication entry ({mb}, {layer}) was built for a different expert plan"
-                    )
-                rep.validate_placement(entry.placement, topo)
-                splits = entry.split.to_split_map(entry.placement)
+            splits = entry.split.to_split_map(entry.placement) if entry is not None else None
             # compute_loads runs costmodel.check_split on every split entry
             loads = cm.compute_loads(x, plan.assignment, topo, splits=splits)
             total_tokens = float(x.sum())
@@ -262,10 +289,9 @@ def build_policy_bundle(trace: rt.RoutingTrace, policy: str, topo: ClusterTopolo
                 extra_initial_plans=[ro.static_plan(model.num_experts, topo)],
             ))
         placement = None
-        matrices = trace.matrices.astype(np.float64)
         if cfgs.sample_locality and trace.samples is not None:
             placement = ro.anneal_sample_placement(trace, plans, topo, model, hw, cfgs.anneal)
-            matrices = ro.rewrite_trace_matrices(trace, placement)
+        matrices = scored_matrices(trace, placement)
         replication = rep.ReplicationPlan()
         tasks = []
         for mb in range(mb_count):
@@ -320,11 +346,11 @@ def compare_report(reports: list[SimReport]) -> dict:
     }
 
 
-def trace_summary(trace: rt.RoutingTrace, hot_k: int = 8) -> dict:
+def trace_summary(trace: rt.RoutingTrace) -> dict:
     """Raw-trace imbalance series: expert-level skew, hot-set overlap, shares."""
     layers = trace.model.num_layers
-    out = {"skewness_raw": [], "intersection_ratio": [], "expert_load_share": [], "hot_k": hot_k}
-    k = min(hot_k, trace.model.num_experts)
+    out = {"skewness_raw": [], "intersection_ratio": [], "expert_load_share": [], "hot_k": HOT_K}
+    k = min(HOT_K, trace.model.num_experts)
     for layer in range(layers):
         per_mb = trace.matrices[:, layer].astype(np.int64).sum(axis=1)  # (MB, E)
         skews = [rt.skewness(row) for row in per_mb]

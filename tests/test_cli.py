@@ -215,6 +215,36 @@ def _repeat_entry(data):
     data["entries"].append(copy.deepcopy(data["entries"][0]))
 
 
+def _unbalanced_reorder(data):
+    # one expert moves to the next GPU, which then holds one expert too many
+    data["plans"][0][0] = (data["plans"][0][0] + 1) % 4
+
+
+def _micro_batch_outside(data):
+    data["entries"][0]["micro_batch"] = 999
+
+
+def _duplicate_replica(data):
+    entry = _first_replicated(data)
+    entry["replicas"].append(list(entry["replicas"][0]))
+
+
+def _replica_off_node(data):
+    # the replica and the split rows it serves move to the other node's GPU
+    entry = _first_replicated(data)
+    e, g = entry["replicas"][0]
+    moved = (g + 2) % 4
+    entry["replicas"][0] = [e, moved]
+    for row in entry["splits"]:
+        if row[1:3] == [e, g]:
+            row[2] = moved
+
+
+def _halve_fractions(data):
+    for row in _first_replicated(data)["splits"]:
+        row[3] /= 2
+
+
 def _short_reorder_layer(data):
     data["plans"][0].pop()
 
@@ -238,6 +268,11 @@ def _missing_trace_id(data):
     ("reorder.json", _short_reorder_layer, "plans[0] has 15 entries, the trace has 16 experts"),
     ("reorder.json", _empty_trace_id, "trace_id is missing or empty"),
     ("replication.json", _missing_trace_id, "trace_id is missing or empty"),
+    ("reorder.json", _unbalanced_reorder, "plan is not capacity-preserving"),
+    ("replication.json", _micro_batch_outside, "replication entry (999, 0) outside the trace"),
+    ("replication.json", _duplicate_replica, "duplicate replica GPUs for expert"),
+    ("replication.json", _replica_off_node, "leaves its home node"),
+    ("replication.json", _halve_fractions, "violate conservation by 5.000e-01"),
 ])
 def test_simulate_rejects_malformed_plan_files(solved, tmp_path, capsys, file, mutate, expected):
     plans = tmp_path / "plans"
@@ -297,3 +332,34 @@ def test_simulate_rejects_malformed_manifest(generated, tmp_path, capsys, key, m
     assert key in err, err
     if mutate != "missing":
         assert "manifest.json" in err and " must be " in err, err
+
+
+def _first_sample(field, value):
+    def mutate(data):
+        data["samples"][0][field] = value(data["samples"][0][field])
+    return mutate
+
+
+@pytest.mark.parametrize("text,mutate,expected", [
+    ("{", None, "malformed JSON"),
+    ("{}", None, "a JSON object with a 'samples' list"),
+    (None, _first_sample("tokens", lambda v: 999), "tokens * top_k = 999 * 2"),
+    (None, _first_sample("source_gpu", lambda v: v + 0.5), "samples[0].source_gpu must be an integer"),
+    (None, _first_sample("micro_batch", lambda v: True), "samples[0].micro_batch must be an integer"),
+], ids=["malformed", "no_samples_list", "tokens", "fractional_source_gpu", "bool_micro_batch"])
+def test_simulate_rejects_malformed_samples(generated, tmp_path, capsys, text, mutate, expected):
+    trace = tmp_path / "trace"
+    shutil.copytree(generated, trace)
+    path = trace / "samples.json"
+    if mutate is not None:
+        data = json.loads(path.read_text())
+        mutate(data)
+        text = json.dumps(data)
+    path.write_text(text)
+    capsys.readouterr()
+    code = run(["simulate", "--trace", trace, "--out", tmp_path / "r", "--policies", "static",
+                "--threads", "1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "samples.json" in err and expected in err, err

@@ -410,7 +410,7 @@ class TestSamplePlacement:
         trace = rt.generate_synthetic_trace(spec, model, topo, 2)
         plans = [ro.lpt_initial(rt.aggregate_batch(trace, 0), topo)]
         cfg = ro.AnnealConfig(seeds=(0,), cooling_rate=0.95)
-        placement = ro.anneal_sample_placement(trace, plans, topo, model, hw, cfg, band=0.10)
+        placement = ro.anneal_sample_placement(trace, plans, topo, model, hw, cfg)
         s = trace.samples
         for mb in range(trace.num_micro_batches):
             totals = np.zeros(topo.num_gpus)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moebalance import costmodel as cm
+from moebalance import planio
 from moebalance import replicate as rep
 from moebalance import reorder as ro
 from moebalance import routing as rt
@@ -321,8 +322,8 @@ class TestPlanSerialization:
         placement, split = rep.greedy_replicate(x, plan, topo, model, hw, rep.ReplicaConfig(2))
         entry = rep.ReplicationEntry(placement, split, 1.5)
         original = rep.ReplicationPlan(entries={(0, 0): entry})
-        data = rep.replication_plan_to_dict(original)
-        loaded = rep.replication_plan_from_dict(data, {0: plan.assignment}, topo.num_gpus)
+        data = planio.replication_plan_to_dict(original)
+        loaded = planio.replication_plan_from_dict(data, [plan.assignment], topo.num_gpus)
         got = loaded.entries[(0, 0)]
         assert got.placement.replicas == placement.replicas
         assert got.objective == 1.5

@@ -128,14 +128,6 @@ class TestGenerator:
         trace, _, _ = make_trace(samples_per_gpu=3, tokens=60)
         trace.validate()  # includes the per-GPU sample-sum cross-check
 
-    def test_explicit_weights_shape_checked(self):
-        topo = small_topo()
-        model = rt.ModelProfile(num_layers=1, num_experts=8, top_k=2)
-        spec = rt.TraceGenSpec(num_domains=2, dirichlet_alpha=1.0, tokens_per_gpu=16,
-                               rng_seed=0, domain_mix=((0.5, 0.5),))
-        with pytest.raises(ValueError, match="domain_mix"):
-            rt.generate_synthetic_trace(spec, model, topo, 3)
-
     def test_bad_spec_rejected(self):
         with pytest.raises(ValueError):
             rt.TraceGenSpec(num_domains=0, dirichlet_alpha=1.0)
@@ -143,8 +135,6 @@ class TestGenerator:
             rt.TraceGenSpec(num_domains=1, dirichlet_alpha=0.0)
         with pytest.raises(ValueError):
             rt.TraceGenSpec(num_domains=1, dirichlet_alpha=1.0, domain_focus=1.0)
-        with pytest.raises(ValueError):
-            rt.TraceGenSpec(num_domains=2, dirichlet_alpha=1.0, domain_mix=((0.7, 0.7),))
 
 
 class TestAggregation:

@@ -11,12 +11,12 @@ from moebalance.topology import HardwareProfile, build_topology
 HW = HardwareProfile(6e6, 5e3, 1e3, 1.0)
 
 
-def fluctuating_trace(mbs=6, experts=16, seed=3, tokens=256):
+def fluctuating_trace(mbs=6, experts=16, seed=3, tokens=256, samples_per_gpu=0):
     topo = build_topology(2, 2, HW)
     model = rt.ModelProfile(num_layers=1, num_experts=experts, top_k=4,
                             hidden_size=32, intermediate_size=16)
     spec = rt.TraceGenSpec(num_domains=3, dirichlet_alpha=0.4, tokens_per_gpu=tokens,
-                           rng_seed=seed, domain_focus=0.5)
+                           rng_seed=seed, domain_focus=0.5, samples_per_gpu=samples_per_gpu)
     return rt.generate_synthetic_trace(spec, model, topo, mbs), topo, model, HW
 
 
@@ -66,6 +66,19 @@ class TestEvaluateBundle:
         trace, topo, model, hw = fluctuating_trace()
         bundle = sim.PlanBundle(reorder=[])
         with pytest.raises(ValueError, match="layer"):
+            sim.evaluate_bundle(trace, bundle, topo, model, hw)
+
+    @pytest.mark.parametrize("mutate,expected", [
+        ("negative", r"sample placement holds a GPU id outside \[0, 4\)"),
+        ("short", "sample placement has 47 entries, the trace has 48 samples"),
+    ])
+    def test_bad_sample_placement_rejected(self, mutate, expected):
+        trace, topo, model, hw = fluctuating_trace(samples_per_gpu=2)
+        gpus = trace.samples.source_gpu.astype(np.int64)
+        gpus = np.concatenate([[-1], gpus[1:]]) if mutate == "negative" else gpus[:-1]
+        bundle = sim.PlanBundle(reorder=[ro.static_plan(model.num_experts, topo)],
+                                sample_placement=ro.SamplePlacement(gpus))
+        with pytest.raises(ValueError, match=expected):
             sim.evaluate_bundle(trace, bundle, topo, model, hw)
 
 
