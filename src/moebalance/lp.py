@@ -8,8 +8,10 @@ handle without a constraint row.
 
 The tableau keeps the slack block explicit, which makes B^-1 available for
 warm starts: after an optimal solve, new structural columns and new rows
-can be appended and the solve resumed from the current basis. Rows are
-appended in batches, one tableau allocation per batch. Pricing is
+can be appended and the solve resumed from the current basis. Rows and
+columns are appended in batches, one tableau allocation per batch; a
+placement's split LP is built in one column batch per run of replicas
+that needs no new budget row. Pricing is
 Dantzig with a Bland fallback once the objective stalls, which prevents
 cycling on degenerate vertices.
 """
@@ -62,6 +64,12 @@ class DenseSimplex:
     @property
     def num_struct(self) -> int:
         return self.struct_idx.size
+
+    @property
+    def pivots(self) -> int:
+        """Pivots taken since construction; while none, the slack block is
+        the identity and `add_columns` transforms every column exactly."""
+        return self._pivots
 
     # ------------------------------------------------------------------
     # warm-start growth

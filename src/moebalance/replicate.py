@@ -13,6 +13,8 @@ hottest expert one more replica on the cheapest candidate GPU, re-solve the
 split LP (warm-started), and stop when slots, candidates, or improvement
 run out. The LP's per-token charges are rows of the topology's charge
 operator (`topology.ChargeOperator`) converted by `costmodel.TimeUnits`.
+A fixed placement's LP is built in one tableau growth per run of replicas
+that needs no new budget row, each replica's columns charged in one pass.
 """
 
 from __future__ import annotations
@@ -178,47 +180,76 @@ class TokenSplitLP:
         self.sum_rows: dict[tuple[int, int], int] = {}
         self.rows_built: set[int] = set()
         self.replicas: dict[int, list[int]] = {}
-        self._charge_cache: dict[tuple[int, int], np.ndarray] = {}
-
-    def _pair_charge(self, j: int, g: int) -> np.ndarray:
-        """Time charge on the 5G bound rows per token moved from j to g."""
-        key = (j, g)
-        cached = self._charge_cache.get(key)
-        if cached is None:
-            cached = self.units.times(self.topo.charges.pair(j, g)).ravel()
-            self._charge_cache[key] = cached
-        return cached
 
     def add_replica(self, e: int, gpu: int) -> None:
-        prior = self.replicas.get(e, [])
-        if gpu in prior or gpu == self.home[e]:
-            raise ValueError(f"expert {e} already has a copy on GPU {gpu}")
-        self.replicas.setdefault(e, []).append(gpu)
-        sources = np.flatnonzero(self.x[:, e] > 0)
-        if sources.size == 0:
+        self.add_replicas([(e, gpu)])
+
+    def add_replicas(self, pairs) -> None:
+        """Append replicas, one (expert, GPU) pair each, in order.
+
+        The LP grows exactly as with one `add_replica` call per pair: every
+        pair is checked before anything changes, an expert's second replica
+        first adds its budget rows in one `add_row` call, and the columns of
+        the pairs in between go into one `add_columns` call. Until the first
+        pivot the slack block is the identity, so one product over many
+        columns equals one per pair bit for bit; after it, each pair gets
+        its own call.
+        """
+        pairs = [(int(e), int(gpu)) for e, gpu in pairs]
+        copies: dict[int, set[int]] = {}
+        for e, gpu in pairs:
+            taken = copies.setdefault(e, {int(self.home[e]), *self.replicas.get(e, [])})
+            if gpu in taken:
+                raise ValueError(f"expert {e} already has a copy on GPU {gpu}")
+            taken.add(gpu)
+        run: list[tuple[int, int, int, np.ndarray]] = []  # replicas whose columns are pending
+        for e, gpu in pairs:
+            replicas = self.replicas.setdefault(e, [])
+            replicas.append(gpu)
+            sources = np.flatnonzero(self.x[:, e] > 0)
+            if sources.size == 0:
+                continue
+            couple = len(replicas) > 1 and e not in self.rows_built
+            if couple or self.solver.pivots:
+                self._add_columns(run)
+                run = []
+            if couple:
+                # second replica: the fraction budget now couples two columns,
+                # so the v <= 1 bounds no longer suffice
+                first = self.solver.num_rows
+                self.solver.add_row([{self.col_pos[(int(j), e, replicas[0])]: 1.0} for j in sources],
+                                    np.ones(sources.size))
+                self.sum_rows.update(((int(j), e), row) for row, j in enumerate(sources, start=first))
+                self.rows_built.add(e)
+            # len(replicas) is gpu's position in [home] + replicas
+            run.append((e, gpu, len(replicas), sources))
+        self._add_columns(run)
+
+    def _add_columns(self, run: list[tuple[int, int, int, np.ndarray]]) -> None:
+        """One `add_columns` call for the v columns of `run`, whose items are
+        (expert, gpu, copy index, routed sources); one charge pass per replica."""
+        if not run:
             return
-        if prior and e not in self.rows_built:
-            # second replica: the fraction budget now couples two columns,
-            # so the v <= 1 bounds no longer suffice
-            first = self.solver.num_rows
-            self.solver.add_row([{self.col_pos[(int(j), e, prior[0])]: 1.0} for j in sources],
-                                np.ones(sources.size))
-            for row, j in enumerate(sources, start=first):
-                self.sum_rows[(int(j), e)] = row
-            self.rows_built.add(e)
-        m = self.solver.num_rows
-        gq = self.topo.num_gpus
-        copy = len(self.replicas[e])  # gpu's position in [home] + replicas
-        cols = np.zeros((m, sources.size))
-        for idx, j in enumerate(sources):
-            j = int(j)
-            delta = self._pair_charge(j, gpu) - self._pair_charge(j, int(self.home[e]))
-            cols[: 5 * gq, idx] = self.x[j, e] * delta
+        bound_rows = 5 * self.topo.num_gpus
+        width = sum(sources.size for *_, sources in run)
+        cols = np.zeros((self.solver.num_rows, width))
+        start = 0
+        for e, gpu, copy, sources in run:
+            n = sources.size
+            # time charge on the 5G bound rows per token moved from each source
+            # to gpu, less the charge of serving it at home
+            times = self.units.times(self.topo.charges.pair(np.tile(sources, 2), np.repeat([gpu, self.home[e]], n)))
+            delta = (times[:n] - times[n:]).reshape(n, bound_rows)
+            cols[:bound_rows, start:start + n] = (self.x[sources, e][:, None] * delta).T
             if e in self.rows_built:
-                cols[self.sum_rows[(j, e)], idx] = 1.0
-            self.col_pos[(j, e, gpu)] = self.N_AUX + len(self.var_meta)
-            self.var_meta.append((j, e, copy))
-        self.solver.add_columns(cols, np.zeros(sources.size), upper_new=np.ones(sources.size))
+                # an expert's budget rows are consecutive, one per routed source
+                idx = np.arange(n)
+                cols[self.sum_rows[(int(sources[0]), e)] + idx, start + idx] = 1.0
+            self.col_pos.update(((int(j), e, gpu), self.N_AUX + len(self.var_meta) + i)
+                                for i, j in enumerate(sources))
+            self.var_meta.extend((int(j), e, copy) for j in sources)
+            start += n
+        self.solver.add_columns(cols, np.zeros(width), upper_new=np.ones(width))
 
     def solve(self) -> float:
         """Optimize; returns the exact objective T0 + signed deviations."""
@@ -293,9 +324,7 @@ def solve_token_split_lp(
     """Optimal token fractions for a fixed replica placement."""
     validate_placement(placement, topo)
     lp = TokenSplitLP(x, placement.home, topo, model, hw)
-    for e in sorted(placement.replicas):
-        for gpu in placement.replicas[e]:
-            lp.add_replica(e, gpu)
+    lp.add_replicas((e, gpu) for e in sorted(placement.replicas) for gpu in placement.replicas[e])
     lp.solve()
     split = lp.split_plan()
     validate_split(split, placement, x)

@@ -43,6 +43,8 @@ MANIFEST_INTS = (
 )
 MANIFEST_NUMBERS = ("flops_per_gpu", "bw_nvlink_Bps", "bw_rdma_Bps", "bytes_per_token")
 MANIFEST_REQUIRED = MANIFEST_INTS + MANIFEST_NUMBERS
+SAMPLE_KEYS = ("micro_batch", "source_gpu", "tokens")  # int32 columns of samples.json
+INT32_MAX = 2**31 - 1
 
 DEFAULT_HIDDEN_SIZE = 1024
 DEFAULT_INTERMEDIATE_SIZE = 512
@@ -357,7 +359,11 @@ def _load_samples(root: Path, shape: tuple) -> SampleTable:
     for i, sample in enumerate(index):
         if not isinstance(sample, dict):
             raise TraceFormatError(f"{idx_path}: samples[{i}] is not a JSON object")
-        _check_types(sample, dict.fromkeys(("micro_batch", "source_gpu", "tokens"), int), f"{idx_path}: samples[{i}].")
+        _check_types(sample, dict.fromkeys(SAMPLE_KEYS, int), f"{idx_path}: samples[{i}].")
+        for key in SAMPLE_KEYS:
+            if not 0 <= sample[key] <= INT32_MAX:
+                raise TraceFormatError(f"{idx_path}: samples[{i}].{key} must be within [0, {INT32_MAX}], "
+                                       f"got {sample[key]}")
     num_samples = len(index)
     _, layers, _, experts = shape
     payload = bin_path.read_bytes()
@@ -365,12 +371,8 @@ def _load_samples(root: Path, shape: tuple) -> SampleTable:
     if len(payload) != expected:
         raise TraceFormatError(f"samples.bin holds {len(payload)} bytes, index implies {expected}")
     counts = np.frombuffer(payload, dtype="<u4").reshape(num_samples, layers, experts).copy()
-    return SampleTable(
-        counts=counts,
-        micro_batch=np.array([s["micro_batch"] for s in index], dtype=np.int32),
-        source_gpu=np.array([s["source_gpu"] for s in index], dtype=np.int32),
-        tokens=np.array([s["tokens"] for s in index], dtype=np.int32),
-    )
+    return SampleTable(counts=counts, **{key: np.array([s[key] for s in index], dtype=np.int32)
+                                         for key in SAMPLE_KEYS})
 
 
 def _domain_profiles(spec: TraceGenSpec, model: ModelProfile, rng: np.random.Generator) -> np.ndarray:

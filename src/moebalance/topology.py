@@ -186,17 +186,24 @@ class ChargeOperator:
         mass = np.asarray(flow, dtype=np.float64).reshape(len(index), 1) * weight
         return np.bincount(index.ravel(), weights=mass.ravel(), minlength=5 * g).reshape(5, g)
 
-    def pair(self, src: int, dst: int) -> np.ndarray:
-        """(5, G) loads of one token served at dst for source src."""
-        p = src * self.num_gpus + dst
-        return np.bincount(self.index[p], weights=self.weight[p], minlength=5 * self.num_gpus).reshape(5, -1)
+    def pair(self, src, dst) -> np.ndarray:
+        """(5, G) loads of one token served at dst for source src.
+
+        With arrays of sources and destinations (broadcast together), one
+        (5, G) array per pair, stacked in their shape.
+        """
+        g = self.num_gpus
+        p = np.asarray(src) * g + np.asarray(dst)
+        offsets = np.arange(p.size)[:, None] * (5 * g)
+        rows = p.ravel()
+        flat = np.bincount((self.index[rows] + offsets).ravel(), weights=self.weight[rows].ravel(),
+                           minlength=5 * g * p.size)
+        return flat.reshape(*p.shape, 5, g)
 
     def dense(self) -> np.ndarray:
         """(G, G, 5, G) array of `pair(src, dst)` for every pair (5*G**3 floats)."""
-        g = self.num_gpus
-        offsets = np.arange(g * g)[:, None] * (5 * g)
-        flat = np.bincount((self.index + offsets).ravel(), weights=self.weight.ravel(), minlength=5 * g ** 3)
-        return flat.reshape(g, g, 5, g)
+        gpus = np.arange(self.num_gpus)
+        return self.pair(gpus[:, None], gpus)
 
 
 def build_topology(num_nodes: int, gpus_per_node: int, profile: HardwareProfile) -> ClusterTopology:

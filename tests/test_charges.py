@@ -1,6 +1,7 @@
 """Property tests of the dispatch+combine charge operator."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -99,3 +100,22 @@ def test_operator_is_cached_per_topology():
     assert topo.charges.index.shape == (64, 9)
     assert build_topology(1, 4, HW).charges.index.shape == (16, 5)
     assert build_topology(1, 1, HW).charges.index.shape == (1, 1)
+
+
+@pytest.mark.parametrize("nodes,gpus_per_node", [(1, 1), (1, 4), (2, 4), (4, 8)])
+def test_pair_array_form_matches_dense_and_unit_flows(nodes, gpus_per_node):
+    topo = build_topology(nodes, gpus_per_node, HW)
+    ops = topo.charges
+    g = topo.num_gpus
+    src, dst = np.divmod(np.arange(g * g), g)
+    stacked = ops.pair(src, dst)
+    assert stacked.shape == (g * g, 5, g)
+    np.testing.assert_array_equal(stacked.reshape(g, g, 5, g), ops.dense())
+    unit = np.zeros((g, g))
+    for p, (s, d) in enumerate(zip(src.tolist(), dst.tolist())):
+        unit[s, d] = 1.0
+        np.testing.assert_array_equal(stacked[p], ops.loads(unit))
+        unit[s, d] = 0.0
+        scalar = ops.pair(s, d)
+        assert scalar.shape == (5, g)
+        np.testing.assert_array_equal(scalar, stacked[p])

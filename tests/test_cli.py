@@ -346,7 +346,10 @@ def _first_sample(field, value):
     (None, _first_sample("tokens", lambda v: 999), "tokens * top_k = 999 * 2"),
     (None, _first_sample("source_gpu", lambda v: v + 0.5), "samples[0].source_gpu must be an integer"),
     (None, _first_sample("micro_batch", lambda v: True), "samples[0].micro_batch must be an integer"),
-], ids=["malformed", "no_samples_list", "tokens", "fractional_source_gpu", "bool_micro_batch"])
+    (None, _first_sample("tokens", lambda v: 2**40), "samples[0].tokens must be within [0, 2147483647]"),
+    (None, _first_sample("source_gpu", lambda v: 2**31), "samples[0].source_gpu must be within [0, 2147483647]"),
+], ids=["malformed", "no_samples_list", "tokens", "fractional_source_gpu", "bool_micro_batch",
+        "int64_tokens", "int32_overflow_source_gpu"])
 def test_simulate_rejects_malformed_samples(generated, tmp_path, capsys, text, mutate, expected):
     trace = tmp_path / "trace"
     shutil.copytree(generated, trace)

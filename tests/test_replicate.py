@@ -69,6 +69,61 @@ def assert_same_fractions(plan, ref):
         assert np.array_equal(plan.fractions[e], frac), e
 
 
+def add_replica_per_pair(lp, e, gpu):
+    """TokenSplitLP.add_replica built the way it was before batching: one
+    charge per source and one add_columns call per replica."""
+    prior = lp.replicas.get(e, [])
+    if gpu in prior or gpu == lp.home[e]:
+        raise ValueError(f"expert {e} already has a copy on GPU {gpu}")
+    lp.replicas.setdefault(e, []).append(gpu)
+    sources = np.flatnonzero(lp.x[:, e] > 0)
+    if sources.size == 0:
+        return
+    if prior and e not in lp.rows_built:
+        first = lp.solver.num_rows
+        lp.solver.add_row([{lp.col_pos[(int(j), e, prior[0])]: 1.0} for j in sources], np.ones(sources.size))
+        for row, j in enumerate(sources, start=first):
+            lp.sum_rows[(int(j), e)] = row
+        lp.rows_built.add(e)
+    g = lp.topo.num_gpus
+    copy = len(lp.replicas[e])
+    cols = np.zeros((lp.solver.num_rows, sources.size))
+    for idx, j in enumerate(sources):
+        j = int(j)
+        home_charge = lp.units.times(lp.topo.charges.pair(j, int(lp.home[e]))).ravel()
+        delta = lp.units.times(lp.topo.charges.pair(j, gpu)).ravel() - home_charge
+        cols[: 5 * g, idx] = lp.x[j, e] * delta
+        if e in lp.rows_built:
+            cols[lp.sum_rows[(j, e)], idx] = 1.0
+        lp.col_pos[(j, e, gpu)] = lp.N_AUX + len(lp.var_meta)
+        lp.var_meta.append((j, e, copy))
+    lp.solver.add_columns(cols, np.zeros(sources.size), upper_new=np.ones(sources.size))
+
+
+SOLVER_ARRAYS = ("tab", "rhs", "cost", "red", "upper", "at_upper", "struct_idx", "slack_idx", "basis")
+
+
+def assert_same_lp(lp, ref):
+    for name in SOLVER_ARRAYS:
+        assert np.array_equal(getattr(lp.solver, name), getattr(ref.solver, name)), name
+    assert lp.solver.objective == ref.solver.objective
+    assert lp.var_meta == ref.var_meta
+    assert lp.col_pos == ref.col_pos
+    assert lp.sum_rows == ref.sum_rows
+    assert lp.rows_built == ref.rows_built
+    assert lp.replicas == ref.replicas
+
+
+def random_pairs(rng, plan, topo, num_experts):
+    """Up to three replicas per expert, shuffled so experts interleave."""
+    pairs = []
+    for e in range(num_experts):
+        cands = rep.candidate_gpus(e, plan.assignment, topo)
+        k = int(rng.integers(0, min(3, len(cands)) + 1))
+        pairs += [(e, int(g)) for g in rng.choice(cands, size=k, replace=False)]
+    return [pairs[i] for i in rng.permutation(len(pairs))]
+
+
 class TestTokenSplitLP:
     def test_home_only_forced(self):
         x, plan, topo = twelve_vs_four()
@@ -145,6 +200,53 @@ class TestTokenSplitLP:
             assert_same_fractions(lp.split_plan(), per_variable_split_plan(lp))
             lp.restore(snap)
             assert_same_fractions(lp.split_plan(), per_variable_split_plan(lp))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+    def test_batch_build_matches_per_pair_loop(self, seed, cut_frac):
+        rng = np.random.default_rng(seed)
+        x, plan, topo, model, hw = random_instance(rng, max_experts=8)
+        pairs = random_pairs(rng, plan, topo, x.shape[1])
+        cut = int(cut_frac * len(pairs))
+        lp = rep.TokenSplitLP(x, plan.assignment, topo, model, hw)
+        ref = rep.TokenSplitLP(x, plan.assignment, topo, model, hw)
+        lp.add_replicas(pairs[:cut])
+        for e, g in pairs[:cut]:
+            add_replica_per_pair(ref, e, g)
+        assert_same_lp(lp, ref)
+        assert lp.solve() == ref.solve()
+        assert_same_lp(lp, ref)
+        # a batch appended to a warm-started LP
+        lp.add_replicas(pairs[cut:])
+        for e, g in pairs[cut:]:
+            add_replica_per_pair(ref, e, g)
+        assert_same_lp(lp, ref)
+        assert lp.solve() == ref.solve()
+        assert_same_lp(lp, ref)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_invalid_pair_in_batch_leaves_lp_unchanged(self, seed, at_home):
+        rng = np.random.default_rng(seed)
+        x, plan, topo, model, hw = random_instance(rng, max_experts=8)
+        pairs = random_pairs(rng, plan, topo, x.shape[1])
+        if not pairs:
+            return
+        lp, ref, per_pair = (rep.TokenSplitLP(x, plan.assignment, topo, model, hw) for _ in range(3))
+        head, tail = pairs[: len(pairs) // 2], pairs[len(pairs) // 2:]
+        for built in (lp, ref, per_pair):
+            built.add_replicas(head)
+        e, g = tail[0]
+        # the expert's home GPU, or a GPU the batch already gave it
+        bad = (e, int(plan.assignment[e])) if at_home else (e, g)
+        batch = tail[:1] + [bad] + tail[1:]
+        message = rf"^expert {e} already has a copy on GPU {bad[1]}$"
+        with pytest.raises(ValueError, match=message):
+            lp.add_replicas(batch)
+        assert_same_lp(lp, ref)
+        with pytest.raises(ValueError, match=message):
+            for pair in batch:
+                add_replica_per_pair(per_pair, *pair)
 
     def test_split_residual_beyond_tolerance_raises(self, monkeypatch):
         x, plan, topo = twelve_vs_four()
