@@ -202,37 +202,47 @@ def cmd_report(args) -> int:
         name = name.strip()
         if name not in SERIES_CHOICES:
             raise SystemExit(f"error: unknown series {name!r}; choose from {', '.join(SERIES_CHOICES)}")
+        try:
+            rows = list(_series_rows(name, data))
+        except KeyError as err:
+            raise ValueError(f"malformed report {path}: missing key {err}") from None
+        except (TypeError, AttributeError) as err:
+            raise ValueError(f"malformed report {path}: {name} series: {err}") from None
         target = out / f"{name}.csv"
         with target.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            if name == "comparison":
-                writer.writerow(sim.SUMMARY_COLUMNS)
-                for row in data["comparison"]["rows"]:
-                    writer.writerow([row[c] if row[c] is not None else "" for c in sim.SUMMARY_COLUMNS])
-            elif name == "skewness":
-                writer.writerow(["policy", "micro_batch", "layer", "skewness"])
-                for policy, body in data["policies"].items():
-                    for mb, per_layer in enumerate(body["skew"]):
-                        for layer, value in enumerate(per_layer):
-                            writer.writerow([policy, mb, layer, value])
-            elif name == "times":
-                writer.writerow(["policy", "micro_batch", "time_s"])
-                for policy, body in data["policies"].items():
-                    for mb, value in enumerate(body["mb_times"]):
-                        writer.writerow([policy, mb, value])
-            elif name == "intersection":
-                writer.writerow(["layer", "pair_index", "ratio"])
-                for layer, ratios in enumerate(data["trace_summary"]["intersection_ratio"]):
-                    for pair, value in enumerate(ratios):
-                        writer.writerow([layer, pair, value])
-            elif name == "loads":
-                writer.writerow(["layer", "micro_batch", "expert", "share"])
-                for layer, per_mb in enumerate(data["trace_summary"]["expert_load_share"]):
-                    for mb, shares in enumerate(per_mb):
-                        for expert, share in enumerate(shares):
-                            writer.writerow([layer, mb, expert, share])
+            csv.writer(fh).writerows(rows)
         print(f"wrote {target}")
     return 0
+
+
+def _series_rows(name: str, data: dict):
+    """Header and rows of one report series."""
+    if name == "comparison":
+        yield sim.SUMMARY_COLUMNS
+        for row in data["comparison"]["rows"]:
+            yield [row[c] if row[c] is not None else "" for c in sim.SUMMARY_COLUMNS]
+    elif name == "skewness":
+        yield ["policy", "micro_batch", "layer", "skewness"]
+        for policy, body in data["policies"].items():
+            for mb, per_layer in enumerate(body["skew"]):
+                for layer, value in enumerate(per_layer):
+                    yield [policy, mb, layer, value]
+    elif name == "times":
+        yield ["policy", "micro_batch", "time_s"]
+        for policy, body in data["policies"].items():
+            for mb, value in enumerate(body["mb_times"]):
+                yield [policy, mb, value]
+    elif name == "intersection":
+        yield ["layer", "pair_index", "ratio"]
+        for layer, ratios in enumerate(data["trace_summary"]["intersection_ratio"]):
+            for pair, value in enumerate(ratios):
+                yield [layer, pair, value]
+    elif name == "loads":
+        yield ["layer", "micro_batch", "expert", "share"]
+        for layer, per_mb in enumerate(data["trace_summary"]["expert_load_share"]):
+            for mb, shares in enumerate(per_mb):
+                for expert, share in enumerate(shares):
+                    yield [layer, mb, expert, share]
 
 
 def build_parser() -> argparse.ArgumentParser:

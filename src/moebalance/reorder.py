@@ -9,11 +9,13 @@ probability exp(-(T' - T) / theta), and cool theta geometrically from
 the initial objective until it drops below the termination threshold.
 
 State is cached per GPU and updated incrementally per swap from a
-precomputed per-(expert, host) contribution tensor; a periodic full
-refresh bounds floating-point drift. Loads come from the topology's charge
-operator (`topology.ChargeOperator`): the tensor is one contraction of the
-routing matrix with it, and the sample pass charges each sample's source
-row through it. `costmodel.TimeUnits` turns loads into times.
+precomputed per-(expert, host) contribution tensor. Loads come from the
+topology's charge operator (`topology.ChargeOperator`): the tensor is one
+contraction of the routing matrix with it, and the sample pass charges each
+moved sample's source row through it and takes a placement's loads from
+`costmodel.compute_loads`, as the evaluator does. Loads are sums of integer
+token counts times 0/1 charge weights, far below 2**53, so every incremental
+update is exact. `costmodel.TimeUnits` turns loads into times.
 
 Two or more chains run in lockstep: one step of every chain is one numpy
 pass over a (chains, 5, G) load stack, and each chain ends exactly where it
@@ -24,6 +26,7 @@ from raw PCG64 words.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -33,7 +36,6 @@ import numpy as np
 from . import costmodel as cm
 from .topology import ClusterTopology, HardwareProfile
 
-REFRESH_EVERY = 4096
 # chain count from which `anneal_reorder` runs its chains in lockstep; one
 # chain alone runs faster in the scalar loop than through per-step numpy calls
 LOCKSTEP_MIN_CHAINS = 2
@@ -106,30 +108,21 @@ class AnnealState:
         self.x = np.asarray(x, dtype=np.float64)
         self.topo = topo
         self.beta = beta
-        self.assignment = np.asarray(assignment).copy()
         # contrib[e, h]: loads of serving expert e's column x[:, e] at host h
         self.contrib = np.tensordot(self.x, topo.charges.dense(), axes=(0, 0))
         self.units = cm.TimeUnits.of(model, hw, topo.num_gpus)
-        self._swaps_since_refresh = 0
-        self.refresh()
+        self._place(assignment)
 
     def fork(self, assignment: np.ndarray) -> "AnnealState":
         """A new state over the same inputs, sharing the contribution tensor."""
-        clone = object.__new__(AnnealState)
-        clone.x = self.x
-        clone.topo = self.topo
-        clone.beta = self.beta
-        clone.assignment = np.asarray(assignment).copy()
-        clone.contrib = self.contrib
-        clone.units = self.units
-        clone._swaps_since_refresh = 0
-        clone.refresh()
+        clone = copy.copy(self)
+        clone._place(assignment)
         return clone
 
-    def refresh(self) -> None:
-        """Recompute cached loads from the contribution tensor."""
+    def _place(self, assignment: np.ndarray) -> None:
+        """Take a copy of the assignment and sum its loads from the contribution tensor."""
+        self.assignment = np.asarray(assignment).copy()
         self.loads5 = self.contrib[np.arange(len(self.assignment)), self.assignment].sum(axis=0)
-        self._swaps_since_refresh = 0
 
     def swap_delta(self, e_a: int, e_b: int) -> np.ndarray:
         ga, gb = self.assignment[e_a], self.assignment[e_b]
@@ -144,9 +137,6 @@ class AnnealState:
             delta = self.swap_delta(e_a, e_b)
         self.loads5 += delta
         self.assignment[e_a], self.assignment[e_b] = self.assignment[e_b], self.assignment[e_a]
-        self._swaps_since_refresh += 1
-        if self._swaps_since_refresh >= REFRESH_EVERY:
-            self.refresh()
 
     def exact_time(self, loads5: np.ndarray | None = None) -> float:
         return self.units.exact(self.loads5 if loads5 is None else loads5)
@@ -291,8 +281,7 @@ def _run_lockstep(shared: AnnealState, assignment0: np.ndarray, cfg: AnnealConfi
     its own stream, gathers the four contribution rows of all swaps at once,
     scores all chains with one `TimeUnits.smoothed_rows` and applies the
     accepted swaps. Per chain this is `_run_chain` bit for bit: the same
-    draws, the same arithmetic, and a refresh after every REFRESH_EVERY of
-    its own accepted swaps.
+    draws and the same arithmetic.
     """
     state = shared.fork(assignment0)
     chains = len(cfg.seeds)
@@ -309,7 +298,6 @@ def _run_lockstep(shared: AnnealState, assignment0: np.ndarray, cfg: AnnealConfi
     t_cur = [t0] * chains
     best_t = [t0] * chains
     best = [a.copy() for a in assign]
-    swaps = [0] * chains
     while theta > eps:
         picks, quads = [], []
         for stream, a in zip(streams, assign):
@@ -336,11 +324,6 @@ def _run_lockstep(shared: AnnealState, assignment0: np.ndarray, cfg: AnnealConfi
                     best[c] = a.copy()
         if accepted:
             loads[accepted] = new[accepted]
-            for c in accepted:
-                swaps[c] += 1
-                if swaps[c] >= REFRESH_EVERY:
-                    loads[c] = state.fork(assign[c]).loads5
-                    swaps[c] = 0
         theta *= cfg.cooling_rate
     return [np.array(b, dtype=state.assignment.dtype) for b in best]
 
@@ -373,13 +356,7 @@ def anneal_reorder(
     else:
         candidates.extend(_run_chain(shared, base.assignment, cfg, seed) for seed in cfg.seeds)
 
-    best = candidates[0]
-    best_t = math.inf
-    for assign in candidates:
-        t = shared.fork(assign).exact_time()
-        if t < best_t:
-            best_t = t
-            best = assign
+    best = min(candidates, key=lambda assign: shared.fork(assign).exact_time())
     return ReorderPlan(np.asarray(best).copy())
 
 
@@ -388,30 +365,38 @@ def anneal_reorder(
 
 
 class _SampleState:
-    """Per-(micro_batch, layer) cached loads under a sample placement."""
+    """Per-(micro_batch, layer) loads and per-GPU token totals of placed samples.
 
-    def __init__(self, trace, topo, beta: float, units: cm.TimeUnits,
-                 dst_mass: np.ndarray, placement: np.ndarray | None = None):
-        self.trace = trace
-        self.topo = topo
-        self.beta = beta
-        self.samples = trace.samples
-        self.units = units
-        self.dst_mass = dst_mass
-        s = self.samples
-        mb_count = trace.num_micro_batches
-        layers = trace.model.num_layers
-        g = topo.num_gpus
-        self.loads5 = np.zeros((mb_count, layers, 5, g))
+    A new state has no sample placed; `fork` places every sample as a
+    placement says, and `_apply_sample` adds or removes one sample's charges.
+    """
+
+    def __init__(self, trace, plans: Sequence[ReorderPlan], topo: ClusterTopology, model,
+                 hw: HardwareProfile, beta: float):
+        if trace.samples is None:
+            raise ValueError("trace has no sample table")
+        self.trace, self.plans, self.topo, self.beta = trace, plans, topo, beta
+        self.samples = s = trace.samples
+        self.units = cm.TimeUnits.of(model, hw, topo.num_gpus)
+        g, mb_count = topo.num_gpus, trace.num_micro_batches
+        # dst_mass[i, layer, gpu]: sample i's tokens routed to experts hosted on gpu
+        hosts = np.eye(g)[np.stack([plan.assignment for plan in plans])]  # (L, E, G) one-hot
+        self.dst_mass = np.einsum("sle,leg->slg", s.counts.astype(np.float64), hosts)
+        self.mean = np.bincount(s.micro_batch, weights=s.tokens, minlength=mb_count) / g
+        self.loads5 = np.zeros((mb_count, len(plans), 5, g))
         self.totals = np.zeros((mb_count, g))
-        if placement is None:
-            placement = s.source_gpu.astype(np.int64)
-        self.placement = np.asarray(placement, dtype=np.int64).copy()
-        for i in range(s.num_samples):
-            self._apply_sample(i, int(self.placement[i]), sign=1.0)
+        self.placement = np.zeros(s.num_samples, dtype=np.int64)
 
     def fork(self, placement: np.ndarray) -> "_SampleState":
-        return _SampleState(self.trace, self.topo, self.beta, self.units, self.dst_mass, placement=placement)
+        """A state with every sample placed, loads as the evaluator computes them."""
+        clone = copy.copy(self)
+        clone.placement = np.asarray(placement, dtype=np.int64).copy()
+        x = rewrite_trace_matrices(self.trace, SamplePlacement(clone.placement))
+        clone.loads5 = np.array([[cm.compute_loads(x[mb, layer], plan.assignment, self.topo)
+                                  for layer, plan in enumerate(self.plans)] for mb in range(len(x))])
+        clone.totals = np.zeros_like(self.totals)
+        np.add.at(clone.totals, (self.samples.micro_batch, clone.placement), self.samples.tokens)
+        return clone
 
     def _apply_sample(self, i: int, gpu: int, sign: float) -> None:
         mb = int(self.samples.micro_batch[i])
@@ -433,47 +418,21 @@ class _SampleState:
     def entry_comm(self, mb: int) -> float:
         return sum(float(self.units.times(loads5)[1:].max()) for loads5 in self.loads5[mb])
 
-    def smoothed_total(self) -> float:
-        return sum(self.entry_smoothed(mb) for mb in range(self.loads5.shape[0]))
-
     def exact_total(self) -> float:
         return sum(self.entry_exact(mb) for mb in range(self.loads5.shape[0]))
-
-
-def _build_sample_state(trace, plans: Sequence[ReorderPlan], topo, model, hw, beta: float,
-                        placement: np.ndarray | None = None) -> _SampleState:
-    if trace.samples is None:
-        raise ValueError("trace has no sample table")
-    s = trace.samples
-    layers = trace.model.num_layers
-    g = topo.num_gpus
-    # per-sample, per-layer destination masses under the expert plans
-    dst_mass = np.zeros((s.num_samples, layers, g))
-    for layer in range(layers):
-        hosts = plans[layer].assignment
-        for i in range(s.num_samples):
-            dst_mass[i, layer] = np.bincount(
-                hosts, weights=s.counts[i, layer].astype(np.float64), minlength=g
-            )
-    return _SampleState(trace, topo, beta, cm.TimeUnits.of(model, hw, g), dst_mass, placement=placement)
 
 
 def greedy_sample_initial(trace, plans: Sequence[ReorderPlan], topo, model, hw,
                           beta: float = 20.0) -> SamplePlacement:
     """Longest-first greedy: each sample goes to the GPU with the lowest
     resulting per-micro-batch communication time, within the token band."""
-    state = _build_sample_state(trace, plans, topo, model, hw, beta)
+    state = _SampleState(trace, plans, topo, model, hw, beta)
     s = trace.samples
-    g = topo.num_gpus
-    for i in range(s.num_samples):
-        state._apply_sample(i, int(state.placement[i]), sign=-1.0)
-    mean = _mb_means(trace, g)
     order = np.lexsort((np.arange(s.num_samples), -s.tokens.astype(np.int64)))
-    placement = np.zeros(s.num_samples, dtype=np.int64)
     for i in order:
         mb = int(s.micro_batch[i])
-        hi = (1.0 + SAMPLE_BAND) * mean[mb]
-        fits = [gpu for gpu in range(g) if state.totals[mb, gpu] + s.tokens[i] <= hi + 1e-9]
+        hi = (1.0 + SAMPLE_BAND) * state.mean[mb]
+        fits = [gpu for gpu in range(topo.num_gpus) if state.totals[mb, gpu] + s.tokens[i] <= hi + 1e-9]
         if not fits:
             fits = [int(np.argmin(state.totals[mb]))]
         best_gpu, best_obj = fits[0], math.inf
@@ -485,32 +444,22 @@ def greedy_sample_initial(trace, plans: Sequence[ReorderPlan], topo, model, hw,
                 best_obj = obj
                 best_gpu = gpu
         state._apply_sample(i, best_gpu, sign=1.0)
-        placement[i] = best_gpu
         state.placement[i] = best_gpu
-    return SamplePlacement(source_gpu=placement)
+    return SamplePlacement(source_gpu=state.placement)
 
 
-def _mb_means(trace, g: int) -> dict[int, float]:
-    s = trace.samples
-    return {
-        mb: float(s.tokens[s.micro_batch == mb].sum()) / g
-        for mb in range(trace.num_micro_batches)
-    }
-
-
-def _run_sample_chain(base: _SampleState, initial: np.ndarray, mean: dict[int, float],
-                      cfg: AnnealConfig, seed: int) -> np.ndarray:
+def _run_sample_chain(base: _SampleState, initial: np.ndarray, cfg: AnnealConfig, seed: int) -> np.ndarray:
     state = base.fork(initial)
     s = state.samples
-    num_samples = s.num_samples
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    t_cur = state.smoothed_total()
+    mean = state.mean.tolist()
+    stream = ChainStream(seed)
+    t_cur = sum(state.entry_smoothed(mb) for mb in range(len(mean)))
     theta = t_cur if t_cur > 0 else 1.0
     eps = cfg.eps_for(theta)
     best_assign = state.placement.copy()
     best_t = t_cur
     while theta > eps:
-        i, j = rng.integers(0, num_samples, size=2)
+        i, j = stream.pair(s.num_samples)
         gi, gj = int(state.placement[i]), int(state.placement[j])
         if i == j or gi == gj:
             theta *= cfg.cooling_rate
@@ -526,7 +475,7 @@ def _run_sample_chain(base: _SampleState, initial: np.ndarray, mean: dict[int, f
                 in_band = False
         after = state.entry_smoothed(mbi) + (state.entry_smoothed(mbj) if mbj != mbi else 0.0)
         diff = after - before
-        if in_band and (diff < 0 or rng.random() < math.exp(-min(max(diff, 0.0) / theta, 745.0))):
+        if in_band and (diff < 0 or stream.random() < math.exp(-min(max(diff, 0.0) / theta, 745.0))):
             t_cur += diff
             if t_cur < best_t:
                 best_t = t_cur
@@ -553,26 +502,13 @@ def anneal_sample_placement(
     around the per-micro-batch mean are rejected. The returned placement is
     never worse than the greedy initial one in summed exact time.
     """
-    if trace.samples is None:
-        raise ValueError("trace has no sample table")
     initial = greedy_sample_initial(trace, plans, topo, model, hw, beta=cfg.beta)
-    g = topo.num_gpus
-    base = _build_sample_state(trace, plans, topo, model, hw, cfg.beta, placement=initial.source_gpu)
-    mean = _mb_means(trace, g)
-
-    candidates = [initial.source_gpu.copy()]
-    if g >= 2 and trace.samples.num_samples >= 2:
-        for seed in cfg.seeds:
-            candidates.append(_run_sample_chain(base, initial.source_gpu, mean, cfg, seed))
-
-    best = candidates[0]
-    best_exact = base.fork(best).exact_total()
-    for cand in candidates[1:]:
-        t = base.fork(cand).exact_total()
-        if t < best_exact:
-            best_exact = t
-            best = cand
-    return SamplePlacement(source_gpu=np.asarray(best).copy())
+    base = _SampleState(trace, plans, topo, model, hw, cfg.beta)
+    candidates = [initial.source_gpu]
+    if topo.num_gpus >= 2 and trace.samples.num_samples >= 2:
+        candidates.extend(_run_sample_chain(base, initial.source_gpu, cfg, seed) for seed in cfg.seeds)
+    best = min(candidates, key=lambda placement: base.fork(placement).exact_total())
+    return SamplePlacement(source_gpu=best.copy())
 
 
 def rewrite_trace_matrices(trace, placement: SamplePlacement) -> np.ndarray:

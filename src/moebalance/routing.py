@@ -168,6 +168,8 @@ class RoutingTrace:
 
     def validate(self) -> None:
         mb, layers, g, e = self.matrices.shape
+        if mb < 1:
+            raise TraceFormatError("trace has no micro-batches")
         if layers != self.model.num_layers or e != self.model.num_experts:
             raise TraceFormatError("matrix dimensions disagree with the model profile")
         if g != self.topo.num_gpus:
@@ -421,6 +423,8 @@ def generate_synthetic_trace(
     rng_profiles, rng_mix, rng_tokens, rng_samples = (
         np.random.default_rng(child) for child in seq.spawn(4)
     )
+    if num_micro_batches < 1:
+        raise ValueError(f"need at least one micro-batch, got {num_micro_batches}")
     g = topo.num_gpus
     model.experts_per_gpu(topo)
     assignments_per_row = spec.tokens_per_gpu * model.top_k

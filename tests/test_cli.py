@@ -50,6 +50,19 @@ def test_gen_rejects_indivisible_experts(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_gen_rejects_zero_micro_batches(tmp_path, capsys):
+    args = list(GEN_ARGS)
+    args[args.index("--micro-batches") + 1] = "0"
+    out = tmp_path / "t"
+    capsys.readouterr()
+    code = run(args + ["--out", out])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "micro-batch" in err, err
+    assert not out.exists()
+
+
 def test_solve_then_simulate_round_trip(tmp_path, capsys):
     trace = tmp_path / "trace"
     plans = tmp_path / "plans"
@@ -147,6 +160,63 @@ def test_report_rejects_malformed(tmp_path, capsys):
     bad.write_text("{}")
     with pytest.raises(SystemExit):
         run(["report", "--report", bad, "--out", tmp_path / "csv"])
+
+
+@pytest.fixture(scope="module")
+def simulated(tmp_path_factory):
+    root = tmp_path_factory.mktemp("simulated")
+    assert run(GEN_ARGS + ["--out", root / "trace"]) == 0
+    assert run(["simulate", "--trace", root / "trace", "--out", root / "report",
+                "--policies", "static,lpt", "--threads", "1"]) == 0
+    return root / "report" / "report.json"
+
+
+def _drop_policy_field(field):
+    def mutate(data):
+        del data["policies"]["lpt_only"][field]
+    return mutate
+
+
+def _drop_comparison_column(data):
+    del data["comparison"]["rows"][1]["skew_p95"]
+
+
+@pytest.mark.parametrize("series,mutate,key", [
+    ("intersection", lambda data: data.pop("trace_summary"), "trace_summary"),
+    ("loads", lambda data: data["trace_summary"].pop("expert_load_share"), "expert_load_share"),
+    ("skewness", _drop_policy_field("skew"), "skew"),
+    ("times", _drop_policy_field("mb_times"), "mb_times"),
+    ("comparison", _drop_comparison_column, "skew_p95"),
+], ids=["no_trace_summary", "no_load_shares", "no_skew", "no_mb_times", "no_comparison_column"])
+def test_report_missing_key_is_one_error_line(simulated, tmp_path, capsys, series, mutate, key):
+    data = json.loads(simulated.read_text())
+    mutate(data)
+    bad = tmp_path / "report.json"
+    bad.write_text(json.dumps(data))
+    capsys.readouterr()
+    code = run(["report", "--report", bad, "--out", tmp_path / "csv", "--series", series])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert f"missing key '{key}'" in err, err
+    assert not (tmp_path / "csv" / f"{series}.csv").exists()
+
+
+@pytest.mark.parametrize("series,mutate", [
+    ("comparison", lambda data: data["comparison"].update(rows=5)),
+    ("times", lambda data: data.update(policies=[])),
+], ids=["rows_not_a_list", "policies_not_an_object"])
+def test_report_mistyped_section_is_one_error_line(simulated, tmp_path, capsys, series, mutate):
+    data = json.loads(simulated.read_text())
+    mutate(data)
+    bad = tmp_path / "report.json"
+    bad.write_text(json.dumps(data))
+    capsys.readouterr()
+    code = run(["report", "--report", bad, "--out", tmp_path / "csv", "--series", series])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: malformed report") and err.count("\n") == 1, err
+    assert f"{series} series" in err, err
 
 
 def test_solve_sample_locality_needs_samples(tmp_path, capsys):

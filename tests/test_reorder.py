@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -116,17 +117,14 @@ class TestAnnealState:
             np.testing.assert_allclose(state.loads5, ref, rtol=1e-9, atol=1e-9)
 
     def test_long_chain_drift_bounded(self):
+        # integer token counts make every incremental update exact
         rng = np.random.default_rng(6)
         x, topo, model, hw, plan = self.rand_instance(rng, experts=12)
         state = ro.AnnealState(x, plan.assignment, topo, model, hw)
         for _ in range(1000):
             e_a, e_b = rng.integers(0, 12, size=2)
             state.apply_swap(int(e_a), int(e_b))
-        ref = cm.compute_loads(x, state.assignment, topo)
-        scale = max(ref[COMP].max(), 1.0)
-        assert np.abs(state.loads5[COMP] - ref[COMP]).max() < 1e-9 * scale
-        state.refresh()
-        np.testing.assert_allclose(state.loads5[COMP], ref[COMP], rtol=1e-12)
+        assert np.array_equal(state.loads5, cm.compute_loads(x, state.assignment, topo))
 
 
 class TestAnnealReorder:
@@ -310,17 +308,6 @@ class TestLockstep:
     def test_equals_serial_chains(self, case):
         assert_lockstep_equals_serial(*case)
 
-    def test_equals_serial_with_per_chain_refresh(self, monkeypatch):
-        # chains accept different numbers of swaps, so each refreshes on its
-        # own count; a shared count would refresh at the wrong step
-        monkeypatch.setattr(ro, "REFRESH_EVERY", 3)
-        rng = np.random.default_rng(31)
-        hw = HardwareProfile(6.0, 40.0, 7.0, 1.0)
-        topo = build_topology(2, 4, hw)
-        x = rng.uniform(0, 30, size=(8, 24))
-        cfg = ro.AnnealConfig(seeds=(3, 4, 5, 6), cooling_rate=0.99, beta=1e3)
-        assert_lockstep_equals_serial(x, topo, comm_model(24), hw, cfg)
-
     def test_anneal_reorder_switches_at_the_chain_threshold(self, monkeypatch):
         rng = np.random.default_rng(32)
         hw = HardwareProfile(6.0, 40.0, 7.0, 1.0)
@@ -421,8 +408,8 @@ class TestSamplePlacement:
             assert (totals <= 1.1 * mean + 1e-9).all()
 
     def test_sample_state_matches_costmodel(self):
-        # the incremental sample-state loads must agree with a from-scratch
-        # evaluation of the rewritten matrices
+        # the incremental sample-state loads must equal a from-scratch
+        # evaluation of the rewritten matrices, also after moves back
         hw = HardwareProfile(6.0, 50.0, 5.0, 1.0)
         topo = build_topology(2, 2, hw)
         model = rt.ModelProfile(num_layers=2, num_experts=8, top_k=2, hidden_size=1, intermediate_size=1)
@@ -430,16 +417,23 @@ class TestSamplePlacement:
                                rng_seed=9, samples_per_gpu=2)
         trace = rt.generate_synthetic_trace(spec, model, topo, 3)
         plans = [ro.lpt_initial(rt.aggregate_batch(trace, layer), topo) for layer in range(2)]
-        state = ro._build_sample_state(trace, plans, topo, model, hw, beta=20.0)
+        state = ro._SampleState(trace, plans, topo, model, hw, beta=20.0).fork(trace.samples.source_gpu)
         rng = np.random.default_rng(2)
-        for i in rng.choice(trace.samples.num_samples, size=6, replace=False):
-            state.move(int(i), int(rng.integers(0, topo.num_gpus)))
+        for _ in range(40):
+            i = int(rng.integers(0, trace.samples.num_samples))
+            old = int(state.placement[i])
+            state.move(i, int(rng.integers(0, topo.num_gpus)))
+            if rng.random() < 0.3:
+                state.move(i, old)
         placement = ro.SamplePlacement(source_gpu=state.placement.copy())
         matrices = ro.rewrite_trace_matrices(trace, placement)
+        totals = np.zeros((trace.num_micro_batches, topo.num_gpus))
+        np.add.at(totals, (trace.samples.micro_batch, placement.source_gpu), trace.samples.tokens)
+        assert np.array_equal(state.totals, totals)
         for mb in range(trace.num_micro_batches):
             for layer in range(2):
                 ref = cm.compute_loads(matrices[mb, layer], plans[layer].assignment, topo)
-                np.testing.assert_allclose(state.loads5[mb, layer], ref, rtol=1e-9, atol=1e-9)
+                assert np.array_equal(state.loads5[mb, layer], ref)
             exact = sum(
                 cm.moe_time(cm.compute_loads(matrices[mb, layer], plans[layer].assignment, topo),
                             model, hw).t_moe
@@ -456,6 +450,69 @@ class TestSamplePlacement:
         with pytest.raises(ValueError, match="sample table"):
             ro.anneal_sample_placement(trace, [ro.ReorderPlan(np.array([0, 1]))], topo, model,
                                        hw, ro.AnnealConfig(seeds=(0,)))
+
+
+def generator_sample_chain(base, initial, cfg, seed):
+    """The sample chain as it was written against `numpy.random.Generator`."""
+    state = base.fork(initial)
+    s = state.samples
+    mean = state.mean
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    t_cur = sum(state.entry_smoothed(mb) for mb in range(len(mean)))
+    theta = t_cur if t_cur > 0 else 1.0
+    eps = cfg.eps_for(theta)
+    best_assign = state.placement.copy()
+    best_t = t_cur
+    while theta > eps:
+        i, j = rng.integers(0, s.num_samples, size=2)
+        gi, gj = int(state.placement[i]), int(state.placement[j])
+        if i == j or gi == gj:
+            theta *= cfg.cooling_rate
+            continue
+        mbi, mbj = int(s.micro_batch[i]), int(s.micro_batch[j])
+        before = state.entry_smoothed(mbi) + (state.entry_smoothed(mbj) if mbj != mbi else 0.0)
+        state.move(i, gj)
+        state.move(j, gi)
+        in_band = True
+        for mb, gpu in {(mbi, gi), (mbi, gj), (mbj, gi), (mbj, gj)}:
+            lo, hi = (1.0 - ro.SAMPLE_BAND) * mean[mb], (1.0 + ro.SAMPLE_BAND) * mean[mb]
+            if not (lo - 1e-9 <= state.totals[mb, gpu] <= hi + 1e-9):
+                in_band = False
+        after = state.entry_smoothed(mbi) + (state.entry_smoothed(mbj) if mbj != mbi else 0.0)
+        diff = after - before
+        if in_band and (diff < 0 or rng.random() < math.exp(-min(max(diff, 0.0) / theta, 745.0))):
+            t_cur += diff
+            if t_cur < best_t:
+                best_t = t_cur
+                best_assign = state.placement.copy()
+        else:
+            state.move(i, gi)
+            state.move(j, gj)
+        theta *= cfg.cooling_rate
+    return best_assign
+
+
+class TestSampleChainStream:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 2), st.integers(1, 3), st.sampled_from([(1, 2), (2, 2), (1, 4)]),
+           st.integers(0, 2**32 - 1), st.lists(st.integers(0, 10**6), min_size=1, max_size=3))
+    def test_equals_generator_chain(self, layers, micro_batches, shape, trace_seed, seeds):
+        # the ChainStream draws are by definition the Generator's, so the
+        # chain must end on the same placement call for call
+        hw = HardwareProfile(6.0, 50.0, 5.0, 1.0)
+        topo = build_topology(*shape, hw)
+        model = rt.ModelProfile(num_layers=layers, num_experts=2 * topo.num_gpus, top_k=2,
+                                hidden_size=1, intermediate_size=1)
+        spec = rt.TraceGenSpec(num_domains=2, dirichlet_alpha=0.4, tokens_per_gpu=48,
+                               rng_seed=trace_seed, samples_per_gpu=4)
+        trace = rt.generate_synthetic_trace(spec, model, topo, micro_batches)
+        plans = [ro.lpt_initial(rt.aggregate_batch(trace, layer), topo) for layer in range(layers)]
+        cfg = ro.AnnealConfig(seeds=tuple(seeds), cooling_rate=0.97)
+        base = ro._SampleState(trace, plans, topo, model, hw, cfg.beta)
+        initial = ro.greedy_sample_initial(trace, plans, topo, model, hw).source_gpu
+        for seed in seeds:
+            got = ro._run_sample_chain(base, initial, cfg, seed)
+            assert got.tolist() == generator_sample_chain(base, initial, cfg, seed).tolist()
 
 
 class TestRewriteTraceMatrices:

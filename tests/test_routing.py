@@ -79,6 +79,24 @@ class TestTraceIO:
         with pytest.raises(rt.TraceFormatError, match="tokens_per_gpu"):
             trace.validate()
 
+    def test_trace_without_micro_batches_rejected(self, tmp_path):
+        # the files `gen --micro-batches 0` once wrote: a manifest and an empty routing.bin
+        topo = build_topology(1, 2, HW)
+        model = rt.ModelProfile(num_layers=1, num_experts=2, top_k=2)
+        empty = rt.RoutingTrace(model=model, topo=topo, matrices=np.zeros((0, 1, 2, 2), dtype=np.uint32),
+                                tokens_per_gpu=0)
+        with pytest.raises(rt.TraceFormatError, match="no micro-batches"):
+            empty.validate()
+        trace, _, _ = make_trace()
+        rt.save_trace(trace, tmp_path / "t")
+        manifest = json.loads((tmp_path / "t" / "manifest.json").read_text())
+        manifest["num_micro_batches"] = 0
+        (tmp_path / "t" / "manifest.json").write_text(json.dumps(manifest))
+        (tmp_path / "t" / "routing.bin").write_bytes(b"")
+        with pytest.raises(rt.TraceFormatError, match="no micro-batches") as err:
+            rt.load_trace(tmp_path / "t")
+        assert "\n" not in str(err.value)
+
     def test_cross_layer_consistency_enforced(self):
         topo = build_topology(1, 2, HW)
         model = rt.ModelProfile(num_layers=2, num_experts=2, top_k=1)
@@ -127,6 +145,11 @@ class TestGenerator:
     def test_sample_rows_rebuild_matrices(self):
         trace, _, _ = make_trace(samples_per_gpu=3, tokens=60)
         trace.validate()  # includes the per-GPU sample-sum cross-check
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_no_micro_batches_rejected(self, count):
+        with pytest.raises(ValueError, match="at least one micro-batch"):
+            make_trace(num_micro_batches=count)
 
     def test_bad_spec_rejected(self):
         with pytest.raises(ValueError):
