@@ -20,6 +20,7 @@ from . import replicate as rep
 from . import reorder as ro
 from . import routing as rt
 from . import sim
+from .lp import LPError
 from .topology import HardwareProfile, build_topology
 
 # every policy by its own name, plus short names
@@ -116,10 +117,11 @@ def cmd_solve(args) -> int:
     topo, model, hw = trace.topo, trace.model, trace.topo.profile
     if args.sample_locality and trace.samples is None:
         raise SystemExit("error: --sample-locality needs a trace with a sample table")
+    cfgs = _sim_configs(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    bundle, _ = sim.build_policy_bundle(trace, "relibra", topo, model, hw, _sim_configs(args))
+    bundle, _ = sim.build_policy_bundle(trace, "relibra", topo, model, hw, cfgs)
     plans, placement, replication = bundle.reorder, bundle.sample_placement, bundle.replication
     objectives: list[dict] = []
     for layer, plan in enumerate(plans):
@@ -309,7 +311,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit:
         raise
-    except (ValueError, FileNotFoundError, OSError) as err:
+    except (ValueError, OSError, LPError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -40,8 +40,10 @@ def flow_matrix(x: np.ndarray, placement: np.ndarray, topo: ClusterTopology, spl
     """(G, G) token masses flow[src, serving GPU] induced by x, placement, splits.
 
     Experts without a split go to their home GPU in one contraction, exact
-    for integer token counts; split experts then add their fractional
-    shares one after another, in the order of `splits`.
+    for integer token counts. Split experts are checked at once
+    (`check_splits`) and their fractional shares added by one `np.add.at`,
+    which adds them in the order of `splits`, then copy, then source, as a
+    loop over the split experts would.
     """
     g = topo.num_gpus
     num_experts = x.shape[1]
@@ -50,15 +52,61 @@ def flow_matrix(x: np.ndarray, placement: np.ndarray, topo: ClusterTopology, spl
     for e in splits:
         if not 0 <= e < num_experts:
             raise ValueError(f"split entry for unknown expert {e}")
+    groups = check_splits(x, placement, splits)
     kept = np.ones(num_experts, dtype=bool)
     kept[list(splits)] = False
     home = np.zeros((num_experts, g))
     home[np.flatnonzero(kept), placement[kept]] = 1.0
     flow = x @ home
-    for e, (gpus, frac) in splits.items():
-        check_split(x, placement, e, gpus, frac)
-        flow[:, gpus] += x[:, e, None] * frac
+    if not splits:
+        return flow
+    # each entry's (copy, source) shares fill one run of `shares`, runs in splits order
+    width = g * np.array([len(gpus) for gpus, _ in splits.values()])
+    start = np.cumsum(width) - width
+    src = np.tile(np.arange(g), width.sum() // g)
+    dst = np.empty(width.sum(), dtype=np.intp)
+    shares = np.empty(width.sum())
+    for pos, experts, gpus, frac in groups:
+        n, k = gpus.shape
+        at = start[pos][:, None] + np.arange(k * g)
+        shares[at] = (x[:, experts].T[:, :, None] * frac).transpose(0, 2, 1).reshape(n, k * g)
+        dst[at] = np.repeat(gpus, g, axis=1)
+    np.add.at(flow, (src, dst), shares)
     return flow
+
+
+def check_splits(x: np.ndarray, home: np.ndarray, splits: SplitMap) -> list[tuple[np.ndarray, ...]]:
+    """`check_split` of every entry at once; the first rejected entry in
+    the order of `splits` raises its `check_split` error.
+
+    Returns the entries grouped by copy count k, each group as (positions
+    in `splits`, experts (n,), GPUs (n, k), fractions (n, G, k)).
+    """
+    items = list(splits.items())
+    members: dict[int, list[int]] = {}
+    failing = [len(items)]
+    for p, (e, (gpus, frac)) in enumerate(items):
+        if len(gpus) == 0 or np.shape(frac) != (x.shape[0], len(gpus)):
+            failing.append(p)  # fails on its shapes alone; later entries are never reached
+            break
+        members.setdefault(len(gpus), []).append(p)
+    groups = []
+    for pos in members.values():
+        pos = np.array(pos)
+        experts = np.array([items[p][0] for p in pos])
+        gpus = np.array([items[p][1][0] for p in pos])
+        frac = np.stack([items[p][1][1] for p in pos])
+        # a NaN or infinite fraction fails the range test through its min or max
+        in_range = (frac.min(axis=(1, 2)) >= -SPLIT_TOL) & (frac.max(axis=(1, 2)) <= 1 + SPLIT_TOL)
+        leaks = (np.abs(frac.sum(axis=2) - 1.0) > SPLIT_TOL) & (x[:, experts].T > 0)
+        bad = (gpus != home[experts][:, None]).all(axis=1) | ~in_range | leaks.any(axis=1)
+        failing.extend(pos[bad][:1].tolist())
+        groups.append((pos, experts, gpus, frac))
+    first = min(failing)
+    if first < len(items):
+        e, (gpus, frac) = items[first]
+        check_split(x, home, e, gpus, frac)
+    return groups
 
 
 def check_split(x: np.ndarray, home: np.ndarray, e: int, gpus: np.ndarray, frac: np.ndarray) -> None:
@@ -157,6 +205,16 @@ class TimeUnits:
         comm = lse_rows(t[:, 1:].reshape(len(t), -1), beta)
         return [a + b for a, b in zip(comp, comm)]
 
+    def estimate(self, loads: np.ndarray, beta: float | None = None) -> CostEstimate:
+        """Per-GPU comp and comm times and `exact`; with `beta`, also `smoothed`."""
+        t = self.times(loads)
+        return CostEstimate(
+            comp_times=t[0],
+            comm_times=t[1:].max(axis=0),
+            t_moe=self.exact(loads),
+            t_moe_smoothed=None if beta is None else self.smoothed(loads, beta),
+        )
+
 
 def lse(values, beta: float) -> float:
     """(1/beta) * ln(sum(exp(beta * z))), computed with max subtraction."""
@@ -186,11 +244,4 @@ def moe_time(loads: np.ndarray, model, hw: HardwareProfile, beta: float | None =
     A GPU's communication time is its slowest link direction. With `beta`,
     the estimate also carries the LSE surrogate at that sharpness.
     """
-    units = TimeUnits.of(model, hw, loads.shape[1])
-    t = units.times(loads)
-    return CostEstimate(
-        comp_times=t[0],
-        comm_times=t[1:].max(axis=0),
-        t_moe=units.exact(loads),
-        t_moe_smoothed=None if beta is None else units.smoothed(loads, beta),
-    )
+    return TimeUnits.of(model, hw, loads.shape[1]).estimate(loads, beta)

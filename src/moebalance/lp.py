@@ -9,11 +9,11 @@ handle without a constraint row.
 The tableau keeps the slack block explicit, which makes B^-1 available for
 warm starts: after an optimal solve, new structural columns and new rows
 can be appended and the solve resumed from the current basis. Rows and
-columns are appended in batches, one tableau allocation per batch; a
+columns are appended in batches, one tableau allocation per batch, and
+each new row bounds one variable (the split LP's fraction budgets); a
 placement's split LP is built in one column batch per run of replicas
-that needs no new budget row. Pricing is
-Dantzig with a Bland fallback once the objective stalls, which prevents
-cycling on degenerate vertices.
+that needs no new budget row. Pricing is Dantzig with a Bland fallback
+once the objective stalls, which prevents cycling on degenerate vertices.
 """
 
 from __future__ import annotations
@@ -68,14 +68,20 @@ class DenseSimplex:
     @property
     def pivots(self) -> int:
         """Pivots taken since construction; while none, the slack block is
-        the identity and `add_columns` transforms every column exactly."""
+        the identity and `add_columns` skips the B^-1 product."""
         return self._pivots
 
     # ------------------------------------------------------------------
     # warm-start growth
 
     def add_columns(self, cols, c_new, upper_new=None) -> None:
-        """Append structural columns (entering at zero); basis stays feasible."""
+        """Append structural columns (entering at zero); basis stays feasible.
+
+        The columns are multiplied by B^-1, the slack block, once a pivot
+        has been taken. Before the first pivot B^-1 is the identity and the
+        columns enter as given: the product would only turn -0.0 entries
+        into +0.0, and the split LP builds none.
+        """
         cols = np.atleast_2d(np.asarray(cols, dtype=np.float64))
         c_new = np.asarray(c_new, dtype=np.float64).ravel()
         if cols.shape != (self.num_rows, c_new.size):
@@ -84,8 +90,7 @@ class DenseSimplex:
             upper_new = np.full(c_new.size, np.inf)
         else:
             upper_new = np.asarray(upper_new, dtype=np.float64).ravel()
-        binv = self.tab[:, self.slack_idx]
-        transformed = binv @ cols
+        transformed = self.tab[:, self.slack_idx] @ cols if self.pivots else cols
         red_new = c_new - self.cost[self.basis] @ transformed
         start = self.tab.shape[1]
         self.tab = np.hstack([self.tab, transformed])
@@ -95,41 +100,38 @@ class DenseSimplex:
         self.at_upper = np.concatenate([self.at_upper, np.zeros(c_new.size, dtype=bool)])
         self.struct_idx = np.concatenate([self.struct_idx, np.arange(start, start + c_new.size)])
 
-    def add_row(self, rows: list[dict[int, float]], b_new) -> None:
-        """Append <= rows in one tableau allocation.
+    def add_row(self, positions, coefs, b_new) -> None:
+        """Append the rows coefs[i] * x[positions[i]] <= b_new[i] in one
+        tableau allocation.
 
-        rows[i] maps structural positions to coefficients and b_new[i] is
-        its bound. The current point must satisfy every row (each slack
-        starts basic and non-negative). A new row has no coefficient on the
-        slack of another, so rows appended together equal rows appended one
-        at a time, bit for bit.
+        positions index structural variables. The current point must
+        satisfy every row (each slack starts basic and non-negative). A row
+        on a basic variable is expressed in the basis by subtracting its
+        coefficient times that variable's tableau row; a new row has no
+        coefficient on the slack of another, so rows appended together
+        equal rows appended one at a time, bit for bit.
         """
+        positions = np.asarray(positions, dtype=np.intp).ravel()
+        coefs = np.asarray(coefs, dtype=np.float64).ravel()
         b_new = np.asarray(b_new, dtype=np.float64).ravel()
-        k = len(rows)
-        if b_new.shape != (k,):
-            raise LPError(f"{k} new rows but {b_new.size} bounds")
+        k = positions.size
+        if coefs.shape != (k,) or b_new.shape != (k,):
+            raise LPError(f"{k} new rows but {coefs.size} coefficients and {b_new.size} bounds")
         m, ncols = self.tab.shape
-        orig = np.zeros((k, ncols))
-        for r, coefs in enumerate(rows):
-            for pos, value in coefs.items():
-                orig[r, self.struct_idx[pos]] = value
-        x_now = self._full_solution()
-        slack = np.empty(k)
-        for r in range(k):
-            cols = np.flatnonzero(orig[r])
-            slack[r] = b_new[r] - float(orig[r, cols] @ x_now[cols])
+        cols = self.struct_idx[positions]
+        slack = b_new - coefs * self._full_solution()[cols]
         if (slack < -PIVOT_TOL).any():
             raise LPError("new row is violated at the current point")
         grown = np.zeros((m + k, ncols + k))
         grown[:m, :ncols] = self.tab
-        for r in range(k):
-            # express the new row in the current basis
-            t_row = grown[m + r, :ncols]
-            t_row[:] = orig[r]
-            for i in np.flatnonzero(orig[r, self.basis]):
-                t_row -= orig[r, self.basis[i]] * self.tab[i]
+        rows = np.arange(m, m + k)
+        grown[rows, cols] = coefs
+        basis_row = np.full(ncols, -1)
+        basis_row[self.basis] = np.arange(m)
+        basic = (basis_row[cols] >= 0) & (coefs != 0.0)
+        grown[rows[basic], :ncols] -= coefs[basic, None] * self.tab[basis_row[cols[basic]]]
         new_slacks = np.arange(ncols, ncols + k)
-        grown[np.arange(m, m + k), new_slacks] = 1.0
+        grown[rows, new_slacks] = 1.0
         self.tab = grown
         self.rhs = np.concatenate([self.rhs, np.where(slack < 0.0, 0.0, slack)])
         self.cost = np.concatenate([self.cost, np.zeros(k)])

@@ -80,8 +80,8 @@ class AnnealConfig:
             raise ValueError("termination_eps must be > 0")
         if not self.eps_frac > 0:
             raise ValueError("eps_frac must be > 0")
-        if not self.beta > 0:
-            raise ValueError("beta must be > 0")
+        if not (math.isfinite(self.beta) and self.beta > 0):
+            raise ValueError(f"beta must be positive and finite, got {self.beta!r}")
 
     def eps_for(self, theta0: float) -> float:
         if self.termination_eps is not None:

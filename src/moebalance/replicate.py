@@ -130,9 +130,7 @@ def validate_split(split: SplitPlan, placement: ReplicaPlacement, x: np.ndarray)
     """Conservation (fractions sum to 1 on routed entries) and coupling
     (mass only on placed copies, all fractions finite and within [0, 1])
     of every split entry; see costmodel.check_split."""
-    x = np.asarray(x, dtype=np.float64)
-    for e, (gpus, frac) in split.to_split_map(placement).items():
-        cm.check_split(x, placement.home, e, gpus, frac)
+    cm.check_splits(np.asarray(x, dtype=np.float64), placement.home, split.to_split_map(placement))
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +173,7 @@ class TokenSplitLP:
         c = np.array([1.0, -1.0, 1.0, -1.0])
         self.solver = DenseSimplex(c, a, b)
         # (source, expert, copy) per v column; copy indexes ReplicaPlacement.copies(expert)
-        self.var_meta: list[tuple[int, int, int]] = []
+        self.var_meta = np.empty((0, 3), dtype=np.int64)
         self.col_pos: dict[tuple[int, int, int], int] = {}
         self.sum_rows: dict[tuple[int, int], int] = {}
         self.rows_built: set[int] = set()
@@ -217,8 +215,8 @@ class TokenSplitLP:
                 # second replica: the fraction budget now couples two columns,
                 # so the v <= 1 bounds no longer suffice
                 first = self.solver.num_rows
-                self.solver.add_row([{self.col_pos[(int(j), e, replicas[0])]: 1.0} for j in sources],
-                                    np.ones(sources.size))
+                self.solver.add_row([self.col_pos[(int(j), e, replicas[0])] for j in sources],
+                                    np.ones(sources.size), np.ones(sources.size))
                 self.sum_rows.update(((int(j), e), row) for row, j in enumerate(sources, start=first))
                 self.rows_built.add(e)
             # len(replicas) is gpu's position in [home] + replicas
@@ -233,6 +231,8 @@ class TokenSplitLP:
         bound_rows = 5 * self.topo.num_gpus
         width = sum(sources.size for *_, sources in run)
         cols = np.zeros((self.solver.num_rows, width))
+        meta = np.empty((width, 3), dtype=np.int64)
+        first = self.N_AUX + len(self.var_meta)
         start = 0
         for e, gpu, copy, sources in run:
             n = sources.size
@@ -245,10 +245,10 @@ class TokenSplitLP:
                 # an expert's budget rows are consecutive, one per routed source
                 idx = np.arange(n)
                 cols[self.sum_rows[(int(sources[0]), e)] + idx, start + idx] = 1.0
-            self.col_pos.update(((int(j), e, gpu), self.N_AUX + len(self.var_meta) + i)
-                                for i, j in enumerate(sources))
-            self.var_meta.extend((int(j), e, copy) for j in sources)
+            self.col_pos.update(((int(j), e, gpu), first + start + i) for i, j in enumerate(sources))
+            meta[start:start + n] = np.column_stack([sources, np.full(n, e), np.full(n, copy)])
             start += n
+        self.var_meta = np.concatenate([self.var_meta, meta])
         self.solver.add_columns(cols, np.zeros(width), upper_new=np.ones(width))
 
     def solve(self) -> float:
@@ -265,7 +265,7 @@ class TokenSplitLP:
     def snapshot(self) -> dict:
         return {
             "solver": self.solver.snapshot(),
-            "var_meta": list(self.var_meta),
+            "var_meta": self.var_meta,
             "col_pos": dict(self.col_pos),
             "sum_rows": dict(self.sum_rows),
             "rows_built": set(self.rows_built),
@@ -274,7 +274,7 @@ class TokenSplitLP:
 
     def restore(self, snap: dict) -> None:
         self.solver.restore(snap["solver"])
-        self.var_meta = list(snap["var_meta"])
+        self.var_meta = snap["var_meta"]
         self.col_pos = dict(snap["col_pos"])
         self.sum_rows = dict(snap["sum_rows"])
         self.rows_built = set(snap["rows_built"])
@@ -283,35 +283,50 @@ class TokenSplitLP:
     def split_plan(self) -> SplitPlan:
         """Fractions of the current solution; the home copy takes the rest.
 
-        Raises LPError when a routed source's replica fractions sum outside
-        [-SPLIT_TOL, 1 + SPLIT_TOL]; smaller drift is clipped and
-        renormalized away.
+        Experts with the same number of copies k share one (n, G, k)
+        array: the LP values are scattered into it, then checked, clipped
+        and renormalized at once. Raises LPError when a routed source's
+        replica fractions sum outside [-SPLIT_TOL, 1 + SPLIT_TOL], naming
+        the first such expert in replica order and its worst source;
+        smaller drift is clipped and renormalized away.
         """
         values = self.solver.solution()[self.N_AUX:]
-        source, expert, copy = np.array(self.var_meta, dtype=np.int64).reshape(-1, 3).T
-        plan = SplitPlan()
-        g = self.topo.num_gpus
-        for e, gpus in self.replicas.items():
-            frac = np.zeros((g, 1 + len(gpus)))
-            frac[:, 0] = 1.0
-            mine = np.flatnonzero(expert == e)
-            frac[source[mine], copy[mine]] = values[mine]
-            routed = np.flatnonzero(self.x[:, e] > 0)
-            moved = frac[routed, 1:].sum(axis=1)
-            outside = np.maximum(moved - 1.0, -moved)
-            if (outside > cm.SPLIT_TOL).any():
-                i = int(np.argmax(outside))
-                raise LPError(
-                    f"token-split LP residual: replica fractions of expert {e} from source "
-                    f"{int(routed[i])} sum to {moved[i]:.9g}, {outside[i]:.3e} outside [0, 1] "
-                    f"(tolerance {cm.SPLIT_TOL:g})"
-                )
-            frac[routed, 0] = 1.0 - moved
+        source, expert, copy = self.var_meta.T
+        experts = np.array(list(self.replicas), dtype=np.int64)
+        counts = np.array([1 + len(gpus) for gpus in self.replicas.values()], dtype=np.int64)
+        member = np.zeros(self.x.shape[1], dtype=np.int64)  # index within the expert's group
+        ncopies = np.zeros(self.x.shape[1], dtype=np.int64)
+        ncopies[experts] = counts
+        fractions: dict[int, np.ndarray] = {}
+        residuals = []  # (replica order, expert, source, moved, outside) of each group's first
+        for k in np.unique(counts):
+            order = np.flatnonzero(counts == k)
+            member[experts[order]] = np.arange(order.size)
+            frac = np.zeros((order.size, self.topo.num_gpus, k))
+            frac[:, :, 0] = 1.0
+            mine = ncopies[expert] == k
+            frac[member[expert[mine]], source[mine], copy[mine]] = values[mine]
+            routed = self.x[:, experts[order]].T > 0
+            moved = frac[:, :, 1:].sum(axis=2)
+            outside = np.where(routed, np.maximum(moved - 1.0, -moved), 0.0)
+            bad = np.flatnonzero((outside > cm.SPLIT_TOL).any(axis=1))
+            if bad.size:
+                i = bad[0]
+                j = int(np.argmax(outside[i]))
+                residuals.append((order[i], int(experts[order[i]]), j, moved[i, j], outside[i, j]))
+            # rows without routed tokens stay (1, 0, ..., 0): moved is 0 and the sum 1
+            frac[:, :, 0] = 1.0 - moved
             np.clip(frac, 0.0, 1.0, out=frac)
-            sums = frac[routed].sum(axis=1, keepdims=True)
-            frac[routed] /= sums
-            plan.fractions[e] = frac
-        return plan
+            frac /= frac.sum(axis=2, keepdims=True)
+            fractions.update(zip(experts[order].tolist(), frac))
+        if residuals:
+            _, e, j, moved, outside = min(residuals)
+            raise LPError(
+                f"token-split LP residual: replica fractions of expert {e} from source "
+                f"{j} sum to {moved:.9g}, {outside:.3e} outside [0, 1] "
+                f"(tolerance {cm.SPLIT_TOL:g})"
+            )
+        return SplitPlan({e: fractions[e] for e in self.replicas})
 
 
 def solve_token_split_lp(
@@ -335,9 +350,9 @@ def solve_token_split_lp(
 # planners
 
 
-def _estimate(x, placement: ReplicaPlacement, split: SplitPlan, topo, model, hw) -> cm.CostEstimate:
+def _estimate(x, placement: ReplicaPlacement, split: SplitPlan, topo, units: cm.TimeUnits) -> cm.CostEstimate:
     loads = cm.compute_loads(x, placement.home, topo, splits=split.to_split_map(placement))
-    return cm.moe_time(loads, model, hw)
+    return units.estimate(loads)
 
 
 def _served_tokens(x: np.ndarray, placement: ReplicaPlacement, split: SplitPlan, e: int, gpu: int) -> float:
@@ -392,7 +407,7 @@ def greedy_replicate(
 
     lp = TokenSplitLP(x, home, topo, model, hw)
     # estimate of the accepted placement; an accepted trial hands over its own
-    est = cm.moe_time(lp.base, model, hw)
+    est = lp.units.estimate(lp.base)
     slots = placement.slot_usage(topo.num_gpus)
 
     while (slots < cfg.slots_per_gpu).any():
@@ -423,7 +438,7 @@ def greedy_replicate(
                 e: list(gpus) for e, gpus in lp.replicas.items()
             })
             trial_split = lp.split_plan()
-            trial = _estimate(x, trial_placement, trial_split, topo, model, hw)
+            trial = _estimate(x, trial_placement, trial_split, topo, lp.units)
             if trial.t_moe < est.t_moe * (1.0 - IMPROVE_RTOL):
                 placement = trial_placement
                 split = trial_split
@@ -468,6 +483,7 @@ def exact_milp_small(
                 f"placement space exceeds {ENUM_GUARD}; refusing exact enumeration"
             )
 
+    units = cm.TimeUnits.of(model, hw, topo.num_gpus)
     best: tuple[float, ReplicaPlacement, SplitPlan] | None = None
 
     def recurse(e: int, slots: np.ndarray, chosen: dict[int, list[int]]) -> None:
@@ -475,7 +491,7 @@ def exact_milp_small(
         if e == num_experts:
             placement = ReplicaPlacement(home=home, replicas={k: list(v) for k, v in chosen.items() if v})
             split = solve_token_split_lp(x, placement, topo, model, hw)
-            obj = _estimate(x, placement, split, topo, model, hw).t_moe
+            obj = _estimate(x, placement, split, topo, units).t_moe
             if best is None or obj < best[0] - 1e-15:
                 best = (obj, placement, split)
             return

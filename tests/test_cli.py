@@ -226,6 +226,38 @@ def test_solve_sample_locality_needs_samples(tmp_path, capsys):
         run(["solve", "--trace", trace, "--out", tmp_path / "p", "--sample-locality"] + SOLVE_SPEED)
 
 
+DEGENERATE_GEN = ["gen", "--nodes", "2", "--gpus-per-node", "2", "--experts", "8", "--top-k", "2",
+                  "--micro-batches", "2", "--seed", "3"]
+
+
+@pytest.mark.parametrize("flag, value, expected", [
+    # compute times overflow to inf, which leaves NaN in the LP's bounds
+    ("--flops", "1e-300", "error: token-split LP failed (LP is unbounded (no blocking bound)); "
+                          "instance: G=4, replicas={4: [1]}"),
+    # link times of ~1e300 s leave a split beyond the residual tolerance
+    ("--bytes-per-token", "1e300", "error: token-split LP residual: replica fractions of expert 4"),
+], ids=["unbounded", "residual"])
+def test_solve_degenerate_lp_is_one_error_line(tmp_path, capsys, flag, value, expected):
+    trace = tmp_path / "trace"
+    assert run(DEGENERATE_GEN + ["--out", trace, flag, value]) == 0
+    capsys.readouterr()
+    assert run(["solve", "--trace", trace, "--out", tmp_path / "p", "--seeds", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(expected) and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("beta", ["inf", "nan", "0"])
+def test_solve_rejects_non_finite_beta(tmp_path, capsys, beta):
+    trace = tmp_path / "trace"
+    assert run(DEGENERATE_GEN + ["--out", trace]) == 0
+    capsys.readouterr()
+    out = tmp_path / "p"
+    assert run(["solve", "--trace", trace, "--out", out, "--seeds", "1", "--beta", beta]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: beta must be positive and finite, got {float(beta)!r}\n", err
+    assert not out.exists()
+
+
 def test_solve_with_samples_and_locality(tmp_path):
     trace = tmp_path / "trace"
     plans = tmp_path / "plans"

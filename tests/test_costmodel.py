@@ -342,6 +342,86 @@ def test_flow_matrix_matches_per_expert_loop(case):
     assert np.array_equal(cm.flow_matrix(x, placement, topo, splits), ref)
 
 
+def parent_flow_matrix(x, placement, topo, splits):
+    """costmodel.flow_matrix as it was before its split shares were batched:
+    one `check_split` and one fancy-indexed add per split expert, in order."""
+    g = topo.num_gpus
+    num_experts = x.shape[1]
+    x = np.asarray(x, dtype=np.float64)
+    for e in splits:
+        if not 0 <= e < num_experts:
+            raise ValueError(f"split entry for unknown expert {e}")
+    kept = np.ones(num_experts, dtype=bool)
+    kept[list(splits)] = False
+    home = np.zeros((num_experts, g))
+    home[np.flatnonzero(kept), placement[kept]] = 1.0
+    flow = x @ home
+    for e, (gpus, frac) in splits.items():
+        cm.check_split(x, placement, e, gpus, frac)
+        flow[:, gpus] += x[:, e, None] * frac
+    return flow
+
+
+FAULTS = ("none", "nan", "above_one", "below_zero", "leak", "homeless")
+
+
+@st.composite
+def routing_with_faulty_splits(draw):
+    """Integer routing, 1-3 copies per split expert in shuffled order and
+    LP-like drift within SPLIT_TOL; in half the cases, a fault is drawn per
+    split expert."""
+    nodes = draw(st.integers(1, 2))
+    gpn = draw(st.integers(3, 4))
+    topo = build_topology(nodes, gpn, HW)
+    g = topo.num_gpus
+    num_experts = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.integers(0, 5000, size=(g, num_experts)).astype(np.float64)
+    x[rng.random(x.shape) < 0.3] = 0.0
+    placement = rng.integers(0, g, size=num_experts)
+    splits = {}
+    faulty = draw(st.booleans())
+    for e in rng.permutation(num_experts)[: draw(st.integers(0, num_experts))]:
+        e = int(e)
+        others = rng.permutation([d for d in range(g) if d != placement[e]])
+        gpus = np.array([placement[e], *others[: int(rng.integers(0, 3))]])
+        frac = rng.dirichlet(np.ones(gpus.size), size=g)
+        frac[:, 0] += rng.uniform(-0.5, 0.5, size=g) * cm.SPLIT_TOL
+        fault = draw(st.sampled_from(FAULTS)) if faulty else "none"
+        j, col = int(rng.integers(0, g)), int(rng.integers(0, gpus.size))
+        if fault == "nan":
+            frac[j, col] = np.nan
+        elif fault == "above_one":
+            frac[j, col] = 1.5
+        elif fault == "below_zero":
+            frac[j, col] = -0.25
+        elif fault == "leak":
+            frac[j] *= 0.9
+        elif fault == "homeless" and gpus.size < g:
+            gpus[0] = others[gpus.size - 1]
+        splits[e] = (gpus, frac)
+    return topo, x, placement, splits
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as err:
+        return str(err)
+
+
+@settings(max_examples=150, deadline=None)
+@given(routing_with_faulty_splits())
+def test_flow_matrix_matches_parent_loop(case):
+    topo, x, placement, splits = case
+    got = outcome(cm.flow_matrix, x, placement, topo, splits)
+    ref = outcome(parent_flow_matrix, x, placement, topo, splits)
+    if isinstance(ref, str):
+        assert got == ref  # the same first failing expert, with the same message
+    else:
+        assert np.array_equal(got, ref)
+
+
 def test_placement_must_cover_all_experts():
     topo = one_node_pair()
     x = np.array([[1, 2], [3, 4]])

@@ -91,7 +91,7 @@ def test_added_row_binds_existing_column():
     solver.solve()
     assert solver.objective == pytest.approx(-4.0)
     # x1 became basic at 4; a fresh row x1 + x2 <= 4.5 must transform correctly
-    solver.add_row([{0: 1.0}], [4.5])
+    solver.add_row([0], [1.0], [4.5])
     col = np.zeros((2, 1))
     col[1, 0] = 1.0  # x2 appears only in the new row
     solver.add_columns(col, [-3.0])
@@ -105,7 +105,7 @@ def test_violated_row_rejected():
     solver = DenseSimplex([-1.0], [[1.0]], [4.0])
     solver.solve()
     with pytest.raises(LPError, match="violated"):
-        solver.add_row([{0: 1.0}], [3.0])
+        solver.add_row([0], [1.0], [3.0])
 
 
 def test_upper_bounds_respected():
@@ -158,30 +158,63 @@ def test_snapshot_restore_round_trip():
     assert solver.solution().shape == (4,)
 
 
+def parent_add_row(solver, rows, b_new):
+    """DenseSimplex.add_row as it was before it took one-coefficient rows:
+    each row maps structural positions to coefficients and is expressed in
+    the basis by a loop over its basic variables."""
+    b_new = np.asarray(b_new, dtype=np.float64).ravel()
+    k = len(rows)
+    m, ncols = solver.tab.shape
+    orig = np.zeros((k, ncols))
+    for r, coefs in enumerate(rows):
+        for pos, value in coefs.items():
+            orig[r, solver.struct_idx[pos]] = value
+    x_now = solver._full_solution()
+    slack = np.empty(k)
+    for r in range(k):
+        cols = np.flatnonzero(orig[r])
+        slack[r] = b_new[r] - float(orig[r, cols] @ x_now[cols])
+    grown = np.zeros((m + k, ncols + k))
+    grown[:m, :ncols] = solver.tab
+    for r in range(k):
+        t_row = grown[m + r, :ncols]
+        t_row[:] = orig[r]
+        for i in np.flatnonzero(orig[r, solver.basis]):
+            t_row -= orig[r, solver.basis[i]] * solver.tab[i]
+    new_slacks = np.arange(ncols, ncols + k)
+    grown[np.arange(m, m + k), new_slacks] = 1.0
+    solver.tab = grown
+    solver.rhs = np.concatenate([solver.rhs, np.where(slack < 0.0, 0.0, slack)])
+    solver.cost = np.concatenate([solver.cost, np.zeros(k)])
+    solver.red = np.concatenate([solver.red, np.zeros(k)])
+    solver.upper = np.concatenate([solver.upper, np.full(k, np.inf)])
+    solver.at_upper = np.concatenate([solver.at_upper, np.zeros(k, dtype=bool)])
+    solver.slack_idx = np.concatenate([solver.slack_idx, new_slacks])
+    solver.basis = np.concatenate([solver.basis, new_slacks])
+
+
 def _warm_lp_and_rows(seed: int, k: int):
-    """A solved random LP with finite bounds plus k rows its optimum satisfies."""
+    """A solved random LP with finite bounds plus k one-coefficient rows its
+    optimum satisfies; some coefficients are zero, some rows share a variable."""
     rng = np.random.default_rng(seed)
     m, n = int(rng.integers(1, 8)), int(rng.integers(1, 8))
     solver = DenseSimplex(rng.normal(0, 1, size=n), rng.normal(0, 1, size=(m, n)),
                           rng.uniform(0.1, 5.0, size=m), upper=rng.uniform(0.2, 3.0, size=n))
     solver.solve()
     x = solver.solution()
-    rows, bounds = [], []
-    for _ in range(k):
-        cols = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
-        coefs = {int(c): float(v) for c, v in zip(cols, rng.normal(0, 1, size=cols.size))}
-        rows.append(coefs)
-        bounds.append(sum(v * x[c] for c, v in coefs.items()) + float(rng.uniform(0.0, 2.0)) + 1e-6)
-    return solver, rows, bounds
+    positions = rng.integers(0, n, size=k)
+    coefs = np.where(rng.random(k) < 0.2, 0.0, rng.normal(0, 1, size=k))
+    bounds = coefs * x[positions] + rng.uniform(0.0, 2.0, size=k) + 1e-6
+    return solver, positions, coefs, bounds
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
 def test_batched_rows_equal_single_rows(seed, k):
-    together, rows, bounds = _warm_lp_and_rows(seed, k)
+    together, positions, coefs, bounds = _warm_lp_and_rows(seed, k)
     apart = copy.deepcopy(together)
-    together.add_row(rows, bounds)
-    for coefs, bound in zip(rows, bounds):
-        apart.add_row([coefs], [bound])
+    together.add_row(positions, coefs, bounds)
+    for pos, coef, bound in zip(positions, coefs, bounds):
+        parent_add_row(apart, [{int(pos): float(coef)}], [bound])
     for name in ("tab", "rhs", "basis", "slack_idx", "cost", "red", "upper", "at_upper"):
         assert np.array_equal(getattr(together, name), getattr(apart, name)), name

@@ -81,7 +81,8 @@ def add_replica_per_pair(lp, e, gpu):
         return
     if prior and e not in lp.rows_built:
         first = lp.solver.num_rows
-        lp.solver.add_row([{lp.col_pos[(int(j), e, prior[0])]: 1.0} for j in sources], np.ones(sources.size))
+        lp.solver.add_row([lp.col_pos[(int(j), e, prior[0])] for j in sources], np.ones(sources.size),
+                          np.ones(sources.size))
         for row, j in enumerate(sources, start=first):
             lp.sum_rows[(int(j), e)] = row
         lp.rows_built.add(e)
@@ -96,7 +97,7 @@ def add_replica_per_pair(lp, e, gpu):
         if e in lp.rows_built:
             cols[lp.sum_rows[(j, e)], idx] = 1.0
         lp.col_pos[(j, e, gpu)] = lp.N_AUX + len(lp.var_meta)
-        lp.var_meta.append((j, e, copy))
+        lp.var_meta = np.vstack([lp.var_meta, (j, e, copy)])
     lp.solver.add_columns(cols, np.zeros(sources.size), upper_new=np.ones(sources.size))
 
 
@@ -107,7 +108,7 @@ def assert_same_lp(lp, ref):
     for name in SOLVER_ARRAYS:
         assert np.array_equal(getattr(lp.solver, name), getattr(ref.solver, name)), name
     assert lp.solver.objective == ref.solver.objective
-    assert lp.var_meta == ref.var_meta
+    assert np.array_equal(lp.var_meta, ref.var_meta)
     assert lp.col_pos == ref.col_pos
     assert lp.sum_rows == ref.sum_rows
     assert lp.rows_built == ref.rows_built
