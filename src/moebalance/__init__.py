@@ -23,10 +23,8 @@ from .replicate import (
     ReplicationEntry,
     ReplicationPlan,
     SplitPlan,
-    exact_milp_small,
     greedy_replicate,
     replica_memory,
-    round_split,
     solve_token_split_lp,
 )
 from .routing import (
@@ -56,7 +54,6 @@ from .topology import (
     HardwareProfile,
     TrafficClass,
     build_topology,
-    classify_traffic,
 )
 
 __version__ = "0.1.0"

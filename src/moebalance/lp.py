@@ -37,13 +37,17 @@ class DenseSimplex:
         m, n = a.shape
         if b.shape != (m,) or c.shape != (n,):
             raise LPError(f"inconsistent LP shapes: A {a.shape}, b {b.shape}, c {c.shape}")
+        for name, values in (("c", c), ("A", a), ("b", b)):
+            if not np.isfinite(values).all():
+                raise LPError(f"LP {name} is not finite")
         if m and b.min() < 0:
             raise LPError("b must be non-negative (origin-feasible form required)")
         if upper is None:
             upper = np.full(n, np.inf)
         else:
             upper = np.asarray(upper, dtype=np.float64).ravel()
-            if upper.shape != (n,) or (upper <= 0).any():
+            # an infinite upper bound is no bound; NaN fails the > 0 test
+            if upper.shape != (n,) or not (upper > 0).all():
                 raise LPError("upper bounds must be positive (or omitted)")
         self.tab = np.hstack([a, np.eye(m)])
         self.rhs = b.copy()
@@ -117,6 +121,8 @@ class DenseSimplex:
         k = positions.size
         if coefs.shape != (k,) or b_new.shape != (k,):
             raise LPError(f"{k} new rows but {coefs.size} coefficients and {b_new.size} bounds")
+        if not (np.isfinite(coefs).all() and np.isfinite(b_new).all()):
+            raise LPError("new row coefficients and bounds must be finite")
         m, ncols = self.tab.shape
         cols = self.struct_idx[positions]
         slack = b_new - coefs * self._full_solution()[cols]
@@ -274,9 +280,3 @@ class DenseSimplex:
         self.basis = snap["basis"].copy()
         self.objective = snap["objective"]
 
-
-def solve_lp(c, a_ub, b_ub, upper=None) -> tuple[np.ndarray, float]:
-    """One-shot convenience wrapper around DenseSimplex."""
-    solver = DenseSimplex(c, a_ub, b_ub, upper=upper)
-    obj = solver.solve()
-    return solver.solution(), obj

@@ -20,7 +20,6 @@ that needs no new budget row, each replica's columns charged in one pass.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, combinations
 
 import numpy as np
 
@@ -30,11 +29,6 @@ from .reorder import ReorderPlan
 from .topology import ClusterTopology, HardwareProfile
 
 IMPROVE_RTOL = 1e-9
-ENUM_GUARD = 2**20
-
-
-class InstanceTooLargeError(ValueError):
-    """The exact enumeration oracle refuses instances past the guard."""
 
 
 @dataclass(frozen=True)
@@ -158,6 +152,9 @@ class TokenSplitLP:
 
         self.base = cm.compute_loads(self.x, self.home, topo)  # home-only loads
         base_times = self.units.times(self.base)
+        if not np.isfinite(base_times).all():
+            # inf - inf in the shifted bounds below would hand the simplex NaN
+            raise LPError(f"token-split LP: modeled times overflow to {base_times.max():g} s under {hw}")
         comp_consts = base_times[0]
         comm_consts = base_times[1:].ravel()  # (4G,) in [dir][gpu] order
         self.t0_comp = float(comp_consts.max())
@@ -455,93 +452,8 @@ def greedy_replicate(
     return placement, split
 
 
-def _powerset(items: list[int]):
-    return chain.from_iterable(combinations(items, k) for k in range(len(items) + 1))
-
-
-def exact_milp_small(
-    x: np.ndarray,
-    plan: ReorderPlan,
-    topo: ClusterTopology,
-    model,
-    hw: HardwareProfile,
-    cfg: ReplicaConfig,
-) -> tuple[ReplicaPlacement, SplitPlan]:
-    """Enumerate every feasible placement, solving the split LP for each.
-
-    Test oracle only: guarded to at most 2^20 candidate placements.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    home = np.asarray(plan.assignment)
-    num_experts = x.shape[1]
-    cands = [candidate_gpus(e, home, topo) for e in range(num_experts)]
-    total = 1
-    for c in cands:
-        total *= 2 ** len(c)
-        if total > ENUM_GUARD:
-            raise InstanceTooLargeError(
-                f"placement space exceeds {ENUM_GUARD}; refusing exact enumeration"
-            )
-
-    units = cm.TimeUnits.of(model, hw, topo.num_gpus)
-    best: tuple[float, ReplicaPlacement, SplitPlan] | None = None
-
-    def recurse(e: int, slots: np.ndarray, chosen: dict[int, list[int]]) -> None:
-        nonlocal best
-        if e == num_experts:
-            placement = ReplicaPlacement(home=home, replicas={k: list(v) for k, v in chosen.items() if v})
-            split = solve_token_split_lp(x, placement, topo, model, hw)
-            obj = _estimate(x, placement, split, topo, units).t_moe
-            if best is None or obj < best[0] - 1e-15:
-                best = (obj, placement, split)
-            return
-        for subset in _powerset(cands[e]):
-            ok = all(slots[g] < cfg.slots_per_gpu for g in subset)
-            if not ok:
-                continue
-            for g in subset:
-                slots[g] += 1
-            if subset:
-                chosen[e] = list(subset)
-            recurse(e + 1, slots, chosen)
-            chosen.pop(e, None)
-            for g in subset:
-                slots[g] -= 1
-
-    recurse(0, np.zeros(topo.num_gpus, dtype=int), {})
-    assert best is not None
-    return best[1], best[2]
-
-
 # ---------------------------------------------------------------------------
-# reporting helpers
-
-
-def round_split(split: SplitPlan, placement: ReplicaPlacement, x: np.ndarray) -> dict[int, np.ndarray]:
-    """Integer token counts per copy via largest-remainder rounding.
-
-    Per (source, expert) row the integer counts sum exactly to x[j, e]; each
-    count deviates from x*y by less than one token.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    out: dict[int, np.ndarray] = {}
-    for e, frac in split.fractions.items():
-        k = frac.shape[1]
-        counts = np.zeros((x.shape[0], k), dtype=np.int64)
-        for j in range(x.shape[0]):
-            target = x[j, e]
-            if target <= 0:
-                continue
-            raw = frac[j] * target
-            floors = np.floor(raw).astype(np.int64)
-            short = int(round(target - floors.sum()))
-            if short > 0:
-                remainders = raw - floors
-                order = np.lexsort((np.arange(k), -remainders))
-                floors[order[:short]] += 1
-            counts[j] = floors
-        out[e] = counts
-    return out
+# memory accounting
 
 
 def replica_memory(model, cfg: ReplicaConfig, scheme: str) -> int:

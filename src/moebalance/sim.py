@@ -54,7 +54,6 @@ class SimReport:
     trace_id: str
     entry_times: np.ndarray   # (MB, L) seconds
     skew: np.ndarray          # (MB, L) rank-level skewness
-    comp_loads: np.ndarray    # (MB, L, G) tokens
     total_time: float
     metadata: dict = field(default_factory=dict)
 
@@ -115,24 +114,23 @@ def evaluate_bundle(trace: rt.RoutingTrace, bundle: PlanBundle, topo: ClusterTop
     matrices = scored_matrices(trace, bundle.sample_placement)
     layers = model.num_layers
     mb_count = trace.num_micro_batches
-    g = topo.num_gpus
     entry_times = np.zeros((mb_count, layers))
     skew = np.ones((mb_count, layers))
-    comp_loads = np.zeros((mb_count, layers, g))
     for mb in range(mb_count):
         for layer in range(layers):
             x = matrices[mb, layer]
             plan = bundle.reorder[layer]
             entry = bundle.replication.entries.get((mb, layer))
             splits = entry.split.to_split_map(entry.placement) if entry is not None else None
-            # compute_loads runs costmodel.check_split on every split entry
+            # compute_loads checks every split entry (costmodel.check_splits)
             loads = cm.compute_loads(x, plan.assignment, topo, splits=splits)
             total_tokens = float(x.sum())
             if abs(loads[COMP].sum() - total_tokens) > 1e-6 * max(total_tokens, 1.0):
                 raise ValueError(f"token conservation violated at entry ({mb}, {layer})")
             est = cm.moe_time(loads, model, hw)
+            if not np.isfinite(est.t_moe):
+                raise ValueError(f"modeled time of entry ({mb}, {layer}) overflows to {est.t_moe:g} s under {hw}")
             entry_times[mb, layer] = est.t_moe
-            comp_loads[mb, layer] = loads[COMP]
             skew[mb, layer] = rt.skewness(loads[COMP]) if total_tokens > 0 else 1.0
 
     return SimReport(
@@ -140,7 +138,6 @@ def evaluate_bundle(trace: rt.RoutingTrace, bundle: PlanBundle, topo: ClusterTop
         trace_id=trace.trace_id(),
         entry_times=entry_times,
         skew=skew,
-        comp_loads=comp_loads,
         total_time=float(entry_times.sum()),
         metadata={"throughput_proxy": "modeled MoE time only; attention and optimizer excluded"},
     )

@@ -72,12 +72,9 @@ class ClusterTopology:
         return self.num_nodes * self.gpus_per_node
 
     def node_of(self, gpu: int) -> int:
-        self._check_gpu(gpu)
+        if not (0 <= gpu < self.num_gpus):
+            raise ValueError(f"GPU id {gpu} out of range [0, {self.num_gpus})")
         return gpu // self.gpus_per_node
-
-    def rail_of(self, gpu: int) -> int:
-        self._check_gpu(gpu)
-        return gpu % self.gpus_per_node
 
     def gpu_id(self, node: int, local_rank: int) -> int:
         if not (0 <= node < self.num_nodes and 0 <= local_rank < self.gpus_per_node):
@@ -88,10 +85,6 @@ class ClusterTopology:
         """All GPU ids on the given node."""
         base = self.gpu_id(node, 0)
         return range(base, base + self.gpus_per_node)
-
-    def _check_gpu(self, gpu: int) -> None:
-        if not (0 <= gpu < self.num_gpus):
-            raise ValueError(f"GPU id {gpu} out of range [0, {self.num_gpus})")
 
     @cached_property
     def class_matrix(self) -> np.ndarray:
@@ -210,17 +203,3 @@ def build_topology(num_nodes: int, gpus_per_node: int, profile: HardwareProfile)
     """Build a rail-optimized topology with node-major GPU numbering."""
     return ClusterTopology(num_nodes=num_nodes, gpus_per_node=gpus_per_node, profile=profile)
 
-
-def classify_traffic(topo: ClusterTopology, src_gpu: int, dst_gpu: int) -> TrafficClass:
-    """Classify the link path used by tokens moving from src_gpu to dst_gpu."""
-    topo._check_gpu(src_gpu)
-    topo._check_gpu(dst_gpu)
-    return TrafficClass(topo.class_matrix[src_gpu, dst_gpu])
-
-
-def relay_gpu(topo: ClusterTopology, src_gpu: int, dst_gpu: int) -> int:
-    """The NVLink relay for a cross-rail transfer: the GPU on the source node
-    whose local rank matches the destination rail."""
-    topo._check_gpu(src_gpu)
-    topo._check_gpu(dst_gpu)
-    return int(topo.relay_matrix[src_gpu, dst_gpu])

@@ -18,6 +18,8 @@ from moebalance import routing as rt
 from moebalance import sim
 from moebalance.topology import HardwareProfile, TrafficClass, build_topology
 
+from oracles import exact_milp_small
+
 
 def report(criterion: str, ok: bool, detail: str) -> None:
     print(f"\n[acceptance] {criterion}: {'PASS' if ok else 'FAIL'} ({detail})")
@@ -141,7 +143,7 @@ def test_criterion_2_greedy_replication_near_oracle():
         p_g, s_g = rep.greedy_replicate(x, plan, topo, model, hw, cfg)
         got = exact_obj(x, p_g, s_g, topo, model, hw)
         assert got <= home_only * (1 + 1e-9)  # never worse than home-only
-        p_o, s_o = rep.exact_milp_small(x, plan, topo, model, hw, cfg)
+        p_o, s_o = exact_milp_small(x, plan, topo, model, hw, cfg)
         best = exact_obj(x, p_o, s_o, topo, model, hw)
         assert got >= best - 1e-9 * max(best, 1.0)
         if got <= best * 1.05 + 1e-12:

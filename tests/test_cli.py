@@ -230,10 +230,12 @@ DEGENERATE_GEN = ["gen", "--nodes", "2", "--gpus-per-node", "2", "--experts", "8
                   "--micro-batches", "2", "--seed", "3"]
 
 
+OVERFLOW_PROFILE = "HardwareProfile(flops_per_gpu=1e-300, bw_nvlink=400000.0, bw_rdma=100000.0, bytes_per_token=1.0)"
+
+
 @pytest.mark.parametrize("flag, value, expected", [
-    # compute times overflow to inf, which leaves NaN in the LP's bounds
-    ("--flops", "1e-300", "error: token-split LP failed (LP is unbounded (no blocking bound)); "
-                          "instance: G=4, replicas={4: [1]}"),
+    # compute times overflow to inf, which would leave NaN in the LP's bounds
+    ("--flops", "1e-300", f"error: token-split LP: modeled times overflow to inf s under {OVERFLOW_PROFILE}"),
     # link times of ~1e300 s leave a split beyond the residual tolerance
     ("--bytes-per-token", "1e300", "error: token-split LP residual: replica fractions of expert 4"),
 ], ids=["unbounded", "residual"])
@@ -244,6 +246,18 @@ def test_solve_degenerate_lp_is_one_error_line(tmp_path, capsys, flag, value, ex
     assert run(["solve", "--trace", trace, "--out", tmp_path / "p", "--seeds", "1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith(expected) and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("policies", ["static", "static,lpt,eplb"])
+def test_simulate_overflow_is_one_error_line(tmp_path, capsys, policies):
+    trace = tmp_path / "trace"
+    assert run(DEGENERATE_GEN + ["--out", trace, "--flops", "1e-300"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "r"
+    assert run(["simulate", "--trace", trace, "--out", out, "--policies", policies]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: modeled time of entry (0, 0) overflows to inf s under {OVERFLOW_PROFILE}\n", err
+    assert not (out / "report.json").exists()
 
 
 @pytest.mark.parametrize("beta", ["inf", "nan", "0"])

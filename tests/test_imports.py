@@ -29,3 +29,30 @@ def test_runtime_imports_are_numpy_or_stdlib():
         if root not in ALLOWED and root not in sys.stdlib_module_names
     ]
     assert foreign == []
+
+
+# defined for a caller that is still to come: ROADMAP item 4 reports the
+# replica memory of each buffer scheme through it
+UNREFERENCED_ALLOWED = {"replica_memory"}
+
+
+def test_every_definition_has_a_caller_in_the_package():
+    """Every function, class and method in `src/moebalance` is named
+    somewhere else in the package; a re-export in `__init__` is no caller.
+    Dunder methods are called by Python itself."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    defined = {}
+    used: set[str] = set()
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.setdefault(node.name, f"{name}:{node.lineno}")
+            elif name != "__init__.py" and isinstance(node, ast.Name):
+                used.add(node.id)
+            elif name != "__init__.py" and isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = sorted(
+        f"{where} {name}" for name, where in defined.items()
+        if name not in used and not name.startswith("__") and name not in UNREFERENCED_ALLOWED
+    )
+    assert unused == []

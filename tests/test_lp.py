@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from moebalance.lp import DenseSimplex, LPError, solve_lp
+from moebalance.lp import DenseSimplex, LPError
+
+
+def solve_lp(c, a_ub, b_ub, upper=None):
+    solver = DenseSimplex(c, a_ub, b_ub, upper=upper)
+    obj = solver.solve()
+    return solver.solution(), obj
 
 
 def test_simple_corner():
@@ -29,6 +35,33 @@ def test_unbounded_detected():
 def test_negative_rhs_rejected():
     with pytest.raises(LPError):
         DenseSimplex([1.0], [[1.0]], [-1.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["c", "A", "b", "upper"])
+def test_non_finite_input_rejected(where, bad):
+    lp = {"c": [-1.0, -1.0], "A": [[1.0, 0.0], [0.0, 1.0]], "b": [1.0, 2.0], "upper": [1.0, 1.0]}
+    lp[where] = np.array(lp[where], dtype=np.float64)
+    lp[where].flat[0] = bad
+    if where == "upper" and bad == np.inf:
+        assert DenseSimplex(lp["c"], lp["A"], lp["b"], upper=lp["upper"]).solve() == -2.0  # no bound
+        return
+    message = "upper bounds must be positive" if where == "upper" else f"LP {where} is not finite"
+    with pytest.raises(LPError, match=message):
+        DenseSimplex(lp["c"], lp["A"], lp["b"], upper=lp["upper"])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["coefs", "b_new"])
+def test_non_finite_row_rejected(where, bad):
+    solver = DenseSimplex([-1.0], [[1.0]], [4.0])
+    solver.solve()
+    row = {"coefs": np.array([1.0]), "b_new": np.array([5.0])}
+    row[where][0] = bad
+    snap = solver.snapshot()
+    with pytest.raises(LPError, match="must be finite"):
+        solver.add_row([0], row["coefs"], row["b_new"])
+    assert np.array_equal(solver.tab, snap["tab"])
 
 
 def test_matches_scipy_on_random_instances():

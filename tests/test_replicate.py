@@ -11,6 +11,8 @@ from moebalance import routing as rt
 from moebalance.lp import LPError
 from moebalance.topology import COMP, HardwareProfile, build_topology
 
+from oracles import InstanceTooLargeError, exact_milp_small
+
 UNIT_MODEL = rt.ModelProfile(num_layers=1, num_experts=2, top_k=1, hidden_size=1, intermediate_size=1)
 COMM_FREE = HardwareProfile(6.0, 1e18, 1e18, 1.0)  # comp unit 1 s/token
 
@@ -201,6 +203,26 @@ class TestTokenSplitLP:
             assert_same_fractions(lp.split_plan(), per_variable_split_plan(lp))
             lp.restore(snap)
             assert_same_fractions(lp.split_plan(), per_variable_split_plan(lp))
+        # LP values off by up to 1e-7: clipping leaves renormalizing sums that differ from 1.0
+        values = lp.solver.solution()
+        values[lp.N_AUX:] += rng.uniform(-1e-7, 1e-7, size=len(lp.var_meta))
+        lp.solver.solution = lambda: values
+        assert_same_fractions(lp.split_plan(), per_variable_split_plan(lp))
+
+    def test_split_plan_divides_by_renormalizing_sum(self, monkeypatch):
+        hw = HardwareProfile(6.0, 1e18, 1e18, 1.0)
+        topo = build_topology(1, 3, hw)
+        model = rt.ModelProfile(num_layers=1, num_experts=3, top_k=1, hidden_size=1, intermediate_size=1)
+        x = np.array([[30.0, 0, 0], [0, 3.0, 0], [0, 0, 3.0]])
+        lp = rep.TokenSplitLP(x, np.array([0, 1, 2]), topo, model, hw)
+        lp.add_replicas([(0, 1), (0, 2)])
+        lp.solve()
+        # source 0's two replica columns: -4e-7 clips to 0, so the copies sum to 1 + 4e-7
+        values = np.concatenate([np.zeros(lp.N_AUX), [-4e-7, 0.37]])
+        monkeypatch.setattr(lp.solver, "solution", lambda: values)
+        raw = np.array([1.0 - (-4e-7 + 0.37), 0.0, 0.37])
+        assert lp.split_plan().fractions[0][0].tolist() == (raw / raw.sum()).tolist()
+        assert (raw / raw.sum()).tolist() != (raw * (1.0 / raw.sum())).tolist()
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
@@ -320,14 +342,14 @@ class TestGreedy:
 class TestExactOracle:
     def test_r_zero_unique(self):
         x, plan, topo = twelve_vs_four()
-        placement, split = rep.exact_milp_small(x, plan, topo, UNIT_MODEL, COMM_FREE, rep.ReplicaConfig(0))
+        placement, split = exact_milp_small(x, plan, topo, UNIT_MODEL, COMM_FREE, rep.ReplicaConfig(0))
         assert placement.replicas == {}
 
     def test_matches_greedy_on_analytic_instance(self):
         x, plan, topo = twelve_vs_four()
         cfg = rep.ReplicaConfig(1)
         p_g, s_g = rep.greedy_replicate(x, plan, topo, UNIT_MODEL, COMM_FREE, cfg)
-        p_o, s_o = rep.exact_milp_small(x, plan, topo, UNIT_MODEL, COMM_FREE, cfg)
+        p_o, s_o = exact_milp_small(x, plan, topo, UNIT_MODEL, COMM_FREE, cfg)
         got = objective(x, p_o, s_o, topo, UNIT_MODEL, COMM_FREE)
         assert got == pytest.approx(objective(x, p_g, s_g, topo, UNIT_MODEL, COMM_FREE), rel=1e-9)
 
@@ -337,7 +359,7 @@ class TestExactOracle:
             x, plan, topo, model, hw = random_instance(rng)
             values = []
             for r in (0, 1, 2):
-                placement, split = rep.exact_milp_small(x, plan, topo, model, hw, rep.ReplicaConfig(r))
+                placement, split = exact_milp_small(x, plan, topo, model, hw, rep.ReplicaConfig(r))
                 values.append(objective(x, placement, split, topo, model, hw))
             assert values[1] <= values[0] + 1e-9
             assert values[2] <= values[1] + 1e-9
@@ -348,7 +370,7 @@ class TestExactOracle:
             x, plan, topo, model, hw = random_instance(rng)
             cfg = rep.ReplicaConfig(1)
             p_g, s_g = rep.greedy_replicate(x, plan, topo, model, hw, cfg)
-            p_o, s_o = rep.exact_milp_small(x, plan, topo, model, hw, cfg)
+            p_o, s_o = exact_milp_small(x, plan, topo, model, hw, cfg)
             assert (objective(x, p_o, s_o, topo, model, hw)
                     <= objective(x, p_g, s_g, topo, model, hw) + 1e-9)
 
@@ -358,40 +380,8 @@ class TestExactOracle:
         model = rt.ModelProfile(num_layers=1, num_experts=64, top_k=1)
         x = np.ones((8, 64))
         plan = ro.static_plan(64, topo)
-        with pytest.raises(rep.InstanceTooLargeError):
-            rep.exact_milp_small(x, plan, topo, model, hw, rep.ReplicaConfig(2))
-
-
-class TestRoundSplit:
-    def test_one_hot_exact(self):
-        x = np.array([[10.0, 0.0], [0.0, 4.0]])
-        placement = rep.ReplicaPlacement(home=np.array([0, 1]), replicas={0: [1]})
-        split = rep.SplitPlan(fractions={0: np.array([[1.0, 0.0], [1.0, 0.0]])})
-        counts = rep.round_split(split, placement, x)
-        assert counts[0][0].tolist() == [10, 0]
-
-    def test_exact_halves(self):
-        x = np.array([[10.0, 0.0], [0.0, 4.0]])
-        placement = rep.ReplicaPlacement(home=np.array([0, 1]), replicas={0: [1]})
-        split = rep.SplitPlan(fractions={0: np.array([[0.5, 0.5], [0.5, 0.5]])})
-        assert rep.round_split(split, placement, x)[0][0].tolist() == [5, 5]
-
-    def test_largest_remainder(self):
-        x = np.array([[10.0, 0.0], [0.0, 4.0]])
-        placement = rep.ReplicaPlacement(home=np.array([0, 1]), replicas={0: [1]})
-        split = rep.SplitPlan(fractions={0: np.array([[2 / 3, 1 / 3], [1.0, 0.0]])})
-        assert rep.round_split(split, placement, x)[0][0].tolist() == [7, 3]
-
-    def test_counts_conserve_and_stay_close(self):
-        rng = np.random.default_rng(17)
-        x = rng.integers(0, 50, size=(4, 6)).astype(float)
-        placement = rep.ReplicaPlacement(home=np.zeros(6, dtype=int), replicas={2: [1, 3]})
-        raw = rng.dirichlet([1, 1, 1], size=4)
-        split = rep.SplitPlan(fractions={2: raw})
-        counts = rep.round_split(split, placement, x)[2]
-        for j in range(4):
-            assert counts[j].sum() == int(x[j, 2])
-            assert (np.abs(counts[j] - raw[j] * x[j, 2]) < 1.0).all()
+        with pytest.raises(InstanceTooLargeError):
+            exact_milp_small(x, plan, topo, model, hw, rep.ReplicaConfig(2))
 
 
 class TestReplicaMemory:

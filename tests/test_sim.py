@@ -6,7 +6,7 @@ from moebalance import replicate as rep
 from moebalance import reorder as ro
 from moebalance import routing as rt
 from moebalance import sim
-from moebalance.topology import HardwareProfile, build_topology
+from moebalance.topology import COMP, HardwareProfile, build_topology
 
 HW = HardwareProfile(6e6, 5e3, 1e3, 1.0)
 
@@ -88,8 +88,14 @@ class TestBaselines:
         cfgs = fast_cfgs()
         expected = trace.matrices.astype(np.int64)[:, 0].sum(axis=(1, 2))
         for policy in sim.POLICIES:
-            report = sim.run_baseline(trace, policy, topo, model, hw, cfgs)
-            got = report.comp_loads[:, 0, :].sum(axis=1)
+            bundle, scored = sim.build_policy_bundle(trace, policy, topo, model, hw, cfgs)
+            matrices = sim.scored_matrices(scored, bundle.sample_placement)
+            got = []
+            for mb in range(trace.num_micro_batches):
+                entry = bundle.replication.entries.get((mb, 0))
+                splits = entry.split.to_split_map(entry.placement) if entry is not None else None
+                loads = cm.compute_loads(matrices[mb, 0], bundle.reorder[0].assignment, topo, splits=splits)
+                got.append(loads[COMP].sum())
             np.testing.assert_allclose(got, expected, rtol=1e-9)
 
     def test_balanced_oracle_near_unit_skew(self):
