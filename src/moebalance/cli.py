@@ -60,7 +60,9 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
 
 def _threads(value: int) -> int:
     import os
-    return value if value > 0 else (os.cpu_count() or 1)
+    if value < 0:
+        raise ValueError(f"threads must be >= 0 (0 = all cores), got {value}")
+    return value or (os.cpu_count() or 1)
 
 
 def _sim_configs(args) -> sim.SimConfigs:
@@ -118,8 +120,6 @@ def cmd_solve(args) -> int:
     if args.sample_locality and trace.samples is None:
         raise SystemExit("error: --sample-locality needs a trace with a sample table")
     cfgs = _sim_configs(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     bundle, _ = sim.build_policy_bundle(trace, "relibra", topo, model, hw, cfgs)
     plans, placement, replication = bundle.reorder, bundle.sample_placement, bundle.replication
@@ -147,6 +147,8 @@ def cmd_solve(args) -> int:
         "eps": args.eps, "beta": args.beta, "replica_slots": args.replica_slots,
         "seed": args.seed, "sample_locality": bool(args.sample_locality),
     }
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     planio.save_reorder_plan(out / "reorder.json", trace.trace_id(), plans, objectives, placement, config_echo)
     planio.save_replication_plan(out / "replication.json", trace.trace_id(), replication)
     print(f"plans written to {out}")

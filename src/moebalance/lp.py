@@ -14,6 +14,8 @@ each new row bounds one variable (the split LP's fraction budgets); a
 placement's split LP is built in one column batch per run of replicas
 that needs no new budget row. Pricing is Dantzig with a Bland fallback
 once the objective stalls, which prevents cycling on degenerate vertices.
+A snapshot shares its arrays with the solver until the next pivot copies
+the ones it writes, so a trial rolled back without a pivot copies nothing.
 """
 
 from __future__ import annotations
@@ -23,6 +25,9 @@ import numpy as np
 PIVOT_TOL = 1e-9
 COST_TOL = 1e-9
 STALL_LIMIT = 64
+# the solver state a snapshot holds
+SNAPSHOT_FIELDS = ("tab", "rhs", "cost", "red", "upper", "at_upper", "struct_idx", "slack_idx", "basis",
+                   "objective")
 
 
 class LPError(RuntimeError):
@@ -60,6 +65,10 @@ class DenseSimplex:
         self.basis = self.slack_idx.copy()
         self.objective = 0.0
         self._pivots = 0
+        # a snapshot holds self.tab, or the arrays a pivot writes in place
+        # (rhs, red, at_upper, basis); the pivot copies them before writing
+        self._tab_shared = False
+        self._state_shared = False
 
     @property
     def num_rows(self) -> int:
@@ -98,6 +107,7 @@ class DenseSimplex:
         red_new = c_new - self.cost[self.basis] @ transformed
         start = self.tab.shape[1]
         self.tab = np.hstack([self.tab, transformed])
+        self._tab_shared = False
         self.cost = np.concatenate([self.cost, c_new])
         self.red = np.concatenate([self.red, red_new])
         self.upper = np.concatenate([self.upper, upper_new])
@@ -139,6 +149,7 @@ class DenseSimplex:
         new_slacks = np.arange(ncols, ncols + k)
         grown[rows, new_slacks] = 1.0
         self.tab = grown
+        self._tab_shared = False
         self.rhs = np.concatenate([self.rhs, np.where(slack < 0.0, 0.0, slack)])
         self.cost = np.concatenate([self.cost, np.zeros(k)])
         self.red = np.concatenate([self.red, np.zeros(k)])
@@ -156,6 +167,11 @@ class DenseSimplex:
         x[self.basis] = self.rhs
         return x
 
+    def optimal(self) -> bool:
+        """True when no column may enter the basis, so `solve` would return
+        at once, without a step."""
+        return not self._eligible().any()
+
     def _eligible(self) -> np.ndarray:
         lower_gain = (~self.at_upper) & (self.red < -COST_TOL)
         upper_gain = self.at_upper & (self.red > COST_TOL)
@@ -164,6 +180,10 @@ class DenseSimplex:
         return mask
 
     def _step(self, col: int) -> None:
+        if self._state_shared:
+            self.rhs, self.red = self.rhs.copy(), self.red.copy()
+            self.at_upper, self.basis = self.at_upper.copy(), self.basis.copy()
+            self._state_shared = False
         from_upper = self.at_upper[col]
         d = self.tab[:, col]
         direction = -d if from_upper else d
@@ -215,10 +235,17 @@ class DenseSimplex:
         if abs(piv) < PIVOT_TOL:
             raise LPError("numerically singular pivot")
         entering_value = self.upper[col] - t if from_upper else t
+        if self._tab_shared:
+            self.tab = self.tab.copy()
+            self._tab_shared = False
         self.tab[block_row] /= piv
         factors = self.tab[:, col].copy()
         factors[block_row] = 0.0
-        self.tab -= np.outer(factors, self.tab[block_row])
+        # the rank-1 update, subtracted in place. Which sign a zero product
+        # takes is left to einsum; no comparison or output sees it: ratio
+        # tests compare against +-PIVOT_TOL, eligibility against +-COST_TOL,
+        # and rhs zeros are always +0.0
+        self.tab -= np.einsum("i,j->ij", factors, self.tab[block_row])
         rfac = self.red[col]
         self.red -= rfac * self.tab[block_row]
         self.basis[block_row] = col
@@ -254,29 +281,19 @@ class DenseSimplex:
         return self._full_solution()[self.struct_idx]
 
     def snapshot(self) -> dict:
-        """Full solver state; pair with restore() to roll back trial columns."""
-        return {
-            "tab": self.tab.copy(),
-            "rhs": self.rhs.copy(),
-            "cost": self.cost.copy(),
-            "red": self.red.copy(),
-            "upper": self.upper.copy(),
-            "at_upper": self.at_upper.copy(),
-            "struct_idx": self.struct_idx.copy(),
-            "slack_idx": self.slack_idx.copy(),
-            "basis": self.basis.copy(),
-            "objective": self.objective,
-        }
+        """Solver state to roll back to with restore().
+
+        No array is copied: growth replaces arrays instead of writing them,
+        and the first pivot after a snapshot copies the arrays it writes in
+        place (rhs, red, at_upper, basis, and the tableau unless growth has
+        replaced it). A trial rolled back without a pivot copies nothing.
+        """
+        self._tab_shared = self._state_shared = True
+        return {name: getattr(self, name) for name in SNAPSHOT_FIELDS}
 
     def restore(self, snap: dict) -> None:
-        self.tab = snap["tab"].copy()
-        self.rhs = snap["rhs"].copy()
-        self.cost = snap["cost"].copy()
-        self.red = snap["red"].copy()
-        self.upper = snap["upper"].copy()
-        self.at_upper = snap["at_upper"].copy()
-        self.struct_idx = snap["struct_idx"].copy()
-        self.slack_idx = snap["slack_idx"].copy()
-        self.basis = snap["basis"].copy()
-        self.objective = snap["objective"]
-
+        """Take a snapshot's state back without copying; the snapshot stays
+        valid, so it can be restored again."""
+        for name in SNAPSHOT_FIELDS:
+            setattr(self, name, snap[name])
+        self._tab_shared = self._state_shared = True

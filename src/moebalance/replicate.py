@@ -131,6 +131,22 @@ def validate_split(split: SplitPlan, placement: ReplicaPlacement, x: np.ndarray)
 # token-splitting LP
 
 
+def home_times(x: np.ndarray, home: np.ndarray, topo: ClusterTopology, units: cm.TimeUnits,
+               hw: HardwareProfile) -> tuple[np.ndarray, np.ndarray]:
+    """Home-only (5, G) loads of x and their times in seconds.
+
+    Raises LPError when a time overflows, because inf - inf in the split
+    LP's shifted bounds would hand the simplex NaN. The conversion runs
+    without numpy's overflow warning, so the error is said once.
+    """
+    loads = cm.compute_loads(x, home, topo)
+    with np.errstate(over="ignore"):
+        times = units.times(loads)
+    if not np.isfinite(times).all():
+        raise LPError(f"token-split LP: modeled times overflow to {times.max():g} s under {hw}")
+    return loads, times
+
+
 class TokenSplitLP:
     """Warm-startable LP minimizing max-comp + max-comm over split fractions.
 
@@ -150,11 +166,7 @@ class TokenSplitLP:
         g = topo.num_gpus
         self.units = cm.TimeUnits.of(model, hw, g)
 
-        self.base = cm.compute_loads(self.x, self.home, topo)  # home-only loads
-        base_times = self.units.times(self.base)
-        if not np.isfinite(base_times).all():
-            # inf - inf in the shifted bounds below would hand the simplex NaN
-            raise LPError(f"token-split LP: modeled times overflow to {base_times.max():g} s under {hw}")
+        self.base, base_times = home_times(self.x, self.home, topo, self.units, hw)
         comp_consts = base_times[0]
         comm_consts = base_times[1:].ravel()  # (4G,) in [dir][gpu] order
         self.t0_comp = float(comp_consts.max())
@@ -390,10 +402,19 @@ def greedy_replicate(
 
     Each step replicates a bottleneck GPU's most-loaded expert onto the
     cheapest candidate GPU with a free slot, then re-solves the token split.
-    A placement that fails to improve the exact objective by more than 1e-9
-    relative is rolled back; because the LP equalizes the load of several
-    GPUs at the maximum, every GPU supporting the current maxima gets a
-    trial before the search stops.
+    A placement that fails to improve the exact objective by more than
+    IMPROVE_RTOL relative is rolled back; because the LP equalizes the load
+    of several GPUs at the maximum, every GPU supporting the current maxima
+    gets a trial before the search stops.
+
+    A trial whose grown LP is already optimal (no column may enter) is
+    rolled back without solving it, because it cannot be accepted. No step
+    leaves the LP point unchanged, so the trial split is the accepted split
+    plus a zero share on the new copy. Its exact objective differs from the
+    accepted one only in the summation order of non-negative terms, about
+    1e-15 relative, which IMPROVE_RTOL = 1e-9 always rejects. Before the
+    first acceptance the LP is unsolved and its aux columns may enter, so
+    those trials are solved.
     """
     x = np.asarray(x, dtype=np.float64)
     home = np.asarray(plan.assignment)
@@ -430,6 +451,9 @@ def greedy_replicate(
 
             snap = lp.snapshot()
             lp.add_replica(e_star, g_t)
+            if lp.solver.optimal():
+                lp.restore(snap)
+                continue
             lp.solve()
             trial_placement = ReplicaPlacement(home=home, replicas={
                 e: list(gpus) for e, gpus in lp.replicas.items()

@@ -127,7 +127,8 @@ def evaluate_bundle(trace: rt.RoutingTrace, bundle: PlanBundle, topo: ClusterTop
             total_tokens = float(x.sum())
             if abs(loads[COMP].sum() - total_tokens) > 1e-6 * max(total_tokens, 1.0):
                 raise ValueError(f"token conservation violated at entry ({mb}, {layer})")
-            est = cm.moe_time(loads, model, hw)
+            with np.errstate(over="ignore"):  # an overflow is reported once, below
+                est = cm.moe_time(loads, model, hw)
             if not np.isfinite(est.t_moe):
                 raise ValueError(f"modeled time of entry ({mb}, {layer}) overflows to {est.t_moe:g} s under {hw}")
             entry_times[mb, layer] = est.t_moe
@@ -279,8 +280,13 @@ def build_policy_bundle(trace: rt.RoutingTrace, policy: str, topo: ClusterTopolo
 
     if policy == "relibra":
         plans = []
+        units = cm.TimeUnits.of(model, hw, g)
         for layer in range(layers):
             agg = rt.aggregate_batch(trace, layer)
+            # annealing on overflowed times is meaningless, and any entry whose
+            # split LP would overflow makes these times overflow too (the annealed
+            # plan is no worse than LPT's, an entry's loads at most the aggregate's)
+            rep.home_times(agg, ro.lpt_initial(agg, topo).assignment, topo, units, hw)
             plans.append(ro.anneal_reorder(
                 agg, topo, model, hw, cfgs.anneal,
                 extra_initial_plans=[ro.static_plan(model.num_experts, topo)],

@@ -6,6 +6,7 @@ import shutil
 import pytest
 
 from moebalance import routing as rt
+from moebalance import sim
 from moebalance.cli import main
 
 GEN_ARGS = [
@@ -246,6 +247,34 @@ def test_solve_degenerate_lp_is_one_error_line(tmp_path, capsys, flag, value, ex
     assert run(["solve", "--trace", trace, "--out", tmp_path / "p", "--seeds", "1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith(expected) and err.count("\n") == 1, err
+
+
+def test_solve_overflow_fails_before_annealing(tmp_path, capsys, monkeypatch):
+    trace = tmp_path / "trace"
+    assert run(DEGENERATE_GEN + ["--out", trace, "--flops", "1e-300"]) == 0
+    capsys.readouterr()
+
+    def no_annealing(*args, **kwargs):
+        raise AssertionError("annealed on overflowing times")
+
+    monkeypatch.setattr(sim.ro, "anneal_reorder", no_annealing)
+    out = tmp_path / "p"
+    assert run(["solve", "--trace", trace, "--out", out, "--seeds", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: token-split LP: modeled times overflow to inf s under {OVERFLOW_PROFILE}\n", err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate"])
+def test_negative_threads_is_one_error_line(tmp_path, capsys, command):
+    trace = tmp_path / "trace"
+    assert run(DEGENERATE_GEN + ["--out", trace]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run([command, "--trace", trace, "--out", out, "--seeds", "1", "--threads", "-3"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: threads must be >= 0 (0 = all cores), got -3\n", err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("policies", ["static", "static,lpt,eplb"])

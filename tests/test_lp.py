@@ -1,4 +1,5 @@
 import copy
+import types
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from moebalance.lp import DenseSimplex, LPError
+from moebalance.lp import PIVOT_TOL, DenseSimplex, LPError
 
 
 def solve_lp(c, a_ub, b_ub, upper=None):
@@ -58,10 +59,10 @@ def test_non_finite_row_rejected(where, bad):
     solver.solve()
     row = {"coefs": np.array([1.0]), "b_new": np.array([5.0])}
     row[where][0] = bad
-    snap = solver.snapshot()
+    tab = solver.tab.copy()
     with pytest.raises(LPError, match="must be finite"):
         solver.add_row([0], row["coefs"], row["b_new"])
-    assert np.array_equal(solver.tab, snap["tab"])
+    assert np.array_equal(solver.tab, tab)
 
 
 def test_matches_scipy_on_random_instances():
@@ -189,6 +190,151 @@ def test_snapshot_restore_round_trip():
     if ref.success:
         assert solver.objective == pytest.approx(ref.fun, abs=1e-7)
     assert solver.solution().shape == (4,)
+
+
+SOLVER_ARRAYS = ("tab", "rhs", "cost", "red", "upper", "at_upper", "struct_idx", "slack_idx", "basis")
+
+
+def bits(solver):
+    """Every solver array as (dtype, shape, bytes), so -0.0 differs from
+    +0.0, plus the objective."""
+    arrays = {name: getattr(solver, name) for name in SOLVER_ARRAYS}
+    return {name: (a.dtype, a.shape, a.tobytes()) for name, a in arrays.items()}, solver.objective
+
+
+def bounded_lp(rng, m, n):
+    """c, A, b, upper of a random origin-feasible LP whose variables are all
+    bounded, so it never runs unbounded; some b are 0 for degenerate pivots."""
+    a = rng.normal(0, 1, size=(m, n))
+    b = np.where(rng.random(m) < 0.2, 0.0, rng.uniform(0.1, 5.0, size=m))
+    return rng.normal(0, 1, size=n), a, b, rng.uniform(0.2, 3.0, size=n)
+
+
+def grow(solver, rng, how):
+    """Append two bounded columns ("columns"), or first a row that holds a
+    structural variable at most at its current value and then two columns
+    ("row"), as the split LP's second replica does."""
+    if how == "none":
+        return
+    if how == "row":
+        pos = int(rng.integers(0, solver.num_struct))
+        solver.add_row([pos], [1.0], [solver.solution()[pos]])
+    solver.add_columns(rng.normal(0, 1, size=(solver.num_rows, 2)), rng.normal(-1, 1, size=2),
+                       upper_new=rng.uniform(0.2, 3.0, size=2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from(["none", "columns", "row"]))
+def test_snapshot_shares_tableau_bit_for_bit(seed, solve_first, how):
+    rng = np.random.default_rng(seed)
+    lp = bounded_lp(rng, int(rng.integers(1, 8)), int(rng.integers(1, 7)))
+    solver, twin = DenseSimplex(*lp[:3], upper=lp[3]), DenseSimplex(*lp[:3], upper=lp[3])
+    if solve_first:
+        solver.solve()
+        twin.solve()
+    before = bits(solver)
+    snap = solver.snapshot()
+    # with no growth and no solve before the snapshot, this pivots into the snapshotted tableau
+    grow_seed = int(rng.integers(0, 2**32 - 1))
+    grow(solver, np.random.default_rng(grow_seed), how)
+    grow(twin, np.random.default_rng(grow_seed), how)
+    assert solver.solve() == twin.solve()
+    # the same as a solver that never took a snapshot
+    assert bits(solver) == bits(twin) and solver.pivots == twin.pivots
+    solver.restore(snap)
+    assert bits(solver) == before
+    # restore the same snapshot again after growing and pivoting the restored state
+    grow(solver, np.random.default_rng(grow_seed + 1), how)
+    solver.solve()
+    solver.restore(snap)
+    assert bits(solver) == before
+
+
+def outer_step(self, col):
+    """DenseSimplex._step as it was with the np.outer rank-1 update."""
+    from_upper = self.at_upper[col]
+    d = self.tab[:, col]
+    direction = -d if from_upper else d
+    t_best = float(self.upper[col])
+    block_row = -1
+    block_to_upper = False
+    dec = np.flatnonzero(direction > PIVOT_TOL)
+    if dec.size:
+        ratios = self.rhs[dec] / direction[dec]
+        best = float(ratios.min())
+        if best < t_best - PIVOT_TOL * (1.0 + abs(best)):
+            tied = dec[ratios <= best + PIVOT_TOL * (1.0 + abs(best))]
+            block_row = int(tied[np.argmin(self.basis[tied])])
+            block_to_upper = False
+            t_best = max(best, 0.0)
+    inc = np.flatnonzero(direction < -PIVOT_TOL)
+    if inc.size:
+        caps = self.upper[self.basis[inc]]
+        finite = inc[np.isfinite(caps)]
+        if finite.size:
+            gaps = (self.upper[self.basis[finite]] - self.rhs[finite]) / (-direction[finite])
+            best = float(gaps.min())
+            if best < t_best - PIVOT_TOL * (1.0 + abs(best)):
+                tied = finite[gaps <= best + PIVOT_TOL * (1.0 + abs(best))]
+                block_row = int(tied[np.argmin(self.basis[tied])])
+                block_to_upper = True
+                t_best = max(best, 0.0)
+    if not np.isfinite(t_best):
+        raise LPError("LP is unbounded (no blocking bound)")
+    t = t_best
+    self.rhs -= t * direction
+    self.objective += self.red[col] * (-t if from_upper else t)
+    if block_row < 0:
+        self.at_upper[col] = not from_upper
+        return
+    leaving = self.basis[block_row]
+    if block_to_upper:
+        self.at_upper[leaving] = True
+    piv = self.tab[block_row, col]
+    if abs(piv) < PIVOT_TOL:
+        raise LPError("numerically singular pivot")
+    entering_value = self.upper[col] - t if from_upper else t
+    self.tab[block_row] /= piv
+    factors = self.tab[:, col].copy()
+    factors[block_row] = 0.0
+    self.tab -= np.outer(factors, self.tab[block_row])
+    rfac = self.red[col]
+    self.red -= rfac * self.tab[block_row]
+    self.basis[block_row] = col
+    self.at_upper[col] = False
+    self.rhs[block_row] = entering_value
+    self._pivots += 1
+
+
+def assert_same_up_to_zero_signs(solver, ref):
+    """Equal pivot path and values; only the sign of a zero may differ, and
+    never in rhs."""
+    for name in SOLVER_ARRAYS:
+        assert np.array_equal(getattr(solver, name), getattr(ref, name)), name
+    assert solver.rhs.tobytes() == ref.rhs.tobytes()
+    assert solver.objective == ref.objective
+    assert solver.pivots == ref.pivots
+    assert solver.solution().tobytes() == ref.solution().tobytes()
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_pivot_update_matches_outer_product_step(seed):
+    rng = np.random.default_rng(seed)
+    lp = bounded_lp(rng, int(rng.integers(1, 12)), int(rng.integers(1, 10)))
+    # sparse tableaus make zero products of both signs
+    lp[1][rng.random(lp[1].shape) < 0.4] *= 0.0
+    solver, ref = DenseSimplex(*lp[:3], upper=lp[3]), DenseSimplex(*lp[:3], upper=lp[3])
+    ref._step = types.MethodType(outer_step, ref)
+    assert solver.solve() == ref.solve()
+    assert_same_up_to_zero_signs(solver, ref)
+    # warm growth multiplies the new columns by the updated slack block
+    grow_seed = int(rng.integers(0, 2**32 - 1))
+    for how in ("columns", "row"):
+        grow(solver, np.random.default_rng(grow_seed), how)
+        grow(ref, np.random.default_rng(grow_seed), how)
+        assert solver.solve() == ref.solve()
+        assert_same_up_to_zero_signs(solver, ref)
 
 
 def parent_add_row(solver, rows, b_new):

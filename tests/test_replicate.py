@@ -127,6 +127,77 @@ def random_pairs(rng, plan, topo, num_experts):
     return [pairs[i] for i in rng.permutation(len(pairs))]
 
 
+def always_solve_greedy(x, plan, topo, model, hw, cfg):
+    """greedy_replicate as it was before optimal trials were skipped: every
+    trial is solved and scored. Also returns, per trial, whether the grown
+    LP was already optimal before its solve and whether it was accepted."""
+    home = np.asarray(plan.assignment)
+    placement = rep.ReplicaPlacement(home=home)
+    split = rep.SplitPlan()
+    trials = []
+    if cfg.slots_per_gpu == 0 or x.sum() == 0:
+        return placement, split, trials
+    lp = rep.TokenSplitLP(x, home, topo, model, hw)
+    est = lp.units.estimate(lp.base)
+    slots = placement.slot_usage(topo.num_gpus)
+    while (slots < cfg.slots_per_gpu).any():
+        scores = est.comp_times + est.comm_times
+        accepted = False
+        for g_b in rep._bottleneck_candidates(est.comp_times, est.comm_times):
+            served = sorted(
+                ((e, rep._served_tokens(x, placement, split, e, g_b)) for e in placement.serving(g_b)),
+                key=lambda item: (-item[1], item[0]),
+            )
+            e_star = g_t = None
+            for e, _load in served:
+                targets = [
+                    g for g in rep.candidate_gpus(e, home, topo)
+                    if g not in placement.replicas.get(e, []) and slots[g] < cfg.slots_per_gpu
+                ]
+                if targets:
+                    e_star = e
+                    g_t = min(targets, key=lambda g: (scores[g], g))
+                    break
+            if e_star is None:
+                continue
+            snap = lp.snapshot()
+            lp.add_replica(e_star, g_t)
+            optimal = lp.solver.optimal()
+            lp.solve()
+            trial_placement = rep.ReplicaPlacement(home=home, replicas={
+                e: list(gpus) for e, gpus in lp.replicas.items()
+            })
+            trial_split = lp.split_plan()
+            trial = rep._estimate(x, trial_placement, trial_split, topo, lp.units)
+            if trial.t_moe < est.t_moe * (1.0 - rep.IMPROVE_RTOL):
+                placement, split, est = trial_placement, trial_split, trial
+                slots = placement.slot_usage(topo.num_gpus)
+                accepted = True
+                trials.append((optimal, True))
+                break
+            trials.append((optimal, False))
+            lp.restore(snap)
+        if not accepted:
+            break
+    return placement, split, trials
+
+
+def greedy_instance(rng):
+    """A random instance on up to 2x4 GPUs with up to 4 experts per GPU and
+    1-3 replica slots, so that entries take several replicas and roll back
+    trials after their first acceptance."""
+    nodes, gpn = [(1, 2), (1, 4), (2, 2), (2, 4)][int(rng.integers(0, 4))]
+    g = nodes * gpn
+    num_experts = g * int(rng.integers(1, 5))
+    hw = HardwareProfile(6.0, float(rng.uniform(20, 400)), float(rng.uniform(5, 100)), 1.0)
+    topo = build_topology(nodes, gpn, hw)
+    model = rt.ModelProfile(num_layers=1, num_experts=num_experts, top_k=1, hidden_size=1, intermediate_size=1)
+    # a few hot experts, so replicas pay off
+    weights = rng.dirichlet(np.full(num_experts, float(rng.uniform(0.2, 2.0))))
+    x = rng.multinomial(int(rng.integers(20, 400)), weights, size=g).astype(float)
+    return x, ro.lpt_initial(x, topo), topo, model, hw, rep.ReplicaConfig(int(rng.integers(1, 4)))
+
+
 class TestTokenSplitLP:
     def test_home_only_forced(self):
         x, plan, topo = twelve_vs_four()
@@ -327,6 +398,26 @@ class TestGreedy:
             base = objective(x, rep.ReplicaPlacement(home=plan.assignment), rep.SplitPlan(), topo, model, hw)
             got = objective(x, placement, split, topo, model, hw)
             assert got <= base + 1e-9 * max(base, 1.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_skipping_optimal_trials_matches_always_solve_loop(self, seed):
+        x, plan, topo, model, hw, cfg = greedy_instance(np.random.default_rng(seed))
+        placement, split = rep.greedy_replicate(x, plan, topo, model, hw, cfg)
+        ref_placement, ref_split, trials = always_solve_greedy(x, plan, topo, model, hw, cfg)
+        # every trial the greedy skips (optimal before its solve) is one the reference rejects
+        assert (True, True) not in trials
+        assert placement.replicas == ref_placement.replicas
+        assert_same_fractions(split, ref_split.fractions)
+
+    def test_skipped_trials_occur_after_acceptances(self):
+        # the property above is not vacuous: skippable rollbacks follow accepted trials
+        skipped = accepted = 0
+        for seed in range(40):
+            _, _, trials = always_solve_greedy(*greedy_instance(np.random.default_rng(seed)))
+            skipped += sum(optimal for optimal, _ in trials)
+            accepted += sum(ok for _, ok in trials)
+        assert skipped >= 20 and accepted >= 40, (skipped, accepted)
 
     def test_candidate_locality(self):
         rng = np.random.default_rng(9)
