@@ -14,6 +14,13 @@ byte: traces, `reorder.json`, `replication.json`, `summary.csv`, the
 exit code, stdout and stderr. Commands run with relative paths, so their
 output names no directory outside the run.
 
+For the first trace of each workload, each tree also writes mutated
+copies of its own `replication.json` (`SET_ONE` and `MUTATE`: the
+mutations the CLI tests reject, made generic over the workload) and runs
+`simulate --policies relibra` on each. These commands are meant to fail;
+their exit codes and their stderr must be the same in both trees, which
+checks a rewritten plan decoder for identical error lines too.
+
 Prints every differing file and every failed command, and exits 1 if
 there is any.
 """
@@ -21,6 +28,7 @@ there is any.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import os
 import subprocess
@@ -57,6 +65,111 @@ sys.exit(cli.main(sys.argv[3:]))
 """
 
 
+def _replicated(data: dict) -> dict:
+    """The first entry with split rows; StopIteration if there is none."""
+    return next(entry for entry in data["entries"] if entry["splits"])
+
+
+# mutations that set one value of the first entry with split rows: (keys, value)
+SET_ONE = {
+    "split_source": (("splits", 0, 0), 999),
+    "replica_expert": (("replicas", 0, 0), 999),
+    "nan_fraction": (("splits", 0, 3), float("nan")),
+    "huge_fraction": (("splits", 0, 3), 10**400),
+    "true_index": (("splits", 0, 0), True),
+    "float_index": (("splits", 0, 1), 1.0),
+    "short_split_row": (("splits", 0), [0, 1, 2]),
+    "split_row_not_a_list": (("splits", 0), "0 1 2 1.0"),
+    "string_objective": (("objective",), "fast"),
+}
+
+
+def _drop_served_replica(data: dict, gpus_per_node: int, num_gpus: int) -> None:
+    entry = _replicated(data)
+    held = [[e, g] for e, g in entry["replicas"]]
+    entry["replicas"].remove(next([e, g] for _, e, g, _ in entry["splits"] if [e, g] in held))
+
+
+def _replica_off_node(data: dict, gpus_per_node: int, num_gpus: int) -> None:
+    entry = _replicated(data)
+    e, g = entry["replicas"][0]
+    moved = (g + gpus_per_node) % num_gpus
+    entry["replicas"][0] = [e, moved]
+    for row in entry["splits"]:
+        if row[1:3] == [e, g]:
+            row[2] = moved
+
+
+def _duplicate_replica(data: dict, gpus_per_node: int, num_gpus: int) -> None:
+    replicas = _replicated(data)["replicas"]
+    replicas.append(list(replicas[0]))
+
+
+def _halve_fractions(data: dict, gpus_per_node: int, num_gpus: int) -> None:
+    for row in _replicated(data)["splits"]:
+        row[3] /= 2
+
+
+def _repeat_split_row(data: dict, gpus_per_node: int, num_gpus: int) -> None:
+    splits = _replicated(data)["splits"]
+    splits.insert(1, splits[0][:3] + [0.25])
+
+
+def _drop_micro_batch(data: dict, gpus_per_node: int, num_gpus: int) -> None:
+    del data["entries"][0]["micro_batch"]
+
+
+def _repeat_entry(data: dict, gpus_per_node: int, num_gpus: int) -> None:
+    data["entries"].append(copy.deepcopy(data["entries"][0]))
+
+
+def _micro_batch_outside(data: dict, gpus_per_node: int, num_gpus: int) -> None:
+    data["entries"][0]["micro_batch"] = 999
+
+
+def _drop_trace_id(data: dict, gpus_per_node: int, num_gpus: int) -> None:
+    del data["trace_id"]
+
+
+# the other mutations of the CLI tests, generic over the workload
+MUTATE = (_drop_served_replica, _replica_off_node, _duplicate_replica, _halve_fractions, _repeat_split_row,
+          _drop_micro_batch, _repeat_entry, _micro_batch_outside, _drop_trace_id)
+
+
+def _malformed(gpus_per_node: int, num_gpus: int):
+    """(name, mutate(data)) of every mutation of a replication.json document."""
+    def set_one(keys, value):
+        def mutate(data):
+            target = _replicated(data)
+            for key in keys[:-1]:
+                target = target[key]
+            target[keys[-1]] = value
+        return mutate
+    yield from ((name, set_one(*change)) for name, change in SET_ONE.items())
+    yield from ((fn.__name__.lstrip("_"), lambda data, fn=fn: fn(data, gpus_per_node, num_gpus)) for fn in MUTATE)
+
+
+def write_malformed(side: Path, plans: str, trace: str) -> list[str]:
+    """Write one mutated plans directory per mutation that applies to the
+    plan under `side`; returns their relative paths."""
+    manifest = json.loads((side / trace / "manifest.json").read_text())
+    gpn = manifest["gpus_per_node"]
+    source = (side / plans / "replication.json").read_text()
+    written = []
+    for name, mutate in _malformed(gpn, manifest["num_nodes"] * gpn):
+        data = json.loads(source)
+        try:
+            mutate(data)
+        except StopIteration:
+            continue  # the plan has no split rows to mutate
+        target = f"malformed/{Path(plans).name}-{name}"
+        (side / target).mkdir(parents=True)
+        (side / target / "reorder.json").write_bytes((side / plans / "reorder.json").read_bytes())
+        (side / target / "replication.json").write_text(json.dumps(data))
+        written.append(target)
+    return written
+
+
 def traces() -> list[tuple[str, int]]:
     return [(name, ts) for name, w in WORKLOADS.items() for seed in SEEDS for ts in trace_seeds(seed, w.traces)]
 
@@ -68,15 +181,16 @@ def run_side(src: Path, side: Path) -> list[str]:
     env.pop("PYTHONPATH", None)
     failed = []
 
-    def call(label: str, script: str, *args: str) -> None:
+    def call(label: str, script: str, *args: str, expect_failure: bool = False) -> None:
         proc = subprocess.run([sys.executable, "-B", "-c", script, str(src), str(BENCH), *args],
                               cwd=side, env=env, capture_output=True, text=True)
         (side / "stdout" / f"{label}.txt").write_text(
             f"exit {proc.returncode}\n--- stdout\n{proc.stdout}--- stderr\n{proc.stderr}")
-        if proc.returncode:
-            failed.append(f"{side.name}: {label}")
+        if bool(proc.returncode) != expect_failure:
+            failed.append(f"{side.name}: {label}" + (" (expected to fail)" if expect_failure else ""))
 
     (side / "stdout").mkdir(parents=True)
+    first = set()
     for name, seed in traces():
         w, tag = WORKLOADS[name], f"{name}-{seed}"
         trace, plans, report = f"trace/{tag}", f"plans/{tag}", f"report/{tag}"
@@ -86,6 +200,11 @@ def run_side(src: Path, side: Path) -> list[str]:
              *w.simulate_args())
         call(f"{tag}.report", CLI, "report", "--report", f"{report}/report.json", "--out", f"csv/{tag}",
              "--series", "comparison,skewness,times,intersection,loads")
+        if name not in first and (side / plans / "replication.json").is_file():
+            first.add(name)
+            for bad in write_malformed(side, plans, trace):
+                call(f"{Path(bad).name}.simulate", CLI, "simulate", "--trace", trace, "--plans", bad,
+                     "--out", f"report/{Path(bad).name}", "--policies", "relibra", expect_failure=True)
     return failed
 
 

@@ -135,11 +135,11 @@ def replication_plan_from_dict(data: dict, home_per_layer: Sequence[np.ndarray],
 
     Raises ValueError naming the entry and field of a missing key, a value
     of the wrong type, a layer, expert or source index the plan cannot be
-    decoded through, a split row served by a GPU that holds no copy, or a
-    second entry for the same (micro_batch, layer).
+    decoded through, a split row served by a GPU that holds no copy, a
+    second split row for the same (source, expert, GPU), or a second entry
+    for the same (micro_batch, layer).
     """
     plan = ReplicationPlan()
-    number = (int, float)
     seen: dict[tuple[int, int], int] = {}
     for n, entry in enumerate(_plan_field(data, "entries", "plan", list)):
         where = f"entries[{n}]"
@@ -155,25 +155,94 @@ def replication_plan_from_dict(data: dict, home_per_layer: Sequence[np.ndarray],
             e, g = _plan_row(row, 2, what)
             e = _plan_index(e, len(home), f"{what} expert")
             placement.replicas.setdefault(e, []).append(_plan_index(g, math.inf, f"{what} gpu"))
-        split = SplitPlan()
-        for r, row in enumerate(_plan_field(entry, "splits", where, list)):
-            what = f"{where}.splits[{r}]"
-            j, e, gpu, value = _plan_row(row, 4, what)
-            j = _plan_index(j, num_gpus, f"{what} source")
-            e = _plan_index(e, len(home), f"{what} expert")
-            gpu = _plan_index(gpu, math.inf, f"{what} gpu")
-            # NaN fails the comparison; an int beyond the float range must not reach numpy
-            if isinstance(value, bool) or not isinstance(value, number) or not abs(value) <= sys.float_info.max:
-                raise ValueError(f"{what} fraction = {value!r} of expert {e} is not a finite float")
-            copies = placement.copies(e)
-            if gpu not in copies:
-                raise ValueError(f"{what} gpu = {gpu} holds no copy of expert {e} (copies {copies})")
-            if e not in split.fractions:
-                split.fractions[e] = np.zeros((num_gpus, len(copies)))
-            split.fractions[e][j, copies.index(gpu)] = value
-        objective = _plan_field(entry, "objective", where, number)
+        rows = _plan_field(entry, "splits", where, list)
+        split = _split_arrays(rows, placement, num_gpus)
+        if split is None:
+            split = _split_rows(rows, placement, num_gpus, where)
+        objective = _plan_field(entry, "objective", where, (int, float))
         plan.entries[(mb, layer)] = ReplicationEntry(placement=placement, split=split, objective=objective)
     return plan
+
+
+def _split_arrays(rows: list, placement: ReplicaPlacement, num_gpus: int) -> SplitPlan | None:
+    """The split rows decoded in whole-array passes, or None unless every row
+    has the form `save_replication_plan` writes: a list of three int indices
+    in range and a finite float fraction, served by a GPU with a copy, its
+    (source, expert, GPU) named by no other row. `_split_rows` then words
+    the first error, or decodes what these passes did not vouch for.
+
+    Experts with the same number of copies k share one (n, G, k) array.
+    """
+    home = np.asarray(placement.home)
+    num_experts = len(home)
+    if not rows:
+        return SplitPlan()
+    if set(map(type, rows)) != {list} or set(map(len, rows)) != {4}:
+        return None
+    source, expert, gpu, value = zip(*rows)
+    if set(map(type, source + expert + gpu)) != {int} or set(map(type, value)) != {float}:
+        return None
+    try:
+        source, expert, gpu = np.array((source, expert, gpu), dtype=np.int64)
+    except OverflowError:
+        return None
+    value = np.array(value)
+    if not (np.isfinite(value).all() and min(source.min(), expert.min(), gpu.min(), home.min()) >= 0
+            and source.max() < num_gpus and expert.max() < num_experts
+            and max(gpu.max(), home.max()) < num_gpus):
+        return None
+    # column of (expert, GPU) in ReplicaPlacement.copies, -1 without a copy;
+    # like list.index, a GPU listed twice takes its first column
+    column = np.full((num_experts, num_gpus), -1)
+    ncopies = np.ones(num_experts, dtype=np.int64)
+    for e, gpus in placement.replicas.items():
+        ncopies[e] += len(gpus)
+        for c in range(len(gpus), 0, -1):
+            if gpus[c - 1] < num_gpus:
+                column[e, gpus[c - 1]] = c
+    column[np.arange(num_experts), home] = 0
+    col = column[expert, gpu]
+    key = np.sort((source * num_experts + expert) * num_gpus + gpu)
+    if (col < 0).any() or (key[1:] == key[:-1]).any():
+        return None
+    _, firsts = np.unique(expert, return_index=True)
+    order = expert[np.sort(firsts)]  # experts in the order of their first row
+    member = np.zeros(num_experts, dtype=np.int64)  # index within the expert's group
+    fractions = {}
+    for k in np.unique(ncopies[order]).tolist():
+        group = order[ncopies[order] == k]
+        member[group] = np.arange(group.size)
+        mine = ncopies[expert] == k
+        frac = np.zeros((group.size, num_gpus, k))
+        frac[member[expert[mine]], source[mine], col[mine]] = value[mine]
+        fractions.update(zip(group.tolist(), frac))
+    return SplitPlan({e: fractions[e] for e in order.tolist()})
+
+
+def _split_rows(rows: list, placement: ReplicaPlacement, num_gpus: int, where: str) -> SplitPlan:
+    """The split rows decoded one by one; raises ValueError on the first bad row."""
+    split = SplitPlan()
+    home = placement.home
+    seen: dict[tuple[int, int, int], int] = {}
+    for r, row in enumerate(rows):
+        what = f"{where}.splits[{r}]"
+        j, e, gpu, value = _plan_row(row, 4, what)
+        j = _plan_index(j, num_gpus, f"{what} source")
+        e = _plan_index(e, len(home), f"{what} expert")
+        gpu = _plan_index(gpu, math.inf, f"{what} gpu")
+        # NaN fails the comparison; an int beyond the float range must not reach numpy
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+            raise ValueError(f"{what} fraction = {value!r} of expert {e} is not a finite float")
+        copies = placement.copies(e)
+        if gpu not in copies:
+            raise ValueError(f"{what} gpu = {gpu} holds no copy of expert {e} (copies {copies})")
+        first = seen.setdefault((j, e, gpu), r)
+        if first != r:
+            raise ValueError(f"{what} repeats (source, expert, gpu) = ({j}, {e}, {gpu}) of {where}.splits[{first}]")
+        if e not in split.fractions:
+            split.fractions[e] = np.zeros((num_gpus, len(copies)))
+        split.fractions[e][j, copies.index(gpu)] = value
+    return split
 
 
 def save_replication_plan(path: str | Path, trace_id: str, plan: ReplicationPlan) -> None:

@@ -14,7 +14,7 @@ split LP (warm-started), and stop when slots, candidates, or improvement
 run out. The LP's per-token charges are rows of the topology's charge
 operator (`topology.ChargeOperator`) converted by `costmodel.TimeUnits`.
 A fixed placement's LP is built in one tableau growth per run of replicas
-that needs no new budget row, each replica's columns charged in one pass.
+that needs no new budget row, the run's columns charged in one pass.
 """
 
 from __future__ import annotations
@@ -131,20 +131,16 @@ def validate_split(split: SplitPlan, placement: ReplicaPlacement, x: np.ndarray)
 # token-splitting LP
 
 
-def home_times(x: np.ndarray, home: np.ndarray, topo: ClusterTopology, units: cm.TimeUnits,
-               hw: HardwareProfile) -> tuple[np.ndarray, np.ndarray]:
+def home_times(x: np.ndarray, home: np.ndarray, topo: ClusterTopology,
+               units: cm.TimeUnits) -> tuple[np.ndarray, np.ndarray]:
     """Home-only (5, G) loads of x and their times in seconds.
 
-    Raises LPError when a time overflows, because inf - inf in the split
-    LP's shifted bounds would hand the simplex NaN. The conversion runs
-    without numpy's overflow warning, so the error is said once.
+    The conversion runs without numpy's overflow warning, so a caller that
+    finds an infinite time reports the overflow once.
     """
     loads = cm.compute_loads(x, home, topo)
     with np.errstate(over="ignore"):
-        times = units.times(loads)
-    if not np.isfinite(times).all():
-        raise LPError(f"token-split LP: modeled times overflow to {times.max():g} s under {hw}")
-    return loads, times
+        return loads, units.times(loads)
 
 
 class TokenSplitLP:
@@ -166,7 +162,10 @@ class TokenSplitLP:
         g = topo.num_gpus
         self.units = cm.TimeUnits.of(model, hw, g)
 
-        self.base, base_times = home_times(self.x, self.home, topo, self.units, hw)
+        self.base, base_times = home_times(self.x, self.home, topo, self.units)
+        if not np.isfinite(base_times).all():
+            # inf - inf in the shifted bounds below would hand the simplex NaN
+            raise LPError(f"token-split LP: modeled times overflow to {base_times.max():g} s under {hw}")
         comp_consts = base_times[0]
         comm_consts = base_times[1:].ravel()  # (4G,) in [dir][gpu] order
         self.t0_comp = float(comp_consts.max())
@@ -234,30 +233,40 @@ class TokenSplitLP:
 
     def _add_columns(self, run: list[tuple[int, int, int, np.ndarray]]) -> None:
         """One `add_columns` call for the v columns of `run`, whose items are
-        (expert, gpu, copy index, routed sources); one charge pass per replica."""
+        (expert, gpu, copy index, routed sources).
+
+        A column's bound-row entries are x * (t_gpu - t_home), the time
+        charge per token served at gpu less the charge of serving it at home.
+        The run is charged in one pass over the nonzero entries of the
+        charges (`ChargeOperator.pair_entries`): t_gpu is written, t_home
+        subtracted and the column scaled by x in place. A position neither
+        pair charges stays 0.0, which x * (0.0 - 0.0) also gives, so every
+        entry equals a dense pass per replica bit for bit.
+        """
         if not run:
             return
-        bound_rows = 5 * self.topo.num_gpus
-        width = sum(sources.size for *_, sources in run)
+        g = self.topo.num_gpus
+        sizes = [sources.size for *_, sources in run]
+        width = sum(sizes)
+        source = np.concatenate([sources for *_, sources in run])
+        expert, gpu, copy = np.repeat([item[:3] for item in run], sizes, axis=0).T
         cols = np.zeros((self.solver.num_rows, width))
-        meta = np.empty((width, 3), dtype=np.int64)
-        first = self.N_AUX + len(self.var_meta)
+        charged = cols[:5 * g]
+        col, pos, loads = self.topo.charges.pair_entries(source, gpu)
+        charged[pos, col] = self.units.times_at(loads, pos)
+        col, pos, loads = self.topo.charges.pair_entries(source, self.home[expert])
+        charged[pos, col] -= self.units.times_at(loads, pos)
+        charged *= self.x[source, expert]
         start = 0
-        for e, gpu, copy, sources in run:
-            n = sources.size
-            # time charge on the 5G bound rows per token moved from each source
-            # to gpu, less the charge of serving it at home
-            times = self.units.times(self.topo.charges.pair(np.tile(sources, 2), np.repeat([gpu, self.home[e]], n)))
-            delta = (times[:n] - times[n:]).reshape(n, bound_rows)
-            cols[:bound_rows, start:start + n] = (self.x[sources, e][:, None] * delta).T
+        for e, _, _, sources in run:
             if e in self.rows_built:
                 # an expert's budget rows are consecutive, one per routed source
-                idx = np.arange(n)
+                idx = np.arange(sources.size)
                 cols[self.sum_rows[(int(sources[0]), e)] + idx, start + idx] = 1.0
-            self.col_pos.update(((int(j), e, gpu), first + start + i) for i, j in enumerate(sources))
-            meta[start:start + n] = np.column_stack([sources, np.full(n, e), np.full(n, copy)])
-            start += n
-        self.var_meta = np.concatenate([self.var_meta, meta])
+            start += sources.size
+        first = self.N_AUX + len(self.var_meta)
+        self.col_pos.update(zip(zip(source.tolist(), expert.tolist(), gpu.tolist()), range(first, first + width)))
+        self.var_meta = np.concatenate([self.var_meta, np.column_stack([source, expert, copy])])
         self.solver.add_columns(cols, np.zeros(width), upper_new=np.ones(width))
 
     def solve(self) -> float:

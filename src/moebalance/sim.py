@@ -108,31 +108,61 @@ def scored_matrices(trace: rt.RoutingTrace, sample_placement: ro.SamplePlacement
 
 def evaluate_bundle(trace: rt.RoutingTrace, bundle: PlanBundle, topo: ClusterTopology,
                     model: rt.ModelProfile, hw: HardwareProfile, policy: str = "bundle") -> SimReport:
-    """Apply the bundle per (micro_batch, layer) and aggregate times and skew."""
+    """Apply the bundle per (micro_batch, layer) and aggregate times and skew.
+
+    The entries without a split are scored together: per layer, their flows
+    and loads come from two contractions, and their times, checks and skew
+    from array passes. Scored matrices hold integer token counts, so these
+    flows and loads are integer sums, exact in any order and equal to a
+    per-entry `compute_loads` bit for bit. Split entries go through
+    `compute_loads`, which checks their splits and keeps its summation
+    order. One `TimeUnits` converts every entry.
+    """
     check_reorder(trace, bundle.reorder, bundle.sample_placement, topo)
     check_replication(trace, bundle, topo)
     matrices = scored_matrices(trace, bundle.sample_placement)
     layers = model.num_layers
     mb_count = trace.num_micro_batches
-    entry_times = np.zeros((mb_count, layers))
-    skew = np.ones((mb_count, layers))
-    for mb in range(mb_count):
-        for layer in range(layers):
-            x = matrices[mb, layer]
-            plan = bundle.reorder[layer]
-            entry = bundle.replication.entries.get((mb, layer))
-            splits = entry.split.to_split_map(entry.placement) if entry is not None else None
+    g = topo.num_gpus
+    units = cm.TimeUnits.of(model, hw, g)
+    splits = {key: entry.split.to_split_map(entry.placement)
+              for key, entry in bundle.replication.entries.items() if entry.split.fractions}
+    free = np.ones((mb_count, layers), dtype=bool)
+    for key in splits:
+        free[key] = False
+    loads = np.zeros((mb_count, layers, 5, g))
+    charge = topo.charges.dense().reshape(g * g, 5 * g)  # row src * G + dst: loads of one token
+    for layer, plan in enumerate(bundle.reorder):
+        mbs = np.flatnonzero(free[:, layer])
+        home = np.zeros((model.num_experts, g))
+        home[np.arange(model.num_experts), plan.assignment] = 1.0
+        flows = (matrices[mbs, layer] @ home).reshape(mbs.size, g * g)
+        loads[mbs, layer] = (flows @ charge).reshape(mbs.size, 5, g)
+    totals = matrices.sum(axis=(2, 3))
+    comp = loads[:, :, COMP]
+    comp_sums = comp.sum(axis=2)
+    # an overflow is reported once, below; the 0 / 0 skews of empty and split entries are replaced
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        times = units.times(loads)
+        entry_times = times[:, :, 0].max(axis=2) + times[:, :, 1:].max(axis=(2, 3))
+        skew = np.where(totals > 0, comp.max(axis=2) * g / comp_sums, 1.0)
+    for mb, layer in np.ndindex(mb_count, layers):  # in entry order, so the first bad entry is named
+        entry = loads[mb, layer]
+        if not free[mb, layer]:
             # compute_loads checks every split entry (costmodel.check_splits)
-            loads = cm.compute_loads(x, plan.assignment, topo, splits=splits)
-            total_tokens = float(x.sum())
-            if abs(loads[COMP].sum() - total_tokens) > 1e-6 * max(total_tokens, 1.0):
-                raise ValueError(f"token conservation violated at entry ({mb}, {layer})")
-            with np.errstate(over="ignore"):  # an overflow is reported once, below
-                est = cm.moe_time(loads, model, hw)
-            if not np.isfinite(est.t_moe):
-                raise ValueError(f"modeled time of entry ({mb}, {layer}) overflows to {est.t_moe:g} s under {hw}")
-            entry_times[mb, layer] = est.t_moe
-            skew[mb, layer] = rt.skewness(loads[COMP]) if total_tokens > 0 else 1.0
+            entry[:] = cm.compute_loads(matrices[mb, layer], bundle.reorder[layer].assignment, topo,
+                                        splits=splits[mb, layer])
+            comp_sums[mb, layer] = entry[COMP].sum()
+            with np.errstate(over="ignore"):
+                entry_times[mb, layer] = units.exact(entry)
+        total = totals[mb, layer]
+        if abs(comp_sums[mb, layer] - total) > 1e-6 * max(total, 1.0):
+            raise ValueError(f"token conservation violated at entry ({mb}, {layer})")
+        if not np.isfinite(entry_times[mb, layer]):
+            raise ValueError(f"modeled time of entry ({mb}, {layer}) overflows to {entry_times[mb, layer]:g} s "
+                             f"under {hw}")
+        if not free[mb, layer]:
+            skew[mb, layer] = rt.skewness(entry[COMP]) if total > 0 else 1.0
 
     return SimReport(
         policy=policy,
@@ -171,34 +201,28 @@ def _eplb_replication(loads: np.ndarray, home: np.ndarray, topo: ClusterTopology
     the highest per-copy load, while its node has slot budget), then replica
     placement (heaviest share onto the lightest feasible GPU, with every
     retained home share already accounted). The plan stays fixed for every
-    micro-batch.
+    micro-batch. Each copy-count round is a few array passes over the
+    experts that may still take a copy; `_first_record` breaks near-ties.
     """
     num_experts = len(loads)
     gpn = topo.gpus_per_node
     placement = rep.ReplicaPlacement(home=home.copy())
     copies = np.ones(num_experts, dtype=int)
+    node = home // gpn
     node_slots = np.full(topo.num_nodes, slots_per_gpu * gpn)
+    cap = gpn if max_replicas_per_expert is None else min(gpn, max_replicas_per_expert + 1)
+    open_ = (loads > 0) & (copies < cap)
     while True:
-        best = None
-        for e in range(num_experts):
-            if loads[e] <= 0 or copies[e] >= gpn:
-                continue
-            if max_replicas_per_expert is not None and copies[e] - 1 >= max_replicas_per_expert:
-                continue
-            if node_slots[topo.node_of(int(home[e]))] <= 0:
-                continue
-            per_copy = loads[e] / copies[e]
-            if best is None or per_copy > best[0] + 1e-15:
-                best = (per_copy, e)
-        if best is None:
+        cand = np.flatnonzero(open_ & (node_slots[node] > 0))
+        if cand.size == 0:
             break
-        e = best[1]
+        e = cand[_first_record(loads[cand] / copies[cand])]
         copies[e] += 1
-        node_slots[topo.node_of(int(home[e]))] -= 1
+        node_slots[node[e]] -= 1
+        open_[e] = copies[e] < cap
 
     gpu_load = np.zeros(topo.num_gpus)
-    for e in range(num_experts):
-        gpu_load[home[e]] += loads[e] / copies[e]
+    np.add.at(gpu_load, home, loads / copies)
     slot_used = np.zeros(topo.num_gpus, dtype=int)
     shares = sorted(
         ((loads[e] / copies[e], e, i) for e in range(num_experts) for i in range(copies[e] - 1)),
@@ -216,6 +240,21 @@ def _eplb_replication(loads: np.ndarray, home: np.ndarray, topo: ClusterTopology
         gpu_load[g_t] += share
         slot_used[g_t] += 1
     return placement
+
+
+def _first_record(values: np.ndarray) -> int:
+    """The index a scan in order picks when it moves only to a value more
+    than 1e-15 above the one it holds.
+
+    Each value the scan moves to exceeds every earlier value, so it is a
+    record of the running maximum; only those records are scanned.
+    """
+    records = np.flatnonzero(values[1:] > np.maximum.accumulate(values)[:-1]) + 1
+    best = 0
+    for i in records.tolist():
+        if values[i] > values[best] + 1e-15:
+            best = i
+    return best
 
 
 def _uniform_split(placement: rep.ReplicaPlacement, num_gpus: int) -> rep.SplitPlan:
@@ -286,7 +325,10 @@ def build_policy_bundle(trace: rt.RoutingTrace, policy: str, topo: ClusterTopolo
             # annealing on overflowed times is meaningless, and any entry whose
             # split LP would overflow makes these times overflow too (the annealed
             # plan is no worse than LPT's, an entry's loads at most the aggregate's)
-            rep.home_times(agg, ro.lpt_initial(agg, topo).assignment, topo, units, hw)
+            _, times = rep.home_times(agg, ro.lpt_initial(agg, topo).assignment, topo, units)
+            if not np.isfinite(times).all():
+                raise ValueError(f"layer {layer} batch aggregate at LPT homes: modeled times overflow "
+                                 f"to {times.max():g} s under {hw}")
             plans.append(ro.anneal_reorder(
                 agg, topo, model, hw, cfgs.anneal,
                 extra_initial_plans=[ro.static_plan(model.num_experts, topo)],

@@ -198,6 +198,27 @@ class ChargeOperator:
         gpus = np.arange(self.num_gpus)
         return self.pair(gpus[:, None], gpus)
 
+    @cached_property
+    def _nonzero(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`dense()` as a sparse matrix with rows p = src * G + dst: row
+        offsets (G*G + 1,), then the flat (5, G) position and load of each
+        nonzero entry, rows in order and positions ascending in a row."""
+        g = self.num_gpus
+        dense = self.dense().reshape(g * g, 5 * g)
+        rows, positions = np.nonzero(dense)
+        return np.searchsorted(rows, np.arange(g * g + 1)), positions, dense[rows, positions]
+
+    def pair_entries(self, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The nonzero entries of `pair(src[k], dst[k])` for arrays of pairs:
+        (k, flat (5, G) position, load) per entry, by k, each load equal to
+        the one `pair` gives. A pair touches at most 9 of the 5G positions."""
+        offsets, positions, loads = self._nonzero
+        p = np.asarray(src) * self.num_gpus + np.asarray(dst)
+        counts = offsets[p + 1] - offsets[p]
+        ends = np.cumsum(counts)
+        at = np.arange(ends[-1] if p.size else 0) + np.repeat(offsets[p] - (ends - counts), counts)
+        return np.repeat(np.arange(p.size), counts), positions[at], loads[at]
+
 
 def build_topology(num_nodes: int, gpus_per_node: int, profile: HardwareProfile) -> ClusterTopology:
     """Build a rail-optimized topology with node-major GPU numbering."""

@@ -119,3 +119,23 @@ def test_pair_array_form_matches_dense_and_unit_flows(nodes, gpus_per_node):
         scalar = ops.pair(s, d)
         assert scalar.shape == (5, g)
         np.testing.assert_array_equal(scalar, stacked[p])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_pair_entries_are_the_nonzero_pair_loads(nodes, gpus_per_node, data):
+    topo = build_topology(nodes, gpus_per_node, HW)
+    ops = topo.charges
+    g = topo.num_gpus
+    gpus = st.integers(0, g - 1)
+    src = np.array(data.draw(st.lists(gpus, max_size=12)), dtype=np.int64)
+    dst = np.array(data.draw(st.lists(gpus, min_size=src.size, max_size=src.size)), dtype=np.int64)
+    k, positions, loads = ops.pair_entries(src, dst)
+    assert k.tolist() == sorted(k.tolist())
+    got = np.zeros((src.size, 5 * g))
+    got[k, positions] = loads
+    want = ops.pair(src, dst).reshape(src.size, 5 * g)
+    np.testing.assert_array_equal(got, want)
+    # exactly the nonzero positions, each once
+    assert np.count_nonzero(want) == positions.size
+    assert len(set(zip(k.tolist(), positions.tolist()))) == positions.size

@@ -232,11 +232,14 @@ DEGENERATE_GEN = ["gen", "--nodes", "2", "--gpus-per-node", "2", "--experts", "8
 
 
 OVERFLOW_PROFILE = "HardwareProfile(flops_per_gpu=1e-300, bw_nvlink=400000.0, bw_rdma=100000.0, bytes_per_token=1.0)"
+AGGREGATE_OVERFLOW = ("error: layer 0 batch aggregate at LPT homes: modeled times overflow to inf s "
+                      f"under {OVERFLOW_PROFILE}")
 
 
 @pytest.mark.parametrize("flag, value, expected", [
-    # compute times overflow to inf, which would leave NaN in the LP's bounds
-    ("--flops", "1e-300", f"error: token-split LP: modeled times overflow to inf s under {OVERFLOW_PROFILE}"),
+    # compute times overflow to inf, which would leave NaN in the LP's bounds;
+    # the check before annealing finds it before any split LP is built
+    ("--flops", "1e-300", AGGREGATE_OVERFLOW),
     # link times of ~1e300 s leave a split beyond the residual tolerance
     ("--bytes-per-token", "1e300", "error: token-split LP residual: replica fractions of expert 4"),
 ], ids=["unbounded", "residual"])
@@ -259,10 +262,12 @@ def test_solve_overflow_fails_before_annealing(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(sim.ro, "anneal_reorder", no_annealing)
     out = tmp_path / "p"
-    assert run(["solve", "--trace", trace, "--out", out, "--seeds", "1"]) == 1
-    err = capsys.readouterr().err
-    assert err == f"error: token-split LP: modeled times overflow to inf s under {OVERFLOW_PROFILE}\n", err
-    assert not out.exists()
+    # with no replica slots no split LP is ever built, and the line says so
+    for slots in ([], ["--replica-slots", "0"]):
+        assert run(["solve", "--trace", trace, "--out", out, "--seeds", "1", *slots]) == 1
+        err = capsys.readouterr().err
+        assert err == AGGREGATE_OVERFLOW + "\n", (slots, err)
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["solve", "simulate"])
@@ -356,6 +361,32 @@ def _huge_fraction(data):
     _first_replicated(data)["splits"][0][3] = 10**400
 
 
+def _true_index(data):
+    data["entries"][0]["splits"][0][0] = True
+
+
+def _float_index(data):
+    data["entries"][0]["splits"][0][1] = 1.0
+
+
+def _short_split_row(data):
+    data["entries"][0]["splits"][0] = [0, 11, 1]
+
+
+def _split_row_not_a_list(data):
+    data["entries"][0]["splits"][0] = "0 11 1 1.0"
+
+
+def _string_objective(data):
+    data["entries"][0]["objective"] = "fast"
+
+
+def _repeat_split_row(data):
+    # the same (source, expert, GPU) twice, the second time with another fraction
+    splits = data["entries"][0]["splits"]
+    splits.insert(1, splits[0][:3] + [0.25])
+
+
 def _repeat_entry(data):
     data["entries"].append(copy.deepcopy(data["entries"][0]))
 
@@ -418,6 +449,13 @@ def _missing_trace_id(data):
     ("replication.json", _duplicate_replica, "duplicate replica GPUs for expert"),
     ("replication.json", _replica_off_node, "leaves its home node"),
     ("replication.json", _halve_fractions, "violate conservation by 5.000e-01"),
+    ("replication.json", _true_index, "entries[0].splits[0] source = True is not an index in [0, 4)"),
+    ("replication.json", _float_index, "entries[0].splits[0] expert = 1.0 is not an index in [0, 16)"),
+    ("replication.json", _short_split_row, "entries[0].splits[0] must be a list of 4 values, got [0, 11, 1]"),
+    ("replication.json", _split_row_not_a_list,
+     "entries[0].splits[0] must be a list of 4 values, got '0 11 1 1.0'"),
+    ("replication.json", _string_objective, "entries[0].objective has the wrong type: 'fast'"),
+    ("replication.json", _repeat_split_row, "entries[0].splits[1] repeats (source, expert, gpu) = "),
 ])
 def test_simulate_rejects_malformed_plan_files(solved, tmp_path, capsys, file, mutate, expected):
     plans = tmp_path / "plans"

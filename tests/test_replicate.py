@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -206,6 +208,14 @@ class TestTokenSplitLP:
         assert split.fractions == {}
         assert objective(x, placement, split, topo, UNIT_MODEL, COMM_FREE) == pytest.approx(12.0)
 
+    def test_overflowing_times_are_one_lp_error(self, recwarn):
+        # 12 tokens at 6 FLOPs each on 1e-307 FLOP/s is 7.2e308 s, beyond the float range
+        x, plan, topo = twelve_vs_four()
+        hw = HardwareProfile(1e-307, 1e18, 1e18, 1.0)
+        with pytest.raises(LPError, match=f"^{re.escape(f'token-split LP: modeled times overflow to inf s under {hw}')}$"):
+            rep.TokenSplitLP(x, plan.assignment, topo, UNIT_MODEL, hw)
+        assert not recwarn.list
+
     def test_analytic_two_thirds_split(self):
         x, plan, topo = twelve_vs_four()
         placement = rep.ReplicaPlacement(home=plan.assignment, replicas={0: [1]})
@@ -316,6 +326,32 @@ class TestTokenSplitLP:
             add_replica_per_pair(ref, e, g)
         assert_same_lp(lp, ref)
         assert lp.solve() == ref.solve()
+        assert_same_lp(lp, ref)
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_batch_build_on_16_gpus_matches_per_pair_loop(self, seed):
+        # 16 GPUs on 2 nodes, so every traffic class, and 64 experts routed
+        # from nearly every source: one replica of each is a run of ~900 columns
+        rng = np.random.default_rng(seed)
+        hw = HardwareProfile(6.0, float(rng.uniform(20, 200)), float(rng.uniform(5, 50)), 1.0)
+        topo = build_topology(2, 8, hw)
+        model = rt.ModelProfile(num_layers=1, num_experts=64, top_k=1, hidden_size=1, intermediate_size=1)
+        x = rng.integers(0, 30, size=(16, 64)).astype(float)
+        plan = ro.lpt_initial(x, topo)
+        first = [(e, int(rng.choice(rep.candidate_gpus(e, plan.assignment, topo)))) for e in range(64)]
+        lp = rep.TokenSplitLP(x, plan.assignment, topo, model, hw)
+        ref = rep.TokenSplitLP(x, plan.assignment, topo, model, hw)
+        lp.add_replicas(first)
+        for e, g in first:
+            add_replica_per_pair(ref, e, g)
+        assert lp.solver.num_struct - lp.N_AUX > 600
+        assert_same_lp(lp, ref)
+        # second replicas add budget rows, which split the batch into runs
+        more = [(e, g) for e, g in random_pairs(rng, plan, topo, 64) if (e, g) not in first]
+        lp.add_replicas(more)
+        for e, g in more:
+            add_replica_per_pair(ref, e, g)
         assert_same_lp(lp, ref)
 
     @settings(max_examples=30, deadline=None)

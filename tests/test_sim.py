@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moebalance import costmodel as cm
 from moebalance import replicate as rep
@@ -217,3 +221,162 @@ class TestCompareReport:
         assert lines[0] == "policy,total_time_s,speedup_vs_static,skew_mean,skew_p95,skew_max"
         assert len(lines) == 2
         assert payload["trace_summary"]["intersection_ratio"][0]
+
+
+# ---------------------------------------------------------------------------
+# the array passes against the loops they replaced
+
+
+def eplb_replication_loop(loads, home, topo, slots_per_gpu, max_replicas_per_expert=None):
+    """sim._eplb_replication as a loop over the experts per copy."""
+    num_experts = len(loads)
+    gpn = topo.gpus_per_node
+    placement = rep.ReplicaPlacement(home=home.copy())
+    copies = np.ones(num_experts, dtype=int)
+    node_slots = np.full(topo.num_nodes, slots_per_gpu * gpn)
+    while True:
+        best = None
+        for e in range(num_experts):
+            if loads[e] <= 0 or copies[e] >= gpn:
+                continue
+            if max_replicas_per_expert is not None and copies[e] - 1 >= max_replicas_per_expert:
+                continue
+            if node_slots[topo.node_of(int(home[e]))] <= 0:
+                continue
+            per_copy = loads[e] / copies[e]
+            if best is None or per_copy > best[0] + 1e-15:
+                best = (per_copy, e)
+        if best is None:
+            break
+        e = best[1]
+        copies[e] += 1
+        node_slots[topo.node_of(int(home[e]))] -= 1
+
+    gpu_load = np.zeros(topo.num_gpus)
+    for e in range(num_experts):
+        gpu_load[home[e]] += loads[e] / copies[e]
+    slot_used = np.zeros(topo.num_gpus, dtype=int)
+    shares = sorted(
+        ((loads[e] / copies[e], e, i) for e in range(num_experts) for i in range(copies[e] - 1)),
+        key=lambda item: (-item[0], item[1], item[2]),
+    )
+    for share, e, _ in shares:
+        targets = [
+            g for g in rep.candidate_gpus(e, home, topo)
+            if slot_used[g] < slots_per_gpu and g not in placement.replicas.get(e, [])
+        ]
+        if not targets:
+            continue
+        g_t = min(targets, key=lambda g: (gpu_load[g], g))
+        placement.replicas.setdefault(e, []).append(g_t)
+        gpu_load[g_t] += share
+        slot_used[g_t] += 1
+    return placement
+
+
+@st.composite
+def tied_loads(draw):
+    """Expert loads on a small cluster, drawn from a few base values plus
+    offsets of a few 1e-16, so per-copy loads tie within 1e-15 and just
+    beyond it."""
+    nodes, gpn = draw(st.sampled_from([(1, 2), (1, 4), (2, 2), (2, 4), (3, 2)]))
+    topo = build_topology(nodes, gpn, HW)
+    num_experts = topo.num_gpus * draw(st.integers(1, 4))
+    bases = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0, 4.0, 6.0, 12.0]), min_size=1, max_size=3))
+    loads = np.array([
+        draw(st.sampled_from(bases)) + draw(st.integers(0, 25)) * draw(st.sampled_from([1e-16, 2.5e-16, 5e-16]))
+        for _ in range(num_experts)
+    ])
+    home = np.array(draw(st.lists(st.integers(0, topo.num_gpus - 1), min_size=num_experts,
+                                  max_size=num_experts)))
+    return loads, home, topo, draw(st.integers(0, 3)), draw(st.sampled_from([None, 1, 2]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_loads())
+def test_eplb_replication_matches_loop(case):
+    loads, home, topo, slots, limit = case
+    got = sim._eplb_replication(loads, home, topo, slots, max_replicas_per_expert=limit)
+    want = eplb_replication_loop(loads, home, topo, slots, max_replicas_per_expert=limit)
+    assert np.array_equal(got.home, want.home)
+    # the order of replicas.items() orders the uniform split, so it must match too
+    assert list(got.replicas.items()) == list(want.replicas.items())
+
+
+def evaluate_per_entry(trace, bundle, topo, model, hw):
+    """sim.evaluate_bundle's entry times and skew, one compute_loads and
+    moe_time per entry."""
+    matrices = sim.scored_matrices(trace, bundle.sample_placement)
+    shape = (trace.num_micro_batches, model.num_layers)
+    entry_times, skew = np.zeros(shape), np.ones(shape)
+    for mb, layer in np.ndindex(shape):
+        x = matrices[mb, layer]
+        entry = bundle.replication.entries.get((mb, layer))
+        splits = entry.split.to_split_map(entry.placement) if entry is not None else None
+        loads = cm.compute_loads(x, bundle.reorder[layer].assignment, topo, splits=splits)
+        entry_times[mb, layer] = cm.moe_time(loads, model, hw).t_moe
+        skew[mb, layer] = rt.skewness(loads[COMP]) if x.sum() > 0 else 1.0
+    return entry_times, skew
+
+
+@st.composite
+def scored_bundles(draw):
+    """A trace, maybe thinned and with empty entries, and a bundle mixing
+    absent, split-free and split entries, with or without a sample placement."""
+    nodes, gpn = draw(st.sampled_from([(1, 2), (2, 2), (1, 3), (2, 3)]))
+    hw = HardwareProfile(6e6, draw(st.floats(1e3, 1e5)), draw(st.floats(1e2, 1e4)), 1.0)
+    topo = build_topology(nodes, gpn, hw)
+    layers, mbs = draw(st.integers(1, 2)), draw(st.integers(1, 4))
+    model = rt.ModelProfile(num_layers=layers, num_experts=topo.num_gpus * draw(st.integers(1, 3)), top_k=2,
+                            hidden_size=32, intermediate_size=16)
+    g, num_experts = topo.num_gpus, model.num_experts
+    spec = rt.TraceGenSpec(num_domains=2, dirichlet_alpha=0.4, tokens_per_gpu=draw(st.sampled_from([16, 64])),
+                           rng_seed=draw(st.integers(0, 1000)), samples_per_gpu=draw(st.sampled_from([0, 2])))
+    trace = rt.generate_synthetic_trace(spec, model, topo, mbs)
+    if draw(st.booleans()):
+        # thin the counts so entry totals are no longer multiples of G, and empty some entries
+        rng = np.random.default_rng(draw(st.integers(0, 1000)))
+        matrices = trace.matrices * (rng.random(trace.matrices.shape) < 0.7)
+        for mb, layer in draw(st.lists(st.tuples(st.integers(0, mbs - 1), st.integers(0, layers - 1)),
+                                       max_size=2)):
+            matrices[mb, layer] = 0
+        trace = dataclasses.replace(trace, matrices=matrices.astype(trace.matrices.dtype), samples=None)
+    plans = []
+    for _ in range(layers):
+        perm = draw(st.permutations(range(num_experts)))
+        plans.append(ro.ReorderPlan(np.repeat(np.arange(g), num_experts // g)[list(perm)]))
+    placement = None
+    if trace.samples is not None and draw(st.booleans()):
+        placement = ro.SamplePlacement(trace.samples.source_gpu[::-1].astype(np.int64).copy())
+    replication = rep.ReplicationPlan()
+    for mb, layer in np.ndindex(mbs, layers):
+        kind = draw(st.sampled_from(["absent", "split-free", "split"]))
+        if kind == "absent":
+            continue
+        home = plans[layer].assignment
+        entry_placement = rep.ReplicaPlacement(home=home)
+        split = rep.SplitPlan()
+        if kind == "split":
+            for e in draw(st.lists(st.integers(0, num_experts - 1), unique=True, min_size=1, max_size=3)):
+                cands = rep.candidate_gpus(e, home, topo)
+                if not cands:
+                    continue
+                entry_placement.replicas[e] = draw(st.lists(st.sampled_from(cands), unique=True, min_size=1))
+                k = len(entry_placement.copies(e))
+                weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=g * k, max_size=g * k)))
+                frac = weights.reshape(g, k)
+                split.fractions[e] = frac / frac.sum(axis=1, keepdims=True)
+        replication.entries[(mb, layer)] = rep.ReplicationEntry(entry_placement, split, float("nan"))
+    bundle = sim.PlanBundle(reorder=plans, sample_placement=placement, replication=replication)
+    return trace, bundle, topo, model, hw
+
+
+@settings(max_examples=150, deadline=None)
+@given(scored_bundles())
+def test_evaluate_bundle_matches_per_entry_loop(case):
+    trace, bundle, topo, model, hw = case
+    report = sim.evaluate_bundle(trace, bundle, topo, model, hw)
+    entry_times, skew = evaluate_per_entry(trace, bundle, topo, model, hw)
+    assert np.array_equal(report.entry_times, entry_times)
+    assert np.array_equal(report.skew, skew)
+    assert report.total_time == float(entry_times.sum())
