@@ -15,11 +15,13 @@ exit code, stdout and stderr. Commands run with relative paths, so their
 output names no directory outside the run.
 
 For the first trace of each workload, each tree also writes mutated
-copies of its own `replication.json` (`SET_ONE` and `MUTATE`: the
-mutations the CLI tests reject, made generic over the workload) and runs
-`simulate --policies relibra` on each. These commands are meant to fail;
-their exit codes and their stderr must be the same in both trees, which
-checks a rewritten plan decoder for identical error lines too.
+copies of its own `replication.json` and `reorder.json` (`MALFORMED`:
+the mutations the CLI tests reject, made generic over the workload) and
+runs `simulate --policies relibra` on each. These commands are meant to
+fail; their exit codes and their stderr must be the same in both trees,
+which checks a rewritten plan decoder or bundle check for identical error
+lines too. The mutated copies themselves are not compared: they are made
+by this script from plan files that are.
 
 Prints every differing file and every failed command, and exits 1 if
 there is any.
@@ -70,103 +72,133 @@ def _replicated(data: dict) -> dict:
     return next(entry for entry in data["entries"] if entry["splits"])
 
 
-# mutations that set one value of the first entry with split rows: (keys, value)
-SET_ONE = {
-    "split_source": (("splits", 0, 0), 999),
-    "replica_expert": (("replicas", 0, 0), 999),
-    "nan_fraction": (("splits", 0, 3), float("nan")),
-    "huge_fraction": (("splits", 0, 3), 10**400),
-    "true_index": (("splits", 0, 0), True),
-    "float_index": (("splits", 0, 1), 1.0),
-    "short_split_row": (("splits", 0), [0, 1, 2]),
-    "split_row_not_a_list": (("splits", 0), "0 1 2 1.0"),
-    "string_objective": (("objective",), "fast"),
-}
+def _set(keys, value, first=_replicated):
+    """A mutation that sets one value under `first(data)`: the first entry
+    with split rows, or the whole document."""
+    def mutate(data: dict, manifest: dict) -> None:
+        target = first(data)
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+    return mutate
 
 
-def _drop_served_replica(data: dict, gpus_per_node: int, num_gpus: int) -> None:
+def _drop_served_replica(data: dict, manifest: dict) -> None:
     entry = _replicated(data)
     held = [[e, g] for e, g in entry["replicas"]]
     entry["replicas"].remove(next([e, g] for _, e, g, _ in entry["splits"] if [e, g] in held))
 
 
-def _replica_off_node(data: dict, gpus_per_node: int, num_gpus: int) -> None:
+def _replica_off_node(data: dict, manifest: dict) -> None:
     entry = _replicated(data)
     e, g = entry["replicas"][0]
-    moved = (g + gpus_per_node) % num_gpus
+    moved = (g + manifest["gpus_per_node"]) % (manifest["num_nodes"] * manifest["gpus_per_node"])
     entry["replicas"][0] = [e, moved]
     for row in entry["splits"]:
         if row[1:3] == [e, g]:
             row[2] = moved
 
 
-def _duplicate_replica(data: dict, gpus_per_node: int, num_gpus: int) -> None:
+def _duplicate_replica(data: dict, manifest: dict) -> None:
     replicas = _replicated(data)["replicas"]
     replicas.append(list(replicas[0]))
 
 
-def _halve_fractions(data: dict, gpus_per_node: int, num_gpus: int) -> None:
+def _halve_fractions(data: dict, manifest: dict) -> None:
     for row in _replicated(data)["splits"]:
         row[3] /= 2
 
 
-def _repeat_split_row(data: dict, gpus_per_node: int, num_gpus: int) -> None:
+def _repeat_split_row(data: dict, manifest: dict) -> None:
     splits = _replicated(data)["splits"]
     splits.insert(1, splits[0][:3] + [0.25])
 
 
-def _drop_micro_batch(data: dict, gpus_per_node: int, num_gpus: int) -> None:
+def _drop_micro_batch(data: dict, manifest: dict) -> None:
     del data["entries"][0]["micro_batch"]
 
 
-def _repeat_entry(data: dict, gpus_per_node: int, num_gpus: int) -> None:
+def _repeat_entry(data: dict, manifest: dict) -> None:
     data["entries"].append(copy.deepcopy(data["entries"][0]))
 
 
-def _micro_batch_outside(data: dict, gpus_per_node: int, num_gpus: int) -> None:
-    data["entries"][0]["micro_batch"] = 999
-
-
-def _drop_trace_id(data: dict, gpus_per_node: int, num_gpus: int) -> None:
+def _drop_trace_id(data: dict, manifest: dict) -> None:
     del data["trace_id"]
 
 
-# the other mutations of the CLI tests, generic over the workload
-MUTATE = (_drop_served_replica, _replica_off_node, _duplicate_replica, _halve_fractions, _repeat_split_row,
-          _drop_micro_batch, _repeat_entry, _micro_batch_outside, _drop_trace_id)
+def _expert_off_capacity(data: dict, manifest: dict) -> None:
+    row = data["plans"][0]
+    row[0] = (row[0] + 1) % (manifest["num_nodes"] * manifest["gpus_per_node"])
 
 
-def _malformed(gpus_per_node: int, num_gpus: int):
-    """(name, mutate(data)) of every mutation of a replication.json document."""
-    def set_one(keys, value):
-        def mutate(data):
-            target = _replicated(data)
-            for key in keys[:-1]:
-                target = target[key]
-            target[keys[-1]] = value
-        return mutate
-    yield from ((name, set_one(*change)) for name, change in SET_ONE.items())
-    yield from ((fn.__name__.lstrip("_"), lambda data, fn=fn: fn(data, gpus_per_node, num_gpus)) for fn in MUTATE)
+def _extra_layer_plan(data: dict, manifest: dict) -> None:
+    data["plans"].append(list(data["plans"][0]))
+
+
+def _samples_without_table(data: dict, manifest: dict) -> None:
+    if manifest.get("has_samples"):
+        raise StopIteration  # the trace has a sample table
+    data["sample_placement"] = [0]
+
+
+def _whole(data: dict) -> dict:
+    return data
+
+
+# file -> {name: mutate(data, manifest)}; a mutation that does not apply
+# to the plan raises StopIteration
+MALFORMED = {
+    "replication.json": {
+        "split_source": _set(("splits", 0, 0), 999),
+        "replica_expert": _set(("replicas", 0, 0), 999),
+        "nan_fraction": _set(("splits", 0, 3), float("nan")),
+        "huge_fraction": _set(("splits", 0, 3), 10**400),
+        "true_index": _set(("splits", 0, 0), True),
+        "float_index": _set(("splits", 0, 1), 1.0),
+        "short_split_row": _set(("splits", 0), [0, 1, 2]),
+        "split_row_not_a_list": _set(("splits", 0), "0 1 2 1.0"),
+        "string_objective": _set(("objective",), "fast"),
+        "drop_served_replica": _drop_served_replica,
+        "replica_off_node": _replica_off_node,
+        "duplicate_replica": _duplicate_replica,
+        "halve_fractions": _halve_fractions,
+        "repeat_split_row": _repeat_split_row,
+        "drop_micro_batch": _drop_micro_batch,
+        "repeat_entry": _repeat_entry,
+        "micro_batch_outside": _set(("entries", 0, "micro_batch"), 999, first=_whole),
+        "drop_trace_id": _drop_trace_id,
+    },
+    "reorder.json": {
+        "true_gpu": _set(("plans", 0, 0), True, first=_whole),
+        "gpu_outside": _set(("plans", 0, 0), 999, first=_whole),
+        "expert_off_capacity": _expert_off_capacity,
+        "extra_layer_plan": _extra_layer_plan,
+        "samples_without_table": _samples_without_table,
+        "plan_row_not_a_list": _set(("plans", 0), "0 1 2 3", first=_whole),
+    },
+}
 
 
 def write_malformed(side: Path, plans: str, trace: str) -> list[str]:
-    """Write one mutated plans directory per mutation that applies to the
-    plan under `side`; returns their relative paths."""
+    """Write one plans directory per mutation that applies to the plan
+    under `side`, each with one plan file mutated; returns their relative
+    paths."""
     manifest = json.loads((side / trace / "manifest.json").read_text())
-    gpn = manifest["gpus_per_node"]
-    source = (side / plans / "replication.json").read_text()
     written = []
-    for name, mutate in _malformed(gpn, manifest["num_nodes"] * gpn):
-        data = json.loads(source)
-        try:
-            mutate(data)
-        except StopIteration:
-            continue  # the plan has no split rows to mutate
-        target = f"malformed/{Path(plans).name}-{name}"
-        (side / target).mkdir(parents=True)
-        (side / target / "reorder.json").write_bytes((side / plans / "reorder.json").read_bytes())
-        (side / target / "replication.json").write_text(json.dumps(data))
-        written.append(target)
+    for file, mutations in MALFORMED.items():
+        source = (side / plans / file).read_text()
+        for name, mutate in mutations.items():
+            data = json.loads(source)
+            try:
+                mutate(data, manifest)
+            except StopIteration:
+                continue
+            target = f"malformed/{Path(plans).name}-{Path(file).stem}-{name}"
+            (side / target).mkdir(parents=True)
+            for other in MALFORMED:
+                (side / target / other).write_bytes((side / plans / other).read_bytes())
+            (side / target / file).write_text(json.dumps(data))
+            written.append(target)
     return written
 
 
@@ -222,7 +254,7 @@ def content(path: Path) -> bytes:
 def compare(base: Path, change: Path) -> tuple[int, list[str]]:
     """(files compared, relative names of the files that differ or exist on one side only)."""
     names = sorted({p.relative_to(root).as_posix() for root in (base, change)
-                    for p in root.rglob("*") if p.is_file()})
+                    for p in root.rglob("*") if p.is_file() and p.relative_to(root).parts[0] != "malformed"})
     differ = []
     for name in names:
         a, b = base / name, change / name

@@ -47,9 +47,6 @@ def _add_hardware_flags(p: argparse.ArgumentParser) -> None:
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seeds", type=int, default=16, help="annealing chains (default %(default)s)")
     p.add_argument("--cooling", type=float, default=0.9995, help="cooling rate gamma in (0,1) (default %(default)s)")
-    p.add_argument("--eps-frac", type=float, default=1e-3,
-                   help="termination threshold as a fraction of the initial temperature (default %(default)s)")
-    p.add_argument("--eps", type=float, default=None, help="absolute termination threshold (overrides --eps-frac)")
     p.add_argument("--beta", type=float, default=20.0, help="log-sum-exp sharpness (default %(default)s)")
     p.add_argument("--replica-slots", type=int, default=2,
                    help="replica slots per GPU, home copies excluded (default %(default)s)")
@@ -70,8 +67,6 @@ def _sim_configs(args) -> sim.SimConfigs:
         anneal=ro.AnnealConfig(
             seeds=chain_seeds(args.seed, args.seeds),
             cooling_rate=args.cooling,
-            termination_eps=args.eps,
-            eps_frac=args.eps_frac,
             beta=args.beta,
         ),
         replica=rep.ReplicaConfig(slots_per_gpu=args.replica_slots),
@@ -143,9 +138,9 @@ def cmd_solve(args) -> int:
           f"-> {replicated.total_time:.6g}")
 
     config_echo = {
-        "seeds": args.seeds, "cooling": args.cooling, "eps_frac": args.eps_frac,
-        "eps": args.eps, "beta": args.beta, "replica_slots": args.replica_slots,
-        "seed": args.seed, "sample_locality": bool(args.sample_locality),
+        "seeds": args.seeds, "cooling": args.cooling, "beta": args.beta,
+        "replica_slots": args.replica_slots, "seed": args.seed,
+        "sample_locality": bool(args.sample_locality),
     }
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -197,8 +192,8 @@ def cmd_report(args) -> int:
         data = json.loads(path.read_text())
     except json.JSONDecodeError as err:
         raise SystemExit(f"error: malformed report: {err}")
-    if "comparison" not in data or "policies" not in data:
-        raise SystemExit("error: malformed report: missing comparison/policies sections")
+    if not (isinstance(data, dict) and "comparison" in data and "policies" in data):
+        raise SystemExit("error: malformed report: expected a JSON object with comparison/policies sections")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     series = args.series.split(",") if args.series else ["comparison"]

@@ -6,7 +6,7 @@ longest-processing-time greedy plan. Chains propose uniformly random
 expert pairs on distinct hosts, score moves with the log-sum-exp
 surrogate of the MoE time, accept worsening moves with Metropolis
 probability exp(-(T' - T) / theta), and cool theta geometrically from
-the initial objective until it drops below the termination threshold.
+the initial objective until it drops to EPS_FRAC of that.
 
 State is cached per GPU and updated incrementally per swap from a
 precomputed per-(expert, host) contribution tensor. Loads come from the
@@ -42,6 +42,8 @@ LOCKSTEP_MIN_CHAINS = 2
 # the sample pass keeps every GPU's per-micro-batch token total within
 # +/-SAMPLE_BAND of the micro-batch mean
 SAMPLE_BAND = 0.10
+# a chain stops once its temperature falls to EPS_FRAC of the initial one
+EPS_FRAC = 1e-3
 
 
 @dataclass
@@ -63,12 +65,11 @@ class ReorderPlan:
 
 @dataclass(frozen=True)
 class AnnealConfig:
-    """Chain seeds, cooling schedule and objective smoothing for annealing."""
+    """Chain seeds, cooling schedule and objective smoothing for annealing.
+    Every chain stops at EPS_FRAC of its initial temperature."""
 
     seeds: tuple[int, ...] = tuple(range(16))
     cooling_rate: float = 0.9995
-    termination_eps: float | None = None  # absolute; None derives eps_frac * theta0
-    eps_frac: float = 1e-3
     beta: float = 20.0
 
     def __post_init__(self) -> None:
@@ -76,17 +77,8 @@ class AnnealConfig:
             raise ValueError("need at least one annealing seed")
         if not 0 < self.cooling_rate < 1:
             raise ValueError(f"cooling_rate must be in (0, 1), got {self.cooling_rate}")
-        if self.termination_eps is not None and not self.termination_eps > 0:
-            raise ValueError("termination_eps must be > 0")
-        if not self.eps_frac > 0:
-            raise ValueError("eps_frac must be > 0")
         if not (math.isfinite(self.beta) and self.beta > 0):
             raise ValueError(f"beta must be positive and finite, got {self.beta!r}")
-
-    def eps_for(self, theta0: float) -> float:
-        if self.termination_eps is not None:
-            return self.termination_eps
-        return self.eps_frac * theta0
 
 
 @dataclass
@@ -250,7 +242,7 @@ def _run_chain(shared: AnnealState, assignment0: np.ndarray, cfg: AnnealConfig, 
     stream = ChainStream(seed)
     t_cur = state.smoothed_time()
     theta = t_cur if t_cur > 0 else 1.0
-    eps = cfg.eps_for(theta)
+    eps = EPS_FRAC * theta
     best_assign = state.assignment.copy()
     best_t = t_cur
     if state.topo.num_gpus < 2 or num_experts < 2:
@@ -288,7 +280,7 @@ def _run_lockstep(shared: AnnealState, assignment0: np.ndarray, cfg: AnnealConfi
     num_experts, g = len(assignment0), state.topo.num_gpus
     t0 = state.smoothed_time()
     theta = t0 if t0 > 0 else 1.0
-    eps = cfg.eps_for(theta)
+    eps = EPS_FRAC * theta
     if g < 2 or num_experts < 2:
         return [state.assignment.copy() for _ in cfg.seeds]
     streams = [ChainStream(seed) for seed in cfg.seeds]
@@ -455,7 +447,7 @@ def _run_sample_chain(base: _SampleState, initial: np.ndarray, cfg: AnnealConfig
     stream = ChainStream(seed)
     t_cur = sum(state.entry_smoothed(mb) for mb in range(len(mean)))
     theta = t_cur if t_cur > 0 else 1.0
-    eps = cfg.eps_for(theta)
+    eps = EPS_FRAC * theta
     best_assign = state.placement.copy()
     best_t = t_cur
     while theta > eps:

@@ -72,6 +72,8 @@ class ModelProfile:
             raise ValueError(f"top_k {self.top_k} outside [1, {self.num_experts}]")
         if self.hidden_size < 1 or self.intermediate_size < 1:
             raise ValueError("hidden/intermediate sizes must be positive")
+        if self.expert_param_bytes is not None and self.expert_param_bytes < 1:
+            raise ValueError(f"expert_param_bytes must be positive, got {self.expert_param_bytes}")
 
     @property
     def param_bytes(self) -> int:
@@ -175,6 +177,9 @@ class RoutingTrace:
         if g != self.topo.num_gpus:
             raise TraceFormatError("matrix dimensions disagree with the topology")
         self.model.experts_per_gpu(self.topo)
+        if self.tokens_per_gpu < 0:
+            raise TraceFormatError(f"tokens_per_gpu must be >= 0 (0 marks a variable-tokens trace), "
+                                   f"got {self.tokens_per_gpu}")
         row_sums = self.matrices.astype(np.int64).sum(axis=3)  # (MB, L, G)
         if (row_sums % self.model.top_k != 0).any():
             raise TraceFormatError("row sums are not divisible by top_k")

@@ -2,9 +2,9 @@
 
 Every policy is expressed as a PlanBundle (per-layer expert plans, optional
 sample placement, per-(micro_batch, layer) replication entries) and scored
-by the same evaluator, entry by entry. The modeled time covers the MoE
-block only; attention and optimizer time are policy-invariant and excluded,
-so speedup ratios are an upper bound on end-to-end gains.
+by the same evaluator, in one array pass over every entry. The modeled time
+covers the MoE block only; attention and optimizer time are policy-invariant
+and excluded, so speedup ratios are an upper bound on end-to-end gains.
 """
 
 from __future__ import annotations
@@ -110,59 +110,53 @@ def evaluate_bundle(trace: rt.RoutingTrace, bundle: PlanBundle, topo: ClusterTop
                     model: rt.ModelProfile, hw: HardwareProfile, policy: str = "bundle") -> SimReport:
     """Apply the bundle per (micro_batch, layer) and aggregate times and skew.
 
-    The entries without a split are scored together: per layer, their flows
-    and loads come from two contractions, and their times, checks and skew
-    from array passes. Scored matrices hold integer token counts, so these
-    flows and loads are integer sums, exact in any order and equal to a
-    per-entry `compute_loads` bit for bit. Split entries go through
-    `compute_loads`, which checks their splits and keeps its summation
-    order. One `TimeUnits` converts every entry.
+    Per layer, every entry's loads at home placement come from two
+    contractions. Scored matrices hold integer token counts, so these loads
+    are integer sums, exact in any order and equal to a per-entry
+    `compute_loads` bit for bit. Each entry with a split then takes its
+    loads from `compute_loads`, which checks the split and keeps its
+    summation order. Then times, skew and the conservation, overflow and
+    negative-load checks are one array pass over every entry; a failing
+    check names the first failing entry in (micro_batch, layer) order.
     """
     check_reorder(trace, bundle.reorder, bundle.sample_placement, topo)
     check_replication(trace, bundle, topo)
     matrices = scored_matrices(trace, bundle.sample_placement)
-    layers = model.num_layers
     mb_count = trace.num_micro_batches
     g = topo.num_gpus
-    units = cm.TimeUnits.of(model, hw, g)
-    splits = {key: entry.split.to_split_map(entry.placement)
-              for key, entry in bundle.replication.entries.items() if entry.split.fractions}
-    free = np.ones((mb_count, layers), dtype=bool)
-    for key in splits:
-        free[key] = False
-    loads = np.zeros((mb_count, layers, 5, g))
+    loads = np.empty((mb_count, model.num_layers, 5, g))
     charge = topo.charges.dense().reshape(g * g, 5 * g)  # row src * G + dst: loads of one token
     for layer, plan in enumerate(bundle.reorder):
-        mbs = np.flatnonzero(free[:, layer])
         home = np.zeros((model.num_experts, g))
         home[np.arange(model.num_experts), plan.assignment] = 1.0
-        flows = (matrices[mbs, layer] @ home).reshape(mbs.size, g * g)
-        loads[mbs, layer] = (flows @ charge).reshape(mbs.size, 5, g)
+        flows = (matrices[:, layer] @ home).reshape(mb_count, g * g)
+        loads[:, layer] = (flows @ charge).reshape(mb_count, 5, g)
+    for mb, layer in sorted(bundle.replication.entries):  # in entry order, so the first bad split raises
+        entry = bundle.replication.entries[mb, layer]
+        if entry.split.fractions:
+            # compute_loads checks the split (costmodel.check_splits)
+            loads[mb, layer] = cm.compute_loads(matrices[mb, layer], bundle.reorder[layer].assignment, topo,
+                                                splits=entry.split.to_split_map(entry.placement))
     totals = matrices.sum(axis=(2, 3))
     comp = loads[:, :, COMP]
     comp_sums = comp.sum(axis=2)
-    # an overflow is reported once, below; the 0 / 0 skews of empty and split entries are replaced
+    # bad entries are reported below; the 0 / 0 skews of empty entries are replaced
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        times = units.times(loads)
+        times = cm.TimeUnits.of(model, hw, g).times(loads)
         entry_times = times[:, :, 0].max(axis=2) + times[:, :, 1:].max(axis=(2, 3))
         skew = np.where(totals > 0, comp.max(axis=2) * g / comp_sums, 1.0)
-    for mb, layer in np.ndindex(mb_count, layers):  # in entry order, so the first bad entry is named
-        entry = loads[mb, layer]
-        if not free[mb, layer]:
-            # compute_loads checks every split entry (costmodel.check_splits)
-            entry[:] = cm.compute_loads(matrices[mb, layer], bundle.reorder[layer].assignment, topo,
-                                        splits=splits[mb, layer])
-            comp_sums[mb, layer] = entry[COMP].sum()
-            with np.errstate(over="ignore"):
-                entry_times[mb, layer] = units.exact(entry)
-        total = totals[mb, layer]
-        if abs(comp_sums[mb, layer] - total) > 1e-6 * max(total, 1.0):
+        leaks = np.abs(comp_sums - totals) > 1e-6 * np.maximum(totals, 1.0)
+    overflows = ~np.isfinite(entry_times)
+    negative = comp.min(axis=2) < 0
+    bad = np.argwhere(leaks | overflows | negative)
+    if bad.size:
+        mb, layer = bad[0].tolist()
+        if leaks[mb, layer]:
             raise ValueError(f"token conservation violated at entry ({mb}, {layer})")
-        if not np.isfinite(entry_times[mb, layer]):
+        if overflows[mb, layer]:
             raise ValueError(f"modeled time of entry ({mb}, {layer}) overflows to {entry_times[mb, layer]:g} s "
                              f"under {hw}")
-        if not free[mb, layer]:
-            skew[mb, layer] = rt.skewness(entry[COMP]) if total > 0 else 1.0
+        raise ValueError(f"negative computation load at entry ({mb}, {layer}): {comp[mb, layer].min():g} tokens")
 
     return SimReport(
         policy=policy,

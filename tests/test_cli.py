@@ -64,6 +64,16 @@ def test_gen_rejects_zero_micro_batches(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gen_rejects_negative_expert_param_bytes(tmp_path, capsys):
+    out = tmp_path / "t"
+    capsys.readouterr()
+    code = run(GEN_ARGS + ["--expert-param-bytes", "-5", "--out", out])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: expert_param_bytes must be positive, got -5\n", err
+    assert not out.exists()
+
+
 def test_solve_then_simulate_round_trip(tmp_path, capsys):
     trace = tmp_path / "trace"
     plans = tmp_path / "plans"
@@ -156,11 +166,12 @@ def test_simulate_idempotent_modulo_timestamp(tmp_path):
     assert a == b
 
 
-def test_report_rejects_malformed(tmp_path, capsys):
+def test_report_rejects_malformed(tmp_path):
     bad = tmp_path / "report.json"
-    bad.write_text("{}")
-    with pytest.raises(SystemExit):
-        run(["report", "--report", bad, "--out", tmp_path / "csv"])
+    for text in ("{}", "5", "null", "[]"):
+        bad.write_text(text)
+        with pytest.raises(SystemExit, match=r"^error: malformed report: expected a JSON object"):
+            run(["report", "--report", bad, "--out", tmp_path / "csv"])
 
 
 @pytest.fixture(scope="module")
@@ -493,6 +504,8 @@ MANIFEST_KEYS = [*rt.MANIFEST_INTS, *rt.MANIFEST_NUMBERS, "expert_param_bytes", 
     *((key, "fractional") for key in (*rt.MANIFEST_INTS, "expert_param_bytes")),
     ("hidden_size", "missing"),
     ("intermediate_size", "missing"),
+    ("tokens_per_gpu", "negative"),
+    ("expert_param_bytes", "negative"),
 ])
 def test_simulate_rejects_malformed_manifest(generated, tmp_path, capsys, key, mutate):
     trace = tmp_path / "trace"
@@ -503,6 +516,8 @@ def test_simulate_rejects_malformed_manifest(generated, tmp_path, capsys, key, m
         del manifest[key]
     elif mutate == "fractional":
         manifest[key] = manifest[key] + 0.5
+    elif mutate == "negative":
+        manifest[key] = -manifest[key]
     else:
         manifest[key] = _wrong_type(manifest[key])
     path.write_text(json.dumps(manifest))
@@ -514,7 +529,9 @@ def test_simulate_rejects_malformed_manifest(generated, tmp_path, capsys, key, m
     assert err.startswith("error:") and err.count("\n") == 1, err
     assert key in err, err
     if mutate != "missing":
-        assert "manifest.json" in err and " must be " in err, err
+        assert " must be " in err, err
+    if mutate in ("wrong_type", "fractional"):
+        assert "manifest.json" in err, err
 
 
 def _first_sample(field, value):

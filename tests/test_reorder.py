@@ -460,7 +460,7 @@ def generator_sample_chain(base, initial, cfg, seed):
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     t_cur = sum(state.entry_smoothed(mb) for mb in range(len(mean)))
     theta = t_cur if t_cur > 0 else 1.0
-    eps = cfg.eps_for(theta)
+    eps = ro.EPS_FRAC * theta
     best_assign = state.placement.copy()
     best_t = t_cur
     while theta > eps:

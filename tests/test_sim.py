@@ -85,6 +85,34 @@ class TestEvaluateBundle:
         with pytest.raises(ValueError, match=expected):
             sim.evaluate_bundle(trace, bundle, topo, model, hw)
 
+    @staticmethod
+    def split_bundle(fractions):
+        """1x2 GPUs with expert 1 idle; entry (mb, 0) splits expert 0 between
+        its home GPU 0 and GPU 1 by the row fractions[mb]."""
+        topo = build_topology(1, 2, HW)
+        model = rt.ModelProfile(num_layers=1, num_experts=2, top_k=1, hidden_size=32, intermediate_size=16)
+        matrices = np.zeros((len(fractions), 1, 2, 2), dtype=np.uint32)
+        matrices[:, 0, :, 0] = 4
+        trace = rt.RoutingTrace(model=model, topo=topo, matrices=matrices, tokens_per_gpu=0)
+        plan = ro.ReorderPlan(np.array([0, 1]))
+        placement = rep.ReplicaPlacement(home=plan.assignment, replicas={0: [1]})
+        entries = {(mb, 0): rep.ReplicationEntry(placement, rep.SplitPlan({0: np.tile(row, (2, 1))}), 0.0)
+                   for mb, row in enumerate(fractions)}
+        return trace, sim.PlanBundle([plan], replication=rep.ReplicationPlan(entries)), topo, model
+
+    def test_negative_computation_load_names_the_entry(self):
+        # -5e-7 passes the split check, and GPU 1 has no other load to cover it
+        trace, bundle, topo, model = self.split_bundle([[1 + 5e-7, -5e-7]])
+        with pytest.raises(ValueError, match=r"^negative computation load at entry \(0, 0\): -4e-06 tokens$"):
+            sim.evaluate_bundle(trace, bundle, topo, model, HW)
+
+    def test_split_check_precedes_the_array_checks(self):
+        # entry (0, 0) fails the negative-load check, entry (1, 0) its split check;
+        # every split is checked before the array pass, so the later entry is named
+        trace, bundle, topo, model = self.split_bundle([[1 + 5e-7, -5e-7], [1 + 5e-6, -5e-6]])
+        with pytest.raises(ValueError, match=r"^split fractions for expert 0 outside \[0, 1\]$"):
+            sim.evaluate_bundle(trace, bundle, topo, model, HW)
+
 
 class TestBaselines:
     def test_every_policy_conserves_tokens(self):
@@ -322,7 +350,8 @@ def evaluate_per_entry(trace, bundle, topo, model, hw):
 @st.composite
 def scored_bundles(draw):
     """A trace, maybe thinned and with empty entries, and a bundle mixing
-    absent, split-free and split entries, with or without a sample placement."""
+    absent, split-free and split entries, with or without a sample placement.
+    Split rows may give a copy no share and drift from 1 by 5e-7."""
     nodes, gpn = draw(st.sampled_from([(1, 2), (2, 2), (1, 3), (2, 3)]))
     hw = HardwareProfile(6e6, draw(st.floats(1e3, 1e5)), draw(st.floats(1e2, 1e4)), 1.0)
     topo = build_topology(nodes, gpn, hw)
@@ -363,9 +392,13 @@ def scored_bundles(draw):
                     continue
                 entry_placement.replicas[e] = draw(st.lists(st.sampled_from(cands), unique=True, min_size=1))
                 k = len(entry_placement.copies(e))
-                weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=g * k, max_size=g * k)))
+                # zero weights give copies with no share; rows sum to 1 within the split tolerance
+                weights = np.array(draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.01, 1.0),
+                                                 min_size=g * k, max_size=g * k)))
                 frac = weights.reshape(g, k)
-                split.fractions[e] = frac / frac.sum(axis=1, keepdims=True)
+                frac[frac.sum(axis=1) == 0, 0] = 1.0
+                drift = np.array(draw(st.lists(st.sampled_from([-5e-7, 0.0, 5e-7]), min_size=g, max_size=g)))
+                split.fractions[e] = frac / frac.sum(axis=1, keepdims=True) * (1 + drift[:, None])
         replication.entries[(mb, layer)] = rep.ReplicationEntry(entry_placement, split, float("nan"))
     bundle = sim.PlanBundle(reorder=plans, sample_placement=placement, replication=replication)
     return trace, bundle, topo, model, hw
