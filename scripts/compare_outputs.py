@@ -158,6 +158,9 @@ MALFORMED = {
         "short_split_row": _set(("splits", 0), [0, 1, 2]),
         "split_row_not_a_list": _set(("splits", 0), "0 1 2 1.0"),
         "string_objective": _set(("objective",), "fast"),
+        "bool_objective": _set(("objective",), True),
+        "replica_gpu_outside": _set(("replicas", 0, 1), 999),
+        "split_gpu_outside": _set(("splits", 0, 2), 999),
         "drop_served_replica": _drop_served_replica,
         "replica_off_node": _replica_off_node,
         "duplicate_replica": _duplicate_replica,

@@ -180,9 +180,9 @@ class TimeUnits:
         """(5, G) seconds: computation, then NVLink tx/rx and RDMA tx/rx."""
         return loads * self.scale / self.rate
 
-    def times_at(self, loads: np.ndarray, positions: np.ndarray) -> np.ndarray:
-        """`times` of loads at flat positions of a (5, G) array, bit for bit."""
-        return loads * self.scale.ravel()[positions] / self.rate.ravel()[positions]
+    def times_at(self, positions: np.ndarray) -> np.ndarray:
+        """`times` of a load of one token at flat positions of a (5, G) array, bit for bit."""
+        return self.scale.ravel()[positions] / self.rate.ravel()[positions]
 
     def exact(self, loads: np.ndarray) -> float:
         """max comp time + max link time.

@@ -6,8 +6,9 @@ replication.json  per (micro_batch, layer): replica list, split table rows
                   (source_gpu, expert, serving_gpu, fraction), objective
 
 Only this module knows the file keys. Parsing checks JSON types and the
-indices a replication row is decoded through; `load_plan_bundle` runs the
-`sim` checks of fit to the trace and names the file of a failure.
+indices a row is decoded through, GPU ids by the trace's GPU count;
+`load_plan_bundle` runs the `sim` checks of fit to the trace and names the
+file of a failure.
 """
 
 from __future__ import annotations
@@ -30,12 +31,14 @@ class PlanFormatError(ValueError):
     """Raised for malformed or mismatched plan files."""
 
 
-def _plan_field(obj, key: str, where: str, kind: type | tuple = object):
+def _plan_field(obj, key: str, where: str, kind: type | tuple | None = None):
     if not isinstance(obj, dict) or key not in obj:
         raise ValueError(f"{where}: missing required key {key!r}")
-    if not isinstance(obj[key], kind):
-        raise ValueError(f"{where}.{key} has the wrong type: {obj[key]!r}")
-    return obj[key]
+    value = obj[key]
+    # a JSON true or false is no number, though bool subclasses int
+    if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
+        raise ValueError(f"{where}.{key} has the wrong type: {value!r}")
+    return value
 
 
 def _plan_index(value, bound: float, what: str) -> int:
@@ -50,11 +53,10 @@ def _plan_row(row, width: int, what: str) -> list:
     return row
 
 
-def _gpu_ids(values, what: str) -> np.ndarray:
-    """A list of GPU ids; their range is checked against the trace in `sim`."""
+def _gpu_ids(values, what: str, num_gpus: int) -> np.ndarray:
     if not isinstance(values, list):
         raise ValueError(f"{what} must be a list of GPU ids, got {values!r}")
-    return np.array([_plan_index(v, math.inf, f"{what}[{i}]") for i, v in enumerate(values)], dtype=np.int64)
+    return np.array([_plan_index(v, num_gpus, f"{what}[{i}]") for i, v in enumerate(values)], dtype=np.int64)
 
 
 @contextmanager
@@ -101,11 +103,12 @@ def save_reorder_plan(path: str | Path, trace_id: str, plans: list[ro.ReorderPla
 def load_reorder_plan(path: str | Path, trace) -> dict:
     p = Path(path)
     data = _read_plan_file(p, "reorder", trace)
+    g = trace.topo.num_gpus
     with _blame(p):
         rows = _plan_field(data, "plans", "plan", list)
-        data["plans"] = [ro.ReorderPlan(_gpu_ids(row, f"plans[{layer}]")) for layer, row in enumerate(rows)]
+        data["plans"] = [ro.ReorderPlan(_gpu_ids(row, f"plans[{layer}]", g)) for layer, row in enumerate(rows)]
         if data.get("sample_placement") is not None:
-            data["sample_placement"] = ro.SamplePlacement(_gpu_ids(data["sample_placement"], "sample_placement"))
+            data["sample_placement"] = ro.SamplePlacement(_gpu_ids(data["sample_placement"], "sample_placement", g))
     return data
 
 
@@ -131,11 +134,11 @@ def replication_plan_to_dict(plan: ReplicationPlan) -> dict:
 
 
 def replication_plan_from_dict(data: dict, home_per_layer: Sequence[np.ndarray], num_gpus: int) -> ReplicationPlan:
-    """Inverse of replication_plan_to_dict.
+    """Inverse of replication_plan_to_dict, for homes of GPU ids in [0, num_gpus).
 
     Raises ValueError naming the entry and field of a missing key, a value
-    of the wrong type, a layer, expert or source index the plan cannot be
-    decoded through, a split row served by a GPU that holds no copy, a
+    of the wrong type, a layer, expert, source or GPU index the plan cannot
+    be decoded through, a split row served by a GPU that holds no copy, a
     second split row for the same (source, expert, GPU), or a second entry
     for the same (micro_batch, layer).
     """
@@ -154,43 +157,50 @@ def replication_plan_from_dict(data: dict, home_per_layer: Sequence[np.ndarray],
             what = f"{where}.replicas[{r}]"
             e, g = _plan_row(row, 2, what)
             e = _plan_index(e, len(home), f"{what} expert")
-            placement.replicas.setdefault(e, []).append(_plan_index(g, math.inf, f"{what} gpu"))
-        rows = _plan_field(entry, "splits", where, list)
-        split = _split_arrays(rows, placement, num_gpus)
-        if split is None:
-            split = _split_rows(rows, placement, num_gpus, where)
+            placement.replicas.setdefault(e, []).append(_plan_index(g, num_gpus, f"{what} gpu"))
+        split = _split_plan(_plan_field(entry, "splits", where, list), placement, num_gpus, where)
         objective = _plan_field(entry, "objective", where, (int, float))
         plan.entries[(mb, layer)] = ReplicationEntry(placement=placement, split=split, objective=objective)
     return plan
 
 
-def _split_arrays(rows: list, placement: ReplicaPlacement, num_gpus: int) -> SplitPlan | None:
-    """The split rows decoded in whole-array passes, or None unless every row
-    has the form `save_replication_plan` writes: a list of three int indices
-    in range and a finite float fraction, served by a GPU with a copy, its
-    (source, expert, GPU) named by no other row. `_split_rows` then words
-    the first error, or decodes what these passes did not vouch for.
+def _split_plan(rows: list, placement: ReplicaPlacement, num_gpus: int, where: str) -> SplitPlan:
+    """The split rows of one entry, decoded in whole-array passes.
+
+    First every row must be a list of three int indices in range and a
+    finite number, or a check of one row at a time names the first that is
+    not. Then the first row served by a GPU without a copy of its expert,
+    or naming an earlier row's (source, expert, GPU), is named. So a later
+    row's form, type or range error comes before an earlier row's copy or
+    repeat error.
 
     Experts with the same number of copies k share one (n, G, k) array.
     """
-    home = np.asarray(placement.home)
-    num_experts = len(home)
+    num_experts = len(placement.home)
     if not rows:
         return SplitPlan()
-    if set(map(type, rows)) != {list} or set(map(len, rows)) != {4}:
-        return None
-    source, expert, gpu, value = zip(*rows)
-    if set(map(type, source + expert + gpu)) != {int} or set(map(type, value)) != {float}:
-        return None
     try:
+        if set(map(type, rows)) != {list} or set(map(len, rows)) != {4}:
+            raise TypeError
+        source, expert, gpu, value = zip(*rows)
+        if set(map(type, source + expert + gpu)) != {int} or not set(map(type, value)) <= {int, float}:
+            raise TypeError
         source, expert, gpu = np.array((source, expert, gpu), dtype=np.int64)
-    except OverflowError:
-        return None
-    value = np.array(value)
-    if not (np.isfinite(value).all() and min(source.min(), expert.min(), gpu.min(), home.min()) >= 0
-            and source.max() < num_gpus and expert.max() < num_experts
-            and max(gpu.max(), home.max()) < num_gpus):
-        return None
+        value = np.array(value, dtype=np.float64)
+        if not (np.isfinite(value).all() and min(source.min(), expert.min(), gpu.min()) >= 0
+                and max(source.max(), gpu.max()) < num_gpus and expert.max() < num_experts):
+            raise TypeError
+    except (TypeError, OverflowError):
+        for r, row in enumerate(rows):
+            what = f"{where}.splits[{r}]"
+            j, e, g, frac = _plan_row(row, 4, what)
+            _plan_index(j, num_gpus, f"{what} source")
+            e = _plan_index(e, num_experts, f"{what} expert")
+            _plan_index(g, num_gpus, f"{what} gpu")
+            # NaN fails the comparison; an int beyond the float range must not reach numpy
+            if isinstance(frac, bool) or not isinstance(frac, (int, float)) or not abs(frac) <= sys.float_info.max:
+                raise ValueError(f"{what} fraction = {frac!r} of expert {e} is not a finite float")
+        raise  # not reached: the row check rejects every row the passes above reject
     # column of (expert, GPU) in ReplicaPlacement.copies, -1 without a copy;
     # like list.index, a GPU listed twice takes its first column
     column = np.full((num_experts, num_gpus), -1)
@@ -198,13 +208,21 @@ def _split_arrays(rows: list, placement: ReplicaPlacement, num_gpus: int) -> Spl
     for e, gpus in placement.replicas.items():
         ncopies[e] += len(gpus)
         for c in range(len(gpus), 0, -1):
-            if gpus[c - 1] < num_gpus:
-                column[e, gpus[c - 1]] = c
-    column[np.arange(num_experts), home] = 0
+            column[e, gpus[c - 1]] = c
+    column[np.arange(num_experts), placement.home] = 0
     col = column[expert, gpu]
-    key = np.sort((source * num_experts + expert) * num_gpus + gpu)
-    if (col < 0).any() or (key[1:] == key[:-1]).any():
-        return None
+    key = (source * num_experts + expert) * num_gpus + gpu
+    ordered = np.sort(key)
+    if (col < 0).any() or (ordered[1:] == ordered[:-1]).any():
+        _, firsts, same = np.unique(key, return_index=True, return_inverse=True)
+        first = firsts[same]  # the first row with each row's (source, expert, GPU)
+        r = int(np.flatnonzero((col < 0) | (first != np.arange(len(rows))))[0])
+        j, e, g = (int(ids[r]) for ids in (source, expert, gpu))
+        if col[r] < 0:
+            raise ValueError(f"{where}.splits[{r}] gpu = {g} holds no copy of expert {e} "
+                             f"(copies {placement.copies(e)})")
+        raise ValueError(f"{where}.splits[{r}] repeats (source, expert, gpu) = ({j}, {e}, {g}) "
+                         f"of {where}.splits[{first[r]}]")
     _, firsts = np.unique(expert, return_index=True)
     order = expert[np.sort(firsts)]  # experts in the order of their first row
     member = np.zeros(num_experts, dtype=np.int64)  # index within the expert's group
@@ -217,32 +235,6 @@ def _split_arrays(rows: list, placement: ReplicaPlacement, num_gpus: int) -> Spl
         frac[member[expert[mine]], source[mine], col[mine]] = value[mine]
         fractions.update(zip(group.tolist(), frac))
     return SplitPlan({e: fractions[e] for e in order.tolist()})
-
-
-def _split_rows(rows: list, placement: ReplicaPlacement, num_gpus: int, where: str) -> SplitPlan:
-    """The split rows decoded one by one; raises ValueError on the first bad row."""
-    split = SplitPlan()
-    home = placement.home
-    seen: dict[tuple[int, int, int], int] = {}
-    for r, row in enumerate(rows):
-        what = f"{where}.splits[{r}]"
-        j, e, gpu, value = _plan_row(row, 4, what)
-        j = _plan_index(j, num_gpus, f"{what} source")
-        e = _plan_index(e, len(home), f"{what} expert")
-        gpu = _plan_index(gpu, math.inf, f"{what} gpu")
-        # NaN fails the comparison; an int beyond the float range must not reach numpy
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
-            raise ValueError(f"{what} fraction = {value!r} of expert {e} is not a finite float")
-        copies = placement.copies(e)
-        if gpu not in copies:
-            raise ValueError(f"{what} gpu = {gpu} holds no copy of expert {e} (copies {copies})")
-        first = seen.setdefault((j, e, gpu), r)
-        if first != r:
-            raise ValueError(f"{what} repeats (source, expert, gpu) = ({j}, {e}, {gpu}) of {where}.splits[{first}]")
-        if e not in split.fractions:
-            split.fractions[e] = np.zeros((num_gpus, len(copies)))
-        split.fractions[e][j, copies.index(gpu)] = value
-    return split
 
 
 def save_replication_plan(path: str | Path, trace_id: str, plan: ReplicationPlan) -> None:

@@ -180,11 +180,10 @@ class TokenSplitLP:
         b = np.concatenate([self.t0_comp - comp_consts, self.t0_comm - comm_consts])
         c = np.array([1.0, -1.0, 1.0, -1.0])
         self.solver = DenseSimplex(c, a, b)
-        # (source, expert, copy) per v column; copy indexes ReplicaPlacement.copies(expert)
+        # (source, expert, copy) of v column N_AUX + i; copy indexes ReplicaPlacement.copies(expert)
         self.var_meta = np.empty((0, 3), dtype=np.int64)
-        self.col_pos: dict[tuple[int, int, int], int] = {}
-        self.sum_rows: dict[tuple[int, int], int] = {}
-        self.rows_built: set[int] = set()
+        # expert -> its first budget row; the rows are consecutive, one per routed source
+        self.sum_rows: dict[int, int] = {}
         self.replicas: dict[int, list[int]] = {}
 
     def add_replica(self, e: int, gpu: int) -> None:
@@ -215,18 +214,16 @@ class TokenSplitLP:
             sources = np.flatnonzero(self.x[:, e] > 0)
             if sources.size == 0:
                 continue
-            couple = len(replicas) > 1 and e not in self.rows_built
+            couple = len(replicas) > 1 and e not in self.sum_rows
             if couple or self.solver.pivots:
                 self._add_columns(run)
                 run = []
             if couple:
-                # second replica: the fraction budget now couples two columns,
-                # so the v <= 1 bounds no longer suffice
-                first = self.solver.num_rows
-                self.solver.add_row([self.col_pos[(int(j), e, replicas[0])] for j in sources],
-                                    np.ones(sources.size), np.ones(sources.size))
-                self.sum_rows.update(((int(j), e), row) for row, j in enumerate(sources, start=first))
-                self.rows_built.add(e)
+                # second replica: the fraction budget now couples two columns, so the
+                # v <= 1 bounds no longer suffice; the first copy's columns are in source order
+                first_copy = np.flatnonzero((self.var_meta[:, 1] == e) & (self.var_meta[:, 2] == 1))
+                self.sum_rows[e] = self.solver.num_rows
+                self.solver.add_row(self.N_AUX + first_copy, np.ones(sources.size), np.ones(sources.size))
             # len(replicas) is gpu's position in [home] + replicas
             run.append((e, gpu, len(replicas), sources))
         self._add_columns(run)
@@ -237,8 +234,8 @@ class TokenSplitLP:
 
         A column's bound-row entries are x * (t_gpu - t_home), the time
         charge per token served at gpu less the charge of serving it at home.
-        The run is charged in one pass over the nonzero entries of the
-        charges (`ChargeOperator.pair_entries`): t_gpu is written, t_home
+        The run is charged in one pass over the positions each pair charges
+        (`ChargeOperator.pair_entries`): t_gpu is written, t_home
         subtracted and the column scaled by x in place. A position neither
         pair charges stays 0.0, which x * (0.0 - 0.0) also gives, so every
         entry equals a dense pass per replica bit for bit.
@@ -252,20 +249,17 @@ class TokenSplitLP:
         expert, gpu, copy = np.repeat([item[:3] for item in run], sizes, axis=0).T
         cols = np.zeros((self.solver.num_rows, width))
         charged = cols[:5 * g]
-        col, pos, loads = self.topo.charges.pair_entries(source, gpu)
-        charged[pos, col] = self.units.times_at(loads, pos)
-        col, pos, loads = self.topo.charges.pair_entries(source, self.home[expert])
-        charged[pos, col] -= self.units.times_at(loads, pos)
+        col, pos = self.topo.charges.pair_entries(source, gpu)
+        charged[pos, col] = self.units.times_at(pos)
+        col, pos = self.topo.charges.pair_entries(source, self.home[expert])
+        charged[pos, col] -= self.units.times_at(pos)
         charged *= self.x[source, expert]
         start = 0
         for e, _, _, sources in run:
-            if e in self.rows_built:
-                # an expert's budget rows are consecutive, one per routed source
+            if e in self.sum_rows:
                 idx = np.arange(sources.size)
-                cols[self.sum_rows[(int(sources[0]), e)] + idx, start + idx] = 1.0
+                cols[self.sum_rows[e] + idx, start + idx] = 1.0
             start += sources.size
-        first = self.N_AUX + len(self.var_meta)
-        self.col_pos.update(zip(zip(source.tolist(), expert.tolist(), gpu.tolist()), range(first, first + width)))
         self.var_meta = np.concatenate([self.var_meta, np.column_stack([source, expert, copy])])
         self.solver.add_columns(cols, np.zeros(width), upper_new=np.ones(width))
 
@@ -284,18 +278,14 @@ class TokenSplitLP:
         return {
             "solver": self.solver.snapshot(),
             "var_meta": self.var_meta,
-            "col_pos": dict(self.col_pos),
             "sum_rows": dict(self.sum_rows),
-            "rows_built": set(self.rows_built),
             "replica_gpus": {e: list(g) for e, g in self.replicas.items()},
         }
 
     def restore(self, snap: dict) -> None:
         self.solver.restore(snap["solver"])
         self.var_meta = snap["var_meta"]
-        self.col_pos = dict(snap["col_pos"])
         self.sum_rows = dict(snap["sum_rows"])
-        self.rows_built = set(snap["rows_built"])
         self.replicas = {e: list(g) for e, g in snap["replica_gpus"].items()}
 
     def split_plan(self) -> SplitPlan:

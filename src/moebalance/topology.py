@@ -135,36 +135,35 @@ PATHS = {
 class ChargeOperator:
     """Loads caused by one token served away from its source, per GPU pair.
 
-    Row p = src * G + dst of `index`/`weight` lists where one token routed
-    from src to dst lands in a (5, G) load array (rows comp, nvlink_tx,
-    nvlink_rx, rdma_tx, rdma_rx; `index` is the flat position, padding has
-    weight 0). The token is computed at dst; dispatch carries it src -> dst
-    and combine carries the result back, each over the links that `PATHS`
-    lists for the pair's traffic class.
+    A sparse 0/1 table with rows p = src * G + dst: one token routed from
+    src to dst adds 1 at each flat position positions[offsets[p]:offsets[p + 1]]
+    (ascending, distinct) of a (5, G) load array with rows comp, nvlink_tx,
+    nvlink_rx, rdma_tx, rdma_rx. It is computed at dst; dispatch carries it
+    src -> dst and combine carries the result back over the links `PATHS`
+    lists for the pair's traffic class: 1 (loc), 5 (nv, sr) or 9 (cr) positions.
     """
 
     num_gpus: int
-    index: np.ndarray   # (G*G, K) int64, K <= 9
-    weight: np.ndarray  # (G*G, K) float64
+    offsets: np.ndarray    # (G*G + 1,) int64
+    positions: np.ndarray  # (offsets[-1],) int64
 
     @classmethod
     def build(cls, topo: ClusterTopology) -> "ChargeOperator":
         g = topo.num_gpus
         src, dst = np.divmod(np.arange(g * g), g)
-        index = np.zeros((g * g, 9), dtype=np.int64)
-        weight = np.zeros((g * g, 9))
-        index[:, 0] = COMP * g + dst
-        weight[:, 0] = 1.0
+        table = np.full((g * g, 9), 5 * g)  # 5 * G marks an unused slot and sorts last
+        table[:, 0] = COMP * g + dst
         dispatch = {"a": src, "b": dst, "r": topo.relay_matrix.ravel()}
         combine = {"a": dst, "b": src, "r": topo.relay_matrix.T.ravel()}
         for kind, path in PATHS.items():
             pairs = topo.class_matrix.ravel() == kind
             hops = [(row, ends[end]) for ends in (dispatch, combine) for row, end in path]
             for col, (row, gpu) in enumerate(hops, start=1):
-                index[pairs, col] = row * g + gpu[pairs]
-                weight[pairs, col] = 1.0
-        width = 1 + int(weight[:, 1:].any(axis=0).sum())
-        return cls(g, index[:, :width].copy(), weight[:, :width].copy())
+                table[pairs, col] = row * g + gpu[pairs]
+        table.sort(axis=1)
+        used = table < 5 * g
+        offsets = np.concatenate([[0], np.cumsum(used.sum(axis=1))])
+        return cls(g, offsets, table[used])
 
     def loads(self, flow: np.ndarray, src: int | None = None) -> np.ndarray:
         """(5, G) loads of token masses flow[src, dst].
@@ -174,50 +173,26 @@ class ChargeOperator:
         GPU's computation load adds its sources in ascending order.
         """
         g = self.num_gpus
-        pairs = slice(None) if src is None else slice(src * g, (src + 1) * g)
-        index, weight = self.index[pairs], self.weight[pairs]
-        mass = np.asarray(flow, dtype=np.float64).reshape(len(index), 1) * weight
-        return np.bincount(index.ravel(), weights=mass.ravel(), minlength=5 * g).reshape(5, g)
-
-    def pair(self, src, dst) -> np.ndarray:
-        """(5, G) loads of one token served at dst for source src.
-
-        With arrays of sources and destinations (broadcast together), one
-        (5, G) array per pair, stacked in their shape.
-        """
-        g = self.num_gpus
-        p = np.asarray(src) * g + np.asarray(dst)
-        offsets = np.arange(p.size)[:, None] * (5 * g)
-        rows = p.ravel()
-        flat = np.bincount((self.index[rows] + offsets).ravel(), weights=self.weight[rows].ravel(),
-                           minlength=5 * g * p.size)
-        return flat.reshape(*p.shape, 5, g)
+        lo, hi = (0, g * g) if src is None else (src * g, src * g + g)
+        ends = self.offsets[lo:hi + 1]
+        mass = np.repeat(np.asarray(flow, dtype=np.float64).ravel(), ends[1:] - ends[:-1])
+        return np.bincount(self.positions[ends[0]:ends[-1]], weights=mass, minlength=5 * g).reshape(5, g)
 
     def dense(self) -> np.ndarray:
-        """(G, G, 5, G) array of `pair(src, dst)` for every pair (5*G**3 floats)."""
-        gpus = np.arange(self.num_gpus)
-        return self.pair(gpus[:, None], gpus)
-
-    @cached_property
-    def _nonzero(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """`dense()` as a sparse matrix with rows p = src * G + dst: row
-        offsets (G*G + 1,), then the flat (5, G) position and load of each
-        nonzero entry, rows in order and positions ascending in a row."""
+        """(G, G, 5, G) 0/1 array: [src, dst] is the loads of one token (5*G**3 floats)."""
         g = self.num_gpus
-        dense = self.dense().reshape(g * g, 5 * g)
-        rows, positions = np.nonzero(dense)
-        return np.searchsorted(rows, np.arange(g * g + 1)), positions, dense[rows, positions]
+        out = np.zeros((g * g, 5 * g))
+        out[np.repeat(np.arange(g * g), np.diff(self.offsets)), self.positions] = 1.0
+        return out.reshape(g, g, 5, g)
 
-    def pair_entries(self, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The nonzero entries of `pair(src[k], dst[k])` for arrays of pairs:
-        (k, flat (5, G) position, load) per entry, by k, each load equal to
-        the one `pair` gives. A pair touches at most 9 of the 5G positions."""
-        offsets, positions, loads = self._nonzero
+    def pair_entries(self, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The positions one token charges for arrays of pairs: (k, flat
+        (5, G) position) per charge of pair (src[k], dst[k]), by k."""
         p = np.asarray(src) * self.num_gpus + np.asarray(dst)
-        counts = offsets[p + 1] - offsets[p]
+        counts = self.offsets[p + 1] - self.offsets[p]
         ends = np.cumsum(counts)
-        at = np.arange(ends[-1] if p.size else 0) + np.repeat(offsets[p] - (ends - counts), counts)
-        return np.repeat(np.arange(p.size), counts), positions[at], loads[at]
+        at = np.arange(ends[-1] if p.size else 0) + np.repeat(self.offsets[p] - (ends - counts), counts)
+        return np.repeat(np.arange(p.size), counts), self.positions[at]
 
 
 def build_topology(num_nodes: int, gpus_per_node: int, profile: HardwareProfile) -> ClusterTopology:

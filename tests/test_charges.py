@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from moebalance.topology import HardwareProfile, build_topology
+from moebalance.topology import HardwareProfile, TrafficClass, build_topology
 
 HW = HardwareProfile(flops_per_gpu=1e12, bw_nvlink=1e9, bw_rdma=1e8)
 COMP, NV_TX, NV_RX, RDMA_TX, RDMA_RX = range(5)
@@ -90,16 +90,32 @@ def test_row_pair_and_dense_views_agree(case, data):
     np.testing.assert_array_equal(ops.loads(flow[src], src=src), ops.loads(only_row))
     unit = np.zeros_like(flow)
     unit[src, dst] = 1.0
-    np.testing.assert_array_equal(ops.pair(src, dst), ops.loads(unit))
-    np.testing.assert_array_equal(ops.dense()[src, dst], ops.pair(src, dst))
+    np.testing.assert_array_equal(ops.dense()[src, dst], ops.loads(unit))
 
 
 def test_operator_is_cached_per_topology():
     topo = build_topology(2, 4, HW)
     assert topo.charges is topo.charges
-    assert topo.charges.index.shape == (64, 9)
-    assert build_topology(1, 4, HW).charges.index.shape == (16, 5)
-    assert build_topology(1, 1, HW).charges.index.shape == (1, 1)
+
+
+# positions one token charges per traffic class: its computation, then two
+# hops each way (nv, sr) or four each way through the relay (cr)
+CHARGES_PER_CLASS = {TrafficClass.LOC: 1, TrafficClass.NV: 5, TrafficClass.SR: 5, TrafficClass.CR: 9}
+
+
+@pytest.mark.parametrize("nodes,gpus_per_node", [(1, 1), (1, 4), (2, 1), (2, 4), (3, 5), (4, 8), (8, 8)])
+def test_each_pair_charges_distinct_positions_per_class(nodes, gpus_per_node):
+    topo = build_topology(nodes, gpus_per_node, HW)
+    ops = topo.charges
+    g = topo.num_gpus
+    counts = np.diff(ops.offsets)
+    want = np.vectorize(CHARGES_PER_CLASS.get)(topo.class_matrix.ravel())
+    np.testing.assert_array_equal(counts, want)
+    for p in range(g * g):
+        charged = ops.positions[ops.offsets[p]:ops.offsets[p + 1]]
+        # ascending and so distinct: one token adds exactly 1 at each position
+        assert (np.diff(charged) > 0).all(), p
+        assert charged.min() >= 0 and charged.max() < 5 * g
 
 
 @pytest.mark.parametrize("nodes,gpus_per_node", [(1, 1), (1, 4), (2, 4), (4, 8)])
@@ -108,17 +124,14 @@ def test_pair_array_form_matches_dense_and_unit_flows(nodes, gpus_per_node):
     ops = topo.charges
     g = topo.num_gpus
     src, dst = np.divmod(np.arange(g * g), g)
-    stacked = ops.pair(src, dst)
+    stacked = ops.dense()[src, dst]
     assert stacked.shape == (g * g, 5, g)
-    np.testing.assert_array_equal(stacked.reshape(g, g, 5, g), ops.dense())
+    assert set(np.unique(stacked).tolist()) <= {0.0, 1.0}
     unit = np.zeros((g, g))
     for p, (s, d) in enumerate(zip(src.tolist(), dst.tolist())):
         unit[s, d] = 1.0
         np.testing.assert_array_equal(stacked[p], ops.loads(unit))
         unit[s, d] = 0.0
-        scalar = ops.pair(s, d)
-        assert scalar.shape == (5, g)
-        np.testing.assert_array_equal(scalar, stacked[p])
 
 
 @settings(max_examples=60, deadline=None)
@@ -130,11 +143,11 @@ def test_pair_entries_are_the_nonzero_pair_loads(nodes, gpus_per_node, data):
     gpus = st.integers(0, g - 1)
     src = np.array(data.draw(st.lists(gpus, max_size=12)), dtype=np.int64)
     dst = np.array(data.draw(st.lists(gpus, min_size=src.size, max_size=src.size)), dtype=np.int64)
-    k, positions, loads = ops.pair_entries(src, dst)
+    k, positions = ops.pair_entries(src, dst)
     assert k.tolist() == sorted(k.tolist())
     got = np.zeros((src.size, 5 * g))
-    got[k, positions] = loads
-    want = ops.pair(src, dst).reshape(src.size, 5 * g)
+    got[k, positions] = 1.0
+    want = ops.dense()[src, dst].reshape(src.size, 5 * g)
     np.testing.assert_array_equal(got, want)
     # exactly the nonzero positions, each once
     assert np.count_nonzero(want) == positions.size

@@ -392,6 +392,26 @@ def _string_objective(data):
     data["entries"][0]["objective"] = "fast"
 
 
+def _bool_objective(data):
+    data["entries"][0]["objective"] = True
+
+
+def _true_gpu(data):
+    data["plans"][0][0] = True
+
+
+def _reorder_gpu_outside(data):
+    data["plans"][0][0] = 999
+
+
+def _replica_gpu_outside(data):
+    _first_replicated(data)["replicas"][0][1] = 999
+
+
+def _split_gpu_outside(data):
+    _first_replicated(data)["splits"][0][2] = 999
+
+
 def _repeat_split_row(data):
     # the same (source, expert, GPU) twice, the second time with another fraction
     splits = data["entries"][0]["splits"]
@@ -467,6 +487,11 @@ def _missing_trace_id(data):
      "entries[0].splits[0] must be a list of 4 values, got '0 11 1 1.0'"),
     ("replication.json", _string_objective, "entries[0].objective has the wrong type: 'fast'"),
     ("replication.json", _repeat_split_row, "entries[0].splits[1] repeats (source, expert, gpu) = "),
+    ("replication.json", _bool_objective, "entries[0].objective has the wrong type: True"),
+    ("reorder.json", _true_gpu, "plans[0][0] = True is not an index in [0, 4)"),
+    ("reorder.json", _reorder_gpu_outside, "plans[0][0] = 999 is not an index in [0, 4)"),
+    ("replication.json", _replica_gpu_outside, "replicas[0] gpu = 999 is not an index in [0, 4)"),
+    ("replication.json", _split_gpu_outside, "splits[0] gpu = 999 is not an index in [0, 4)"),
 ])
 def test_simulate_rejects_malformed_plan_files(solved, tmp_path, capsys, file, mutate, expected):
     plans = tmp_path / "plans"
@@ -482,6 +507,37 @@ def test_simulate_rejects_malformed_plan_files(solved, tmp_path, capsys, file, m
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1, err
     assert file in err and expected in err, err
+
+
+def _repeat_then_bad_row(data):
+    splits = data["entries"][0]["splits"]
+    splits.insert(1, splits[0][:3] + [0.25])
+    splits.append([0, 0, 0, "half"])
+
+
+def _no_copy_then_bad_row(data):
+    _drop_served_replica(data)
+    _first_replicated(data)["splits"].append([0, 0, 0, "half"])
+
+
+@pytest.mark.parametrize("mutate", [_repeat_then_bad_row, _no_copy_then_bad_row])
+def test_split_row_form_errors_come_before_copy_and_repeat_errors(solved, tmp_path, capsys, mutate):
+    # the split rows are checked for form, types and ranges all at once
+    # before any row is checked against the copies and the other rows, so
+    # the last row's bad fraction is named, not an earlier row's copy or repeat
+    plans = tmp_path / "plans"
+    shutil.copytree(solved / "plans", plans)
+    path = plans / "replication.json"
+    data = json.loads(path.read_text())
+    mutate(data)
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    code = run(["simulate", "--trace", solved / "trace", "--out", tmp_path / "r", "--plans", plans,
+                "--policies", "relibra", "--threads", "1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "fraction = 'half' of expert 0 is not a finite float" in err, err
 
 
 @pytest.fixture(scope="module")

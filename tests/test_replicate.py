@@ -55,9 +55,8 @@ def per_variable_split_plan(lp):
         frac = np.zeros((lp.x.shape[0], 1 + len(gpus)))
         frac[:, 0] = 1.0
         fractions[e] = frac
-    for (j, e, gpu), pos in lp.col_pos.items():
-        col = ([int(lp.home[e])] + lp.replicas[e]).index(gpu)
-        fractions[e][j, col] = values[pos]
+    for pos, (j, e, copy) in enumerate(lp.var_meta.tolist(), start=lp.N_AUX):
+        fractions[e][j, copy] = values[pos]
     for e, frac in fractions.items():
         routed = np.flatnonzero(lp.x[:, e] > 0)
         frac[routed, 0] = 1.0 - frac[routed, 1:].sum(axis=1)
@@ -83,24 +82,21 @@ def add_replica_per_pair(lp, e, gpu):
     sources = np.flatnonzero(lp.x[:, e] > 0)
     if sources.size == 0:
         return
-    if prior and e not in lp.rows_built:
-        first = lp.solver.num_rows
-        lp.solver.add_row([lp.col_pos[(int(j), e, prior[0])] for j in sources], np.ones(sources.size),
-                          np.ones(sources.size))
-        for row, j in enumerate(sources, start=first):
-            lp.sum_rows[(int(j), e)] = row
-        lp.rows_built.add(e)
+    if prior and e not in lp.sum_rows:
+        first_copy = [pos for pos, (_, f, copy) in enumerate(lp.var_meta.tolist(), start=lp.N_AUX)
+                      if (f, copy) == (e, 1)]
+        lp.sum_rows[e] = lp.solver.num_rows
+        lp.solver.add_row(first_copy, np.ones(sources.size), np.ones(sources.size))
     g = lp.topo.num_gpus
     copy = len(lp.replicas[e])
     cols = np.zeros((lp.solver.num_rows, sources.size))
     for idx, j in enumerate(sources):
         j = int(j)
-        home_charge = lp.units.times(lp.topo.charges.pair(j, int(lp.home[e]))).ravel()
-        delta = lp.units.times(lp.topo.charges.pair(j, gpu)).ravel() - home_charge
+        home_charge = lp.units.times(lp.topo.charges.dense()[j, int(lp.home[e])]).ravel()
+        delta = lp.units.times(lp.topo.charges.dense()[j, gpu]).ravel() - home_charge
         cols[: 5 * g, idx] = lp.x[j, e] * delta
-        if e in lp.rows_built:
-            cols[lp.sum_rows[(j, e)], idx] = 1.0
-        lp.col_pos[(j, e, gpu)] = lp.N_AUX + len(lp.var_meta)
+        if e in lp.sum_rows:
+            cols[lp.sum_rows[e] + idx, idx] = 1.0
         lp.var_meta = np.vstack([lp.var_meta, (j, e, copy)])
     lp.solver.add_columns(cols, np.zeros(sources.size), upper_new=np.ones(sources.size))
 
@@ -113,9 +109,7 @@ def assert_same_lp(lp, ref):
         assert np.array_equal(getattr(lp.solver, name), getattr(ref.solver, name)), name
     assert lp.solver.objective == ref.solver.objective
     assert np.array_equal(lp.var_meta, ref.var_meta)
-    assert lp.col_pos == ref.col_pos
     assert lp.sum_rows == ref.sum_rows
-    assert lp.rows_built == ref.rows_built
     assert lp.replicas == ref.replicas
 
 
