@@ -62,7 +62,9 @@ def _threads(value: int) -> int:
     return value or (os.cpu_count() or 1)
 
 
-def _sim_configs(args) -> sim.SimConfigs:
+def _sim_configs(args, trace: rt.RoutingTrace) -> sim.SimConfigs:
+    if args.sample_locality and trace.samples is None:
+        raise SystemExit("error: --sample-locality needs a trace with a sample table")
     return sim.SimConfigs(
         anneal=ro.AnnealConfig(
             seeds=chain_seeds(args.seed, args.seeds),
@@ -112,9 +114,7 @@ def cmd_gen(args) -> int:
 def cmd_solve(args) -> int:
     trace = rt.load_trace(args.trace)
     topo, model, hw = trace.topo, trace.model, trace.topo.profile
-    if args.sample_locality and trace.samples is None:
-        raise SystemExit("error: --sample-locality needs a trace with a sample table")
-    cfgs = _sim_configs(args)
+    cfgs = _sim_configs(args, trace)
 
     bundle, _ = sim.build_policy_bundle(trace, "relibra", topo, model, hw, cfgs)
     plans, placement, replication = bundle.reorder, bundle.sample_placement, bundle.replication
@@ -160,7 +160,7 @@ def cmd_simulate(args) -> int:
             raise SystemExit(f"error: unknown policy {name!r}; choose from {', '.join(sorted(set(POLICY_ALIASES)))}")
         policies.append(POLICY_ALIASES[name])
 
-    cfgs = _sim_configs(args)
+    cfgs = _sim_configs(args, trace)
     reports = []
     for policy in policies:
         if policy == "relibra" and args.plans:
@@ -288,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list: static,lpt,eplb,lplb,balanced,relibra")
     p.add_argument("--plans", default=None,
                    help="solve output directory (used for the relibra policy)")
-    p.add_argument("--sample-locality", action="store_true")
+    p.add_argument("--sample-locality", action="store_true",
+                   help="run relibra's sample-placement pass (needs a sample table)")
     _add_solver_flags(p)
     p.set_defaults(func=cmd_simulate)
 

@@ -6,15 +6,14 @@ replication.json  per (micro_batch, layer): replica list, split table rows
                   (source_gpu, expert, serving_gpu, fraction), objective
 
 Only this module knows the file keys. Parsing checks JSON types and the
-indices a row is decoded through, GPU ids by the trace's GPU count;
-`load_plan_bundle` runs the `sim` checks of fit to the trace and names the
-file of a failure.
+indices a row is decoded through, micro-batches and GPU ids by the trace's
+counts; `load_plan_bundle` runs the `sim` checks of fit to the trace and
+names the file of a failure.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -41,7 +40,7 @@ def _plan_field(obj, key: str, where: str, kind: type | tuple | None = None):
     return value
 
 
-def _plan_index(value, bound: float, what: str) -> int:
+def _plan_index(value, bound: int, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < bound:
         raise ValueError(f"{what} = {value!r} is not an index in [0, {bound})")
     return value
@@ -133,20 +132,21 @@ def replication_plan_to_dict(plan: ReplicationPlan) -> dict:
     return {"version": 1, "entries": entries}
 
 
-def replication_plan_from_dict(data: dict, home_per_layer: Sequence[np.ndarray], num_gpus: int) -> ReplicationPlan:
+def replication_plan_from_dict(data: dict, home_per_layer: Sequence[np.ndarray], num_gpus: int,
+                               num_micro_batches: int) -> ReplicationPlan:
     """Inverse of replication_plan_to_dict, for homes of GPU ids in [0, num_gpus).
 
     Raises ValueError naming the entry and field of a missing key, a value
-    of the wrong type, a layer, expert, source or GPU index the plan cannot
-    be decoded through, a split row served by a GPU that holds no copy, a
-    second split row for the same (source, expert, GPU), or a second entry
-    for the same (micro_batch, layer).
+    of the wrong type, an index the plan cannot be decoded through (a
+    micro-batch, layer, expert, source or GPU), a split row served by a GPU
+    that holds no copy, a second split row for the same (source, expert,
+    GPU), or a second entry for the same (micro_batch, layer).
     """
     plan = ReplicationPlan()
     seen: dict[tuple[int, int], int] = {}
     for n, entry in enumerate(_plan_field(data, "entries", "plan", list)):
         where = f"entries[{n}]"
-        mb = _plan_index(_plan_field(entry, "micro_batch", where), math.inf, f"{where}.micro_batch")
+        mb = _plan_index(_plan_field(entry, "micro_batch", where), num_micro_batches, f"{where}.micro_batch")
         layer = _plan_index(_plan_field(entry, "layer", where), len(home_per_layer), f"{where}.layer")
         first = seen.setdefault((mb, layer), n)
         if first != n:
@@ -247,7 +247,7 @@ def load_replication_plan(path: str | Path, trace, home_per_layer: Sequence[np.n
     p = Path(path)
     data = _read_plan_file(p, "replication", trace)
     with _blame(p):
-        return replication_plan_from_dict(data, home_per_layer, trace.topo.num_gpus)
+        return replication_plan_from_dict(data, home_per_layer, trace.topo.num_gpus, trace.num_micro_batches)
 
 
 def load_plan_bundle(plans_dir: str | Path, trace) -> sim.PlanBundle:

@@ -1,15 +1,19 @@
 """Trace-level evaluation of balancing policies and comparative reporting.
 
-Every policy is expressed as a PlanBundle (per-layer expert plans, optional
-sample placement, per-(micro_batch, layer) replication entries) and scored
-by the same evaluator, in one array pass over every entry. The modeled time
-covers the MoE block only; attention and optimizer time are policy-invariant
-and excluded, so speedup ratios are an upper bound on end-to-end gains.
+A policy is its homes, where each expert lives for the whole batch
+(inter-batch reordering), plus, if it replicates, one planner that gives
+each (micro_batch, layer) entry its replicas and split (intra-batch
+replication, planned on routing that replay makes known before training).
+Every policy becomes a PlanBundle and is scored by the same evaluator, in
+one array pass over every entry. The modeled time covers the MoE block
+only; attention and optimizer time are policy-invariant and excluded, so
+speedup ratios are an upper bound on end-to-end gains.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -88,13 +92,17 @@ def check_replication(trace: rt.RoutingTrace, bundle: PlanBundle, topo: ClusterT
                       matrices: np.ndarray | None = None) -> None:
     """Check the replication.json part of a bundle that passed `check_reorder`.
     Given the scored matrices, also check split conservation, which
-    `evaluate_bundle` leaves to `compute_loads`."""
+    `evaluate_bundle` leaves to `compute_loads`. A placement object shared
+    by several entries is validated once, at its first entry."""
+    validated = set()
     for (mb, layer), entry in bundle.replication.entries.items():
         if not (0 <= mb < trace.num_micro_batches and 0 <= layer < trace.model.num_layers):
             raise ValueError(f"replication entry ({mb}, {layer}) outside the trace")
         if not np.array_equal(entry.placement.home, bundle.reorder[layer].assignment):
             raise ValueError(f"replication entry ({mb}, {layer}) was built for a different expert plan")
-        rep.validate_placement(entry.placement, topo)
+        if id(entry.placement) not in validated:
+            rep.validate_placement(entry.placement, topo)
+            validated.add(id(entry.placement))
         if matrices is not None:
             rep.validate_split(entry.split, entry.placement, matrices[mb, layer])
 
@@ -270,78 +278,67 @@ def solve_tasks(tasks, threads: int):
 
 def build_policy_bundle(trace: rt.RoutingTrace, policy: str, topo: ClusterTopology,
                         model: rt.ModelProfile, hw: HardwareProfile, cfgs: SimConfigs) -> tuple[PlanBundle, rt.RoutingTrace]:
-    """The PlanBundle for a policy plus the (possibly rewritten) trace to score."""
-    layers = model.num_layers
-    mb_count = trace.num_micro_batches
-    g = topo.num_gpus
+    """The PlanBundle for a policy plus the (possibly rewritten) trace to score.
 
-    if policy == "balanced_oracle":
-        uniform = dataclasses.replace(trace, matrices=_uniform_matrices(trace), samples=None)
-        return PlanBundle(reorder=[ro.static_plan(model.num_experts, topo) for _ in range(layers)]), uniform
-
-    if policy == "static":
-        return PlanBundle(reorder=[ro.static_plan(model.num_experts, topo) for _ in range(layers)]), trace
-
+    Homes are static blocks for `static` and `balanced_oracle`, else LPT on
+    the batch aggregate, which `relibra` anneals. A replicating policy's
+    `plan_entry(mb, layer) -> (placement, split)` runs over every entry in
+    one `solve_tasks` pass: the layer's EPLB fill with a uniform split
+    (`eplb_like`), the fill capped at one replica per expert with the
+    entry's split LP (`lplb_like`), or the greedy on the entry (`relibra`).
+    """
+    if policy not in POLICIES:
+        raise ValueError(f"unknown policy {policy!r}; expected one of {', '.join(POLICIES)}")
+    layers = range(model.num_layers)
+    if policy in ("static", "balanced_oracle"):
+        plans = [ro.static_plan(model.num_experts, topo) for _ in layers]
+        if policy == "balanced_oracle":
+            trace = dataclasses.replace(trace, matrices=_uniform_matrices(trace), samples=None)
+        return PlanBundle(reorder=plans), trace
+    aggs = [rt.aggregate_batch(trace, layer) for layer in layers]
+    plans = [ro.lpt_initial(agg, topo) for agg in aggs]
     if policy == "lpt_only":
-        plans = [ro.lpt_initial(rt.aggregate_batch(trace, layer), topo) for layer in range(layers)]
         return PlanBundle(reorder=plans), trace
 
-    if policy in ("eplb_like", "lplb_like"):
-        plans = []
-        replication = rep.ReplicationPlan()
-        limit = 1 if policy == "lplb_like" else None
-        for layer in range(layers):
-            agg = rt.aggregate_batch(trace, layer)
-            plan = ro.lpt_initial(agg, topo)
-            plans.append(plan)
-            loads = agg.astype(np.float64).sum(axis=0)
-            placement = _eplb_replication(loads, plan.assignment, topo,
-                                          cfgs.replica.slots_per_gpu, max_replicas_per_expert=limit)
-            if policy == "eplb_like":
-                split = _uniform_split(placement, g)
-                for mb in range(mb_count):
-                    replication.entries[(mb, layer)] = rep.ReplicationEntry(placement, split, float("nan"))
-            else:
-                tasks = [
-                    ((mb, layer), (lambda m=mb, l=layer, p=placement: rep.solve_token_split_lp(
-                        trace.matrices[m, l].astype(np.float64), p, topo, model, hw)))
-                    for mb in range(mb_count)
-                ]
-                for (mb, l), split in solve_tasks(tasks, cfgs.threads).items():
-                    replication.entries[(mb, l)] = rep.ReplicationEntry(placement, split, float("nan"))
-        return PlanBundle(reorder=plans, replication=replication), trace
-
+    sample_placement = None
     if policy == "relibra":
-        plans = []
-        units = cm.TimeUnits.of(model, hw, g)
-        for layer in range(layers):
-            agg = rt.aggregate_batch(trace, layer)
+        units = cm.TimeUnits.of(model, hw, topo.num_gpus)
+        for layer, (agg, plan) in enumerate(zip(aggs, plans)):
             # annealing on overflowed times is meaningless, and any entry whose
             # split LP would overflow makes these times overflow too (the annealed
             # plan is no worse than LPT's, an entry's loads at most the aggregate's)
-            _, times = rep.home_times(agg, ro.lpt_initial(agg, topo).assignment, topo, units)
+            _, times = rep.home_times(agg, plan.assignment, topo, units)
             if not np.isfinite(times).all():
                 raise ValueError(f"layer {layer} batch aggregate at LPT homes: modeled times overflow "
                                  f"to {times.max():g} s under {hw}")
-            plans.append(ro.anneal_reorder(
-                agg, topo, model, hw, cfgs.anneal,
-                extra_initial_plans=[ro.static_plan(model.num_experts, topo)],
-            ))
-        placement = None
-        if cfgs.sample_locality and trace.samples is not None:
-            placement = ro.anneal_sample_placement(trace, plans, topo, model, hw, cfgs.anneal)
-        matrices = scored_matrices(trace, placement)
-        replication = rep.ReplicationPlan()
-        tasks = []
-        for mb in range(mb_count):
-            for layer in range(layers):
-                tasks.append(((mb, layer), (lambda m=mb, l=layer: rep.greedy_replicate(
-                    matrices[m, l], plans[l], topo, model, hw, cfgs.replica))))
-        for (mb, layer), (pl, split) in solve_tasks(tasks, cfgs.threads).items():
-            replication.entries[(mb, layer)] = rep.ReplicationEntry(pl, split, float("nan"))
-        return PlanBundle(reorder=plans, sample_placement=placement, replication=replication), trace
+            plans[layer] = ro.anneal_reorder(agg, topo, model, hw, cfgs.anneal,
+                                             extra_initial_plans=[ro.static_plan(model.num_experts, topo)])
+        if cfgs.sample_locality:
+            sample_placement = ro.anneal_sample_placement(trace, plans, topo, model, hw, cfgs.anneal)
+        matrices = scored_matrices(trace, sample_placement)
 
-    raise ValueError(f"unknown policy {policy!r}; expected one of {', '.join(POLICIES)}")
+        def plan_entry(mb, layer):
+            return rep.greedy_replicate(matrices[mb, layer], plans[layer], topo, model, hw, cfgs.replica)
+    else:
+        limit = 1 if policy == "lplb_like" else None
+        fills = [_eplb_replication(agg.astype(np.float64).sum(axis=0), plan.assignment, topo,
+                                   cfgs.replica.slots_per_gpu, max_replicas_per_expert=limit)
+                 for agg, plan in zip(aggs, plans)]
+        if policy == "eplb_like":
+            splits = [_uniform_split(fill, topo.num_gpus) for fill in fills]
+
+            def plan_entry(mb, layer):
+                return fills[layer], splits[layer]
+        else:
+            def plan_entry(mb, layer):
+                return fills[layer], rep.solve_token_split_lp(
+                    trace.matrices[mb, layer].astype(np.float64), fills[layer], topo, model, hw)
+
+    tasks = [((mb, layer), functools.partial(plan_entry, mb, layer))
+             for mb in range(trace.num_micro_batches) for layer in layers]
+    entries = {key: rep.ReplicationEntry(*planned, float("nan"))
+               for key, planned in solve_tasks(tasks, cfgs.threads).items()}
+    return PlanBundle(plans, sample_placement, rep.ReplicationPlan(entries)), trace
 
 
 def run_baseline(trace: rt.RoutingTrace, policy: str, topo: ClusterTopology,

@@ -1,10 +1,15 @@
 import copy
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import moebalance
 from moebalance import routing as rt
 from moebalance import sim
 from moebalance.cli import main
@@ -238,6 +243,19 @@ def test_solve_sample_locality_needs_samples(tmp_path, capsys):
         run(["solve", "--trace", trace, "--out", tmp_path / "p", "--sample-locality"] + SOLVE_SPEED)
 
 
+def test_simulate_sample_locality_needs_samples(tmp_path):
+    # the same check as solve's, seen as the process exit a user sees
+    trace = tmp_path / "trace"
+    assert run(GEN_ARGS + ["--out", trace]) == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(moebalance.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-m", "moebalance.cli", "simulate", "--trace", str(trace),
+                             "--out", str(tmp_path / "r"), "--policies", "static", "--sample-locality"],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == 1
+    assert result.stderr == "error: --sample-locality needs a trace with a sample table\n", result.stderr
+    assert not (tmp_path / "r").exists()
+
+
 DEGENERATE_GEN = ["gen", "--nodes", "2", "--gpus-per-node", "2", "--experts", "8", "--top-k", "2",
                   "--micro-batches", "2", "--seed", "3"]
 
@@ -431,6 +449,10 @@ def _micro_batch_outside(data):
     data["entries"][0]["micro_batch"] = 999
 
 
+def _true_micro_batch(data):
+    data["entries"][0]["micro_batch"] = True
+
+
 def _duplicate_replica(data):
     entry = _first_replicated(data)
     entry["replicas"].append(list(entry["replicas"][0]))
@@ -476,7 +498,8 @@ def _missing_trace_id(data):
     ("reorder.json", _empty_trace_id, "trace_id is missing or empty"),
     ("replication.json", _missing_trace_id, "trace_id is missing or empty"),
     ("reorder.json", _unbalanced_reorder, "plan is not capacity-preserving"),
-    ("replication.json", _micro_batch_outside, "replication entry (999, 0) outside the trace"),
+    ("replication.json", _micro_batch_outside, "entries[0].micro_batch = 999 is not an index in [0, 4)"),
+    ("replication.json", _true_micro_batch, "entries[0].micro_batch = True is not an index in [0, 4)"),
     ("replication.json", _duplicate_replica, "duplicate replica GPUs for expert"),
     ("replication.json", _replica_off_node, "leaves its home node"),
     ("replication.json", _halve_fractions, "violate conservation by 5.000e-01"),

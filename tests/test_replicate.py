@@ -537,7 +537,7 @@ class TestPlanSerialization:
         entry = rep.ReplicationEntry(placement, split, 1.5)
         original = rep.ReplicationPlan(entries={(0, 0): entry})
         data = planio.replication_plan_to_dict(original)
-        loaded = planio.replication_plan_from_dict(data, [plan.assignment], topo.num_gpus)
+        loaded = planio.replication_plan_from_dict(data, [plan.assignment], topo.num_gpus, 1)
         got = loaded.entries[(0, 0)]
         assert got.placement.replicas == placement.replicas
         assert got.objective == 1.5

@@ -15,9 +15,9 @@ from moebalance.topology import COMP, HardwareProfile, build_topology
 HW = HardwareProfile(6e6, 5e3, 1e3, 1.0)
 
 
-def fluctuating_trace(mbs=6, experts=16, seed=3, tokens=256, samples_per_gpu=0):
+def fluctuating_trace(mbs=6, experts=16, seed=3, tokens=256, samples_per_gpu=0, layers=1):
     topo = build_topology(2, 2, HW)
-    model = rt.ModelProfile(num_layers=1, num_experts=experts, top_k=4,
+    model = rt.ModelProfile(num_layers=layers, num_experts=experts, top_k=4,
                             hidden_size=32, intermediate_size=16)
     spec = rt.TraceGenSpec(num_domains=3, dirichlet_alpha=0.4, tokens_per_gpu=tokens,
                            rng_seed=seed, domain_focus=0.5, samples_per_gpu=samples_per_gpu)
@@ -176,11 +176,38 @@ class TestBaselines:
         b = sim.run_baseline(trace, "relibra", topo, model, hw, cfgs)
         np.testing.assert_array_equal(a.entry_times, b.entry_times)
 
-    def test_threading_matches_serial(self):
-        trace, topo, model, hw = fluctuating_trace()
-        serial = sim.run_baseline(trace, "relibra", topo, model, hw, fast_cfgs(threads=1))
-        threaded = sim.run_baseline(trace, "relibra", topo, model, hw, fast_cfgs(threads=2))
-        np.testing.assert_allclose(serial.entry_times, threaded.entry_times, rtol=1e-12)
+    @pytest.mark.parametrize("policy", ["eplb_like", "lplb_like", "relibra"])
+    def test_threading_matches_serial(self, policy):
+        trace, topo, model, hw = fluctuating_trace(mbs=4, layers=2)
+        serial = sim.run_baseline(trace, policy, topo, model, hw, fast_cfgs(threads=1))
+        threaded = sim.run_baseline(trace, policy, topo, model, hw, fast_cfgs(threads=2))
+        np.testing.assert_array_equal(serial.entry_times, threaded.entry_times)
+
+    def test_multi_layer_baselines_plan_every_entry_from_the_layer_fill(self):
+        trace, topo, model, hw = fluctuating_trace(mbs=4, layers=2)
+        bundles = {policy: sim.build_policy_bundle(trace, policy, topo, model, hw, fast_cfgs())[0]
+                   for policy in ("eplb_like", "lplb_like")}
+        for policy, bundle in bundles.items():
+            assert sorted(bundle.replication.entries) == [(mb, layer) for mb in range(4) for layer in range(2)]
+            for layer in range(2):
+                agg = rt.aggregate_batch(trace, layer)
+                np.testing.assert_array_equal(bundle.reorder[layer].assignment, ro.lpt_initial(agg, topo).assignment)
+                limit = 1 if policy == "lplb_like" else None
+                fill = sim._eplb_replication(agg.astype(np.float64).sum(axis=0), bundle.reorder[layer].assignment,
+                                             topo, 2, max_replicas_per_expert=limit)
+                assert fill.replicas, (policy, layer)  # the layer gets replicas to compare
+                for mb in range(4):
+                    entry = bundle.replication.entries[mb, layer]
+                    assert entry.placement.replicas == fill.replicas, (policy, mb, layer)
+                    np.testing.assert_array_equal(entry.placement.home, fill.home)
+        fills = [bundles["eplb_like"].replication.entries[0, layer].placement.replicas for layer in range(2)]
+        assert fills[0] != fills[1]  # each layer its own fill, not layer 0's
+        for (mb, layer), entry in bundles["lplb_like"].replication.entries.items():
+            expected = rep.solve_token_split_lp(trace.matrices[mb, layer].astype(np.float64), entry.placement,
+                                                topo, model, hw)
+            assert entry.split.fractions.keys() == expected.fractions.keys()
+            for e, frac in expected.fractions.items():
+                np.testing.assert_array_equal(entry.split.fractions[e], frac)
 
     def test_unknown_policy(self):
         trace, topo, model, hw = fluctuating_trace(mbs=1)
