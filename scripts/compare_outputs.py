@@ -14,14 +14,17 @@ byte: traces, `reorder.json`, `replication.json`, `summary.csv`, the
 exit code, stdout and stderr. Commands run with relative paths, so their
 output names no directory outside the run.
 
-For the first trace of each workload, each tree also writes mutated
-copies of its own `replication.json` and `reorder.json` (`MALFORMED`:
-the mutations the CLI tests reject, made generic over the workload) and
-runs `simulate --policies relibra` on each. These commands are meant to
-fail; their exit codes and their stderr must be the same in both trees,
-which checks a rewritten plan decoder or bundle check for identical error
-lines too. The mutated copies themselves are not compared: they are made
-by this script from plan files that are.
+For the first trace of each workload, each tree also runs `solve` and
+`simulate` again with `--threads 2`, so the thread pool, which the CLI
+leaves off by default, stays under the same byte-for-byte comparison. It
+also writes mutated copies of its own `replication.json` and
+`reorder.json` (`MALFORMED`: the mutations the CLI tests reject, made
+generic over the workload) and runs `simulate --policies relibra` on
+each. These commands are meant to fail; their exit codes and their stderr
+must be the same in both trees, which checks a rewritten plan decoder or
+bundle check for identical error lines too. The mutated copies
+themselves are not compared: they are made by this script from plan
+files that are.
 
 Prints every differing file and every failed command, and exits 1 if
 there is any.
@@ -225,14 +228,20 @@ def run_side(src: Path, side: Path) -> list[str]:
             failed.append(f"{side.name}: {label}" + (" (expected to fail)" if expect_failure else ""))
 
     (side / "stdout").mkdir(parents=True)
-    first = set()
+    first, threaded = set(), set()
     for name, seed in traces():
         w, tag = WORKLOADS[name], f"{name}-{seed}"
         trace, plans, report = f"trace/{tag}", f"plans/{tag}", f"report/{tag}"
         call(f"{tag}.gen", BUILD, name, str(seed), trace)
-        call(f"{tag}.solve", CLI, "solve", "--trace", trace, "--out", plans, *w.solve_args)
-        call(f"{tag}.simulate", CLI, "simulate", "--trace", trace, "--plans", plans, "--out", report,
-             *w.simulate_args())
+        runs = [("", ())]
+        if name not in threaded:
+            threaded.add(name)
+            runs.append(("-threads2", ("--threads", "2")))
+        for suffix, threads in runs:
+            call(f"{tag}.solve{suffix}", CLI, "solve", "--trace", trace, "--out", plans + suffix, *w.solve_args,
+                 *threads)
+            call(f"{tag}.simulate{suffix}", CLI, "simulate", "--trace", trace, "--plans", plans + suffix,
+                 "--out", report + suffix, *w.simulate_args(), *threads)
         call(f"{tag}.report", CLI, "report", "--report", f"{report}/report.json", "--out", f"csv/{tag}",
              "--series", "comparison,skewness,times,intersection,loads")
         if name not in first and (side / plans / "replication.json").is_file():

@@ -50,8 +50,9 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta", type=float, default=20.0, help="log-sum-exp sharpness (default %(default)s)")
     p.add_argument("--replica-slots", type=int, default=2,
                    help="replica slots per GPU, home copies excluded (default %(default)s)")
-    p.add_argument("--threads", type=int, default=0,
-                   help="worker threads for independent solves; 0 = all cores (default %(default)s)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads for independent per-entry solves; 0 = all cores (default %(default)s: "
+                        "the solves hold the GIL, so more threads measured slower)")
     p.add_argument("--seed", type=int, default=0, help="master random seed (default %(default)s)")
 
 

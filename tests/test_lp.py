@@ -1,5 +1,4 @@
 import copy
-import types
 
 import numpy as np
 import pytest
@@ -7,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from moebalance.lp import PIVOT_TOL, DenseSimplex, LPError
+from moebalance import lp as lp_module
+from moebalance.lp import PIVOT_TOL, SNAPSHOT_FIELDS, DenseSimplex, LPError
 
 
 def solve_lp(c, a_ub, b_ub, upper=None):
@@ -197,7 +197,8 @@ SOLVER_ARRAYS = ("tab", "rhs", "cost", "red", "upper", "at_upper", "struct_idx",
 
 def bits(solver):
     """Every solver array as (dtype, shape, bytes), so -0.0 differs from
-    +0.0, plus the objective."""
+    +0.0, plus the objective; the tableau is brought up to date first."""
+    solver.replay()
     arrays = {name: getattr(solver, name) for name in SOLVER_ARRAYS}
     return {name: (a.dtype, a.shape, a.tobytes()) for name, a in arrays.items()}, solver.objective
 
@@ -306,9 +307,17 @@ def outer_step(self, col):
     self._pivots += 1
 
 
+class EagerSimplex(DenseSimplex):
+    """The reference: every pivot applies its rank-1 update to the stored
+    tableau, so nothing is ever recorded or replayed."""
+    _step = outer_step
+
+
 def assert_same_up_to_zero_signs(solver, ref):
     """Equal pivot path and values; only the sign of a zero may differ, and
-    never in rhs."""
+    never in rhs. The tableaus are brought up to date first."""
+    solver.replay()
+    ref.replay()
     for name in SOLVER_ARRAYS:
         assert np.array_equal(getattr(solver, name), getattr(ref, name)), name
     assert solver.rhs.tobytes() == ref.rhs.tobytes()
@@ -324,8 +333,7 @@ def test_pivot_update_matches_outer_product_step(seed):
     lp = bounded_lp(rng, int(rng.integers(1, 12)), int(rng.integers(1, 10)))
     # sparse tableaus make zero products of both signs
     lp[1][rng.random(lp[1].shape) < 0.4] *= 0.0
-    solver, ref = DenseSimplex(*lp[:3], upper=lp[3]), DenseSimplex(*lp[:3], upper=lp[3])
-    ref._step = types.MethodType(outer_step, ref)
+    solver, ref = DenseSimplex(*lp[:3], upper=lp[3]), EagerSimplex(*lp[:3], upper=lp[3])
     assert solver.solve() == ref.solve()
     assert_same_up_to_zero_signs(solver, ref)
     # warm growth multiplies the new columns by the updated slack block
@@ -337,10 +345,82 @@ def test_pivot_update_matches_outer_product_step(seed):
         assert_same_up_to_zero_signs(solver, ref)
 
 
+def test_row_pivoting_twice_grows_the_records(monkeypatch):
+    # x2 enters first on row 0, then x1 replaces it there: two pivots, one
+    # row, and with one record a block, two blocks
+    monkeypatch.setattr(lp_module, "RECORD_BLOCK", 1)
+    solver, ref = (cls([-3.0, -4.0], [[1.0, 2.0]], [2.0]) for cls in (DenseSimplex, EagerSimplex))
+    assert solver.solve() == ref.solve() == -6.0
+    assert solver.pivots == 2 > solver.num_rows
+    assert len(solver._blocks) == 2
+    assert_same_up_to_zero_signs(solver, ref)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.lists(st.sampled_from(["columns", "row", "snapshot", "restore"]), max_size=10),
+       st.sampled_from([2, lp_module.RECORD_BLOCK]))
+def test_lazy_pivots_match_eager_under_interleaved_growth(seed, ops, block):
+    """Recorded pivots equal eager ones under any interleaving of growth
+    and solves with snapshots and restores, which replay or drop the
+    records. Few rows against up to 12 columns make solves with more
+    pivots than rows and rows that pivot more than once; blocks of two
+    records make the records span blocks."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp_module, "RECORD_BLOCK", block)
+        check_interleaved_growth(seed, ops)
+
+
+def check_interleaved_growth(seed, ops):
+    rng = np.random.default_rng(seed)
+    lp = bounded_lp(rng, int(rng.integers(1, 5)), int(rng.integers(1, 13)))
+    lp[1][rng.random(lp[1].shape) < 0.4] *= 0.0  # zero products of both signs
+    solver, ref = DenseSimplex(*lp[:3], upper=lp[3]), EagerSimplex(*lp[:3], upper=lp[3])
+    snaps = []  # (solver snapshot, copies of the reference's snapshot fields)
+    for op in ("none", *ops):
+        if op == "snapshot":
+            snaps.append((solver.snapshot(), {name: copy.copy(getattr(ref, name)) for name in SNAPSHOT_FIELDS}))
+        elif op == "restore" and snaps:
+            snap, ref_fields = snaps[int(rng.integers(len(snaps)))]
+            solver.restore(snap)
+            for name, value in ref_fields.items():
+                setattr(ref, name, copy.copy(value))
+        elif op != "restore":
+            grow_seed = int(rng.integers(0, 2**32 - 1))
+            grow(solver, np.random.default_rng(grow_seed), op)
+            grow(ref, np.random.default_rng(grow_seed), op)
+            assert solver.solve() == ref.solve()
+        # a copy is brought up to date, so the solver keeps its records
+        assert_same_up_to_zero_signs(copy.deepcopy(solver), ref)
+
+
+NOT_FINITE = r"^new columns and their costs must be finite$"
+NOT_POSITIVE = r"^new upper bounds must be positive \(or omitted\)$"
+
+
+@pytest.mark.parametrize("bad, message", [
+    pytest.param({"upper_new": [1.0]}, r"^2 new columns but 1 upper bounds$", id="short_upper"),
+    pytest.param({"upper_new": [1.0, 0.0]}, NOT_POSITIVE, id="zero_upper"),
+    pytest.param({"upper_new": [1.0, np.nan]}, NOT_POSITIVE, id="nan_upper"),
+    pytest.param({"cols": [[1.0, np.nan]], "upper_new": [1.0, 0.0]}, NOT_FINITE, id="nan_column_zero_upper"),
+    pytest.param({"cols": [[1.0, np.inf]]}, NOT_FINITE, id="inf_column"),
+    pytest.param({"c_new": [-1.0, np.nan]}, NOT_FINITE, id="nan_cost"),
+])
+def test_malformed_columns_rejected(bad, message):
+    solver = DenseSimplex([-1.0], [[1.0]], [1.0], upper=[2.0])
+    solver.solve()
+    tab, records = solver.tab.copy(), solver._records
+    with pytest.raises(LPError, match=message):
+        solver.add_columns(**{"cols": [[1.0, 1.0]], "c_new": [-1.0, -2.0], "upper_new": [1.0, 1.0], **bad})
+    # rejected before the records were replayed
+    assert solver._records == records > 0 and np.array_equal(solver.tab, tab)
+
+
 def parent_add_row(solver, rows, b_new):
     """DenseSimplex.add_row as it was before it took one-coefficient rows:
     each row maps structural positions to coefficients and is expressed in
-    the basis by a loop over its basic variables."""
+    the basis by a loop over its basic variables. It reads the tableau, so
+    it brings it up to date first, as add_row does."""
+    solver.replay()
     b_new = np.asarray(b_new, dtype=np.float64).ravel()
     k = len(rows)
     m, ncols = solver.tab.shape

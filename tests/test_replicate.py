@@ -105,6 +105,8 @@ SOLVER_ARRAYS = ("tab", "rhs", "cost", "red", "upper", "at_upper", "struct_idx",
 
 
 def assert_same_lp(lp, ref):
+    lp.solver.replay()
+    ref.solver.replay()
     for name in SOLVER_ARRAYS:
         assert np.array_equal(getattr(lp.solver, name), getattr(ref.solver, name)), name
     assert lp.solver.objective == ref.solver.objective
