@@ -16,7 +16,10 @@ output names no directory outside the run.
 
 For the first trace of each workload, each tree also runs `solve` and
 `simulate` again with `--threads 2`, so the thread pool, which the CLI
-leaves off by default, stays under the same byte-for-byte comparison. It
+leaves off by default, stays under the same byte-for-byte comparison. A
+workload that runs the sample pass also solves its first trace with
+`--seeds 2` at the default cooling, so the pick among several sample
+chains and the long schedule are compared too. It
 also writes mutated copies of its own `replication.json` and
 `reorder.json` (`MALFORMED`: the mutations the CLI tests reject, made
 generic over the workload) and runs `simulate --policies relibra` on
@@ -212,6 +215,17 @@ def traces() -> list[tuple[str, int]]:
     return [(name, ts) for name, w in WORKLOADS.items() for seed in SEEDS for ts in trace_seeds(seed, w.traces)]
 
 
+def two_chain_args(solve_args: tuple[str, ...]) -> list[str]:
+    """The workload's solve flags with `--seeds 2` and no `--cooling`, the CLI default."""
+    out, flags = [], iter(solve_args)
+    for flag in flags:
+        if flag in ("--seeds", "--cooling"):
+            next(flags)
+        else:
+            out.append(flag)
+    return [*out, "--seeds", "2"]
+
+
 def run_side(src: Path, side: Path) -> list[str]:
     """Build every trace and run every command with `src`, writing under
     `side`; returns the labels of the commands that exited non-zero."""
@@ -237,6 +251,9 @@ def run_side(src: Path, side: Path) -> list[str]:
         if name not in threaded:
             threaded.add(name)
             runs.append(("-threads2", ("--threads", "2")))
+            if "--sample-locality" in w.solve_args:
+                call(f"{tag}.solve-seeds2", CLI, "solve", "--trace", trace, "--out", f"{plans}-seeds2",
+                     *two_chain_args(w.solve_args))
         for suffix, threads in runs:
             call(f"{tag}.solve{suffix}", CLI, "solve", "--trace", trace, "--out", plans + suffix, *w.solve_args,
                  *threads)

@@ -360,7 +360,9 @@ class _SampleState:
     """Per-(micro_batch, layer) loads and per-GPU token totals of placed samples.
 
     A new state has no sample placed; `fork` places every sample as a
-    placement says, and `_apply_sample` adds or removes one sample's charges.
+    placement says, and `sample_loads` gives the loads one sample adds from
+    a source GPU. Loads are integer token sums, so loads built from these
+    charges in any order equal the evaluator's exactly.
     """
 
     def __init__(self, trace, plans: Sequence[ReorderPlan], topo: ClusterTopology, model,
@@ -374,6 +376,8 @@ class _SampleState:
         # dst_mass[i, layer, gpu]: sample i's tokens routed to experts hosted on gpu
         hosts = np.eye(g)[np.stack([plan.assignment for plan in plans])]  # (L, E, G) one-hot
         self.dst_mass = np.einsum("sle,leg->slg", s.counts.astype(np.float64), hosts)
+        # dense[src, dst]: the flat (5 * G) loads of one token from src served on dst
+        self.dense = topo.charges.dense().reshape(g, g, 5 * g)
         self.mean = np.bincount(s.micro_batch, weights=s.tokens, minlength=mb_count) / g
         self.loads5 = np.zeros((mb_count, len(plans), 5, g))
         self.totals = np.zeros((mb_count, g))
@@ -390,25 +394,12 @@ class _SampleState:
         np.add.at(clone.totals, (self.samples.micro_batch, clone.placement), self.samples.tokens)
         return clone
 
-    def _apply_sample(self, i: int, gpu: int, sign: float) -> None:
-        mb = int(self.samples.micro_batch[i])
-        for layer in range(self.dst_mass.shape[1]):
-            self.loads5[mb, layer] += sign * self.topo.charges.loads(self.dst_mass[i, layer], src=gpu)
-        self.totals[mb, gpu] += sign * float(self.samples.tokens[i])
-
-    def move(self, i: int, new_gpu: int) -> None:
-        self._apply_sample(i, int(self.placement[i]), sign=-1.0)
-        self._apply_sample(i, new_gpu, sign=1.0)
-        self.placement[i] = new_gpu
-
-    def entry_smoothed(self, mb: int) -> float:
-        return sum(self.units.smoothed(loads5, self.beta) for loads5 in self.loads5[mb])
+    def sample_loads(self, i: int, src: int) -> np.ndarray:
+        """(L, 5, G) loads sample i adds when it starts on GPU src."""
+        return np.stack([self.topo.charges.loads(mass, src=src) for mass in self.dst_mass[i]])
 
     def entry_exact(self, mb: int) -> float:
         return sum(self.units.exact(loads5) for loads5 in self.loads5[mb])
-
-    def entry_comm(self, mb: int) -> float:
-        return sum(float(self.units.times(loads5)[1:].max()) for loads5 in self.loads5[mb])
 
     def exact_total(self) -> float:
         return sum(self.entry_exact(mb) for mb in range(self.loads5.shape[0]))
@@ -417,35 +408,51 @@ class _SampleState:
 def greedy_sample_initial(trace, plans: Sequence[ReorderPlan], topo, model, hw,
                           beta: float = 20.0) -> SamplePlacement:
     """Longest-first greedy: each sample goes to the GPU with the lowest
-    resulting per-micro-batch communication time, within the token band."""
+    resulting per-micro-batch communication time, within the token band.
+
+    All fitting GPUs of a sample are scored in one array pass over the dense
+    charge table; scanning them in GPU order, a GPU wins if it beats the
+    best so far by more than 1e-15.
+    """
     state = _SampleState(trace, plans, topo, model, hw, beta)
     s = trace.samples
+    layers, g = state.loads5.shape[1], topo.num_gpus
     order = np.lexsort((np.arange(s.num_samples), -s.tokens.astype(np.int64)))
     for i in order:
         mb = int(s.micro_batch[i])
         hi = (1.0 + SAMPLE_BAND) * state.mean[mb]
-        fits = [gpu for gpu in range(topo.num_gpus) if state.totals[mb, gpu] + s.tokens[i] <= hi + 1e-9]
-        if not fits:
-            fits = [int(np.argmin(state.totals[mb]))]
-        best_gpu, best_obj = fits[0], math.inf
-        for gpu in fits:
-            state._apply_sample(i, gpu, sign=1.0)
-            obj = state.entry_comm(mb)
-            state._apply_sample(i, gpu, sign=-1.0)
+        fits = np.flatnonzero(state.totals[mb] + s.tokens[i] <= hi + 1e-9)
+        if not len(fits):
+            fits = np.array([np.argmin(state.totals[mb])])
+        placed = state.loads5[mb] + (state.dst_mass[i] @ state.dense[fits]).reshape(len(fits), layers, 5, g)
+        comm = state.units.times(placed)[:, :, 1:].max(axis=(2, 3))  # (fits, L)
+        best, best_obj = 0, math.inf
+        for k, per_layer in enumerate(comm.tolist()):
+            obj = sum(per_layer)
             if obj < best_obj - 1e-15:
-                best_obj = obj
-                best_gpu = gpu
-        state._apply_sample(i, best_gpu, sign=1.0)
-        state.placement[i] = best_gpu
+                best, best_obj = k, obj
+        state.loads5[mb] = placed[best]
+        state.totals[mb, fits[best]] += float(s.tokens[i])
+        state.placement[i] = fits[best]
     return SamplePlacement(source_gpu=state.placement)
 
 
 def _run_sample_chain(base: _SampleState, initial: np.ndarray, cfg: AnnealConfig, seed: int) -> np.ndarray:
+    """One sample-swap chain; returns its best-so-far placement.
+
+    Each micro-batch's smoothed time, its layers' times summed from 0, is
+    cached. A swap builds the swapped loads of the one or two micro-batches
+    it touches as new arrays and scores each as one `TimeUnits.smoothed_rows`
+    stack; only an accepted swap writes loads, token totals, placement and
+    cached times. A swap that leaves the token band draws no uniform.
+    """
     state = base.fork(initial)
     s = state.samples
     mean = state.mean.tolist()
+    micro_batch, tokens = s.micro_batch.tolist(), s.tokens.tolist()
     stream = ChainStream(seed)
-    t_cur = sum(state.entry_smoothed(mb) for mb in range(len(mean)))
+    times = [sum(state.units.smoothed_rows(loads, state.beta)) for loads in state.loads5]
+    t_cur = sum(times)
     theta = t_cur if t_cur > 0 else 1.0
     eps = EPS_FRAC * theta
     best_assign = state.placement.copy()
@@ -456,25 +463,27 @@ def _run_sample_chain(base: _SampleState, initial: np.ndarray, cfg: AnnealConfig
         if i == j or gi == gj:
             theta *= cfg.cooling_rate
             continue
-        mbi, mbj = int(s.micro_batch[i]), int(s.micro_batch[j])
-        before = state.entry_smoothed(mbi) + (state.entry_smoothed(mbj) if mbj != mbi else 0.0)
-        state.move(i, gj)
-        state.move(j, gi)
-        in_band = True
-        for mb, gpu in {(mbi, gi), (mbi, gj), (mbj, gi), (mbj, gj)}:
-            lo, hi = (1.0 - SAMPLE_BAND) * mean[mb], (1.0 + SAMPLE_BAND) * mean[mb]
-            if not (lo - 1e-9 <= state.totals[mb, gpu] <= hi + 1e-9):
-                in_band = False
-        after = state.entry_smoothed(mbi) + (state.entry_smoothed(mbj) if mbj != mbi else 0.0)
-        diff = after - before
+        loads, totals = {}, {}  # swapped loads per micro-batch, token totals per (micro-batch, GPU)
+        for k, src, dst in ((i, gi, gj), (j, gj, gi)):
+            mb = micro_batch[k]
+            loads[mb] = loads.get(mb, state.loads5[mb]) + state.sample_loads(k, dst) - state.sample_loads(k, src)
+            totals[mb, src] = totals.get((mb, src), state.totals[mb, src]) - tokens[k]
+            totals[mb, dst] = totals.get((mb, dst), state.totals[mb, dst]) + tokens[k]
+        scored = {mb: sum(state.units.smoothed_rows(new, state.beta)) for mb, new in loads.items()}
+        in_band = all((1.0 - SAMPLE_BAND) * mean[mb] - 1e-9 <= total <= (1.0 + SAMPLE_BAND) * mean[mb] + 1e-9
+                      for (mb, _), total in totals.items())
+        diff = sum(scored.values()) - sum(times[mb] for mb in scored)
         if in_band and (diff < 0 or stream.random() < math.exp(-min(max(diff, 0.0) / theta, 745.0))):
+            for mb, new in loads.items():
+                state.loads5[mb] = new
+                times[mb] = scored[mb]
+            for (mb, gpu), total in totals.items():
+                state.totals[mb, gpu] = total
+            state.placement[i], state.placement[j] = gj, gi
             t_cur += diff
             if t_cur < best_t:
                 best_t = t_cur
                 best_assign = state.placement.copy()
-        else:
-            state.move(i, gi)
-            state.move(j, gj)
         theta *= cfg.cooling_rate
     return best_assign
 

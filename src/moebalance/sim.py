@@ -389,7 +389,8 @@ def trace_summary(trace: rt.RoutingTrace) -> dict:
     k = min(HOT_K, trace.model.num_experts)
     for layer in range(layers):
         per_mb = trace.matrices[:, layer].astype(np.int64).sum(axis=1)  # (MB, E)
-        skews = [rt.skewness(row) for row in per_mb]
+        # an all-zero micro-batch is balanced, as `evaluate_bundle` scores it
+        skews = [rt.skewness(row) if row.any() else 1.0 for row in per_mb]
         shares = per_mb / np.maximum(per_mb.sum(axis=1, keepdims=True), 1)
         out["skewness_raw"].append([float(s) for s in skews])
         out["expert_load_share"].append(shares.tolist())

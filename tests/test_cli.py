@@ -7,12 +7,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import moebalance
 from moebalance import routing as rt
 from moebalance import sim
 from moebalance.cli import main
+from moebalance.topology import HardwareProfile, build_topology
 
 GEN_ARGS = [
     "gen", "--nodes", "2", "--gpus-per-node", "2", "--experts", "16", "--layers", "1",
@@ -346,6 +348,24 @@ def test_solve_with_samples_and_locality(tmp_path):
     assert data["sample_placement"] is not None
     assert run(["simulate", "--trace", trace, "--out", report, "--plans", plans,
                 "--policies", "static,relibra", "--threads", "1"] + SOLVE_SPEED) == 0
+
+
+def test_simulate_trace_with_an_empty_micro_batch(tmp_path, capsys):
+    # micro-batch 1 routes no token: its raw expert skew reads 1.0, as the
+    # evaluator scores an empty entry, instead of failing after the totals
+    hw = HardwareProfile(6.0, 10.0, 3.0, 1.0)
+    model = rt.ModelProfile(num_layers=1, num_experts=2, top_k=1)
+    matrices = np.zeros((2, 1, 2, 2), dtype=np.uint32)
+    matrices[0, 0] = [[3, 1], [2, 2]]
+    trace, plans, report = tmp_path / "trace", tmp_path / "plans", tmp_path / "report"
+    rt.save_trace(rt.RoutingTrace(model=model, topo=build_topology(1, 2, hw), matrices=matrices,
+                                  tokens_per_gpu=0), trace)
+    assert run(["solve", "--trace", trace, "--out", plans, "--seeds", "1"]) == 0
+    assert run(["simulate", "--trace", trace, "--plans", plans, "--out", report, "--replica-slots", "1",
+                "--policies", "static,lpt,eplb,lplb,balanced,relibra"]) == 0
+    assert "error" not in capsys.readouterr().err
+    summary = json.loads((report / "report.json").read_text())["trace_summary"]
+    assert summary["skewness_raw"] == [[1.25, 1.0]]
 
 
 @pytest.fixture(scope="module")

@@ -336,6 +336,28 @@ def make_sample_trace(counts, micro_batch, source_gpu, tokens, topo, model):
     return rt.RoutingTrace(model=model, topo=topo, matrices=matrices, tokens_per_gpu=0, samples=samples)
 
 
+def apply_sample(state, i, gpu, sign):
+    """Add (sign 1) or remove (sign -1) sample i's charges from source gpu in place."""
+    mb = int(state.samples.micro_batch[i])
+    for layer in range(state.dst_mass.shape[1]):
+        state.loads5[mb, layer] += sign * state.topo.charges.loads(state.dst_mass[i, layer], src=gpu)
+    state.totals[mb, gpu] += sign * float(state.samples.tokens[i])
+
+
+def move_sample(state, i, new_gpu):
+    apply_sample(state, i, int(state.placement[i]), -1.0)
+    apply_sample(state, i, new_gpu, 1.0)
+    state.placement[i] = new_gpu
+
+
+def entry_smoothed(state, mb):
+    return sum(state.units.smoothed(loads5, state.beta) for loads5 in state.loads5[mb])
+
+
+def entry_comm(state, mb):
+    return sum(float(state.units.times(loads5)[1:].max()) for loads5 in state.loads5[mb])
+
+
 class TestSamplePlacement:
     def test_single_gpu_identity(self):
         hw = HardwareProfile(6.0, 10.0, 3.0, 1.0)
@@ -422,9 +444,9 @@ class TestSamplePlacement:
         for _ in range(40):
             i = int(rng.integers(0, trace.samples.num_samples))
             old = int(state.placement[i])
-            state.move(i, int(rng.integers(0, topo.num_gpus)))
+            move_sample(state, i, int(rng.integers(0, topo.num_gpus)))
             if rng.random() < 0.3:
-                state.move(i, old)
+                move_sample(state, i, old)
         placement = ro.SamplePlacement(source_gpu=state.placement.copy())
         matrices = ro.rewrite_trace_matrices(trace, placement)
         totals = np.zeros((trace.num_micro_batches, topo.num_gpus))
@@ -453,12 +475,14 @@ class TestSamplePlacement:
 
 
 def generator_sample_chain(base, initial, cfg, seed):
-    """The sample chain as it was written against `numpy.random.Generator`."""
+    """The sample chain as it was written against `numpy.random.Generator`:
+    it moves both samples in place, rescores both micro-batches before and
+    after, and moves them back when the swap is rejected."""
     state = base.fork(initial)
     s = state.samples
     mean = state.mean
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    t_cur = sum(state.entry_smoothed(mb) for mb in range(len(mean)))
+    t_cur = sum(entry_smoothed(state, mb) for mb in range(len(mean)))
     theta = t_cur if t_cur > 0 else 1.0
     eps = ro.EPS_FRAC * theta
     best_assign = state.placement.copy()
@@ -470,15 +494,15 @@ def generator_sample_chain(base, initial, cfg, seed):
             theta *= cfg.cooling_rate
             continue
         mbi, mbj = int(s.micro_batch[i]), int(s.micro_batch[j])
-        before = state.entry_smoothed(mbi) + (state.entry_smoothed(mbj) if mbj != mbi else 0.0)
-        state.move(i, gj)
-        state.move(j, gi)
+        before = entry_smoothed(state, mbi) + (entry_smoothed(state, mbj) if mbj != mbi else 0.0)
+        move_sample(state, i, gj)
+        move_sample(state, j, gi)
         in_band = True
         for mb, gpu in {(mbi, gi), (mbi, gj), (mbj, gi), (mbj, gj)}:
             lo, hi = (1.0 - ro.SAMPLE_BAND) * mean[mb], (1.0 + ro.SAMPLE_BAND) * mean[mb]
             if not (lo - 1e-9 <= state.totals[mb, gpu] <= hi + 1e-9):
                 in_band = False
-        after = state.entry_smoothed(mbi) + (state.entry_smoothed(mbj) if mbj != mbi else 0.0)
+        after = entry_smoothed(state, mbi) + (entry_smoothed(state, mbj) if mbj != mbi else 0.0)
         diff = after - before
         if in_band and (diff < 0 or rng.random() < math.exp(-min(max(diff, 0.0) / theta, 745.0))):
             t_cur += diff
@@ -486,8 +510,8 @@ def generator_sample_chain(base, initial, cfg, seed):
                 best_t = t_cur
                 best_assign = state.placement.copy()
         else:
-            state.move(i, gi)
-            state.move(j, gj)
+            move_sample(state, i, gi)
+            move_sample(state, j, gj)
         theta *= cfg.cooling_rate
     return best_assign
 
@@ -513,6 +537,155 @@ class TestSampleChainStream:
         for seed in seeds:
             got = ro._run_sample_chain(base, initial, cfg, seed)
             assert got.tolist() == generator_sample_chain(base, initial, cfg, seed).tolist()
+
+
+def reference_greedy_sample_initial(trace, plans, topo, model, hw, beta=20.0):
+    """The greedy start one GPU at a time: apply the sample, score the
+    communication time, undo, and keep the first GPU that beats the best by
+    more than 1e-15."""
+    state = ro._SampleState(trace, plans, topo, model, hw, beta)
+    s = trace.samples
+    order = np.lexsort((np.arange(s.num_samples), -s.tokens.astype(np.int64)))
+    for i in order:
+        mb = int(s.micro_batch[i])
+        hi = (1.0 + ro.SAMPLE_BAND) * state.mean[mb]
+        fits = [gpu for gpu in range(topo.num_gpus) if state.totals[mb, gpu] + s.tokens[i] <= hi + 1e-9]
+        if not fits:
+            fits = [int(np.argmin(state.totals[mb]))]
+        best_gpu, best_obj = fits[0], math.inf
+        for gpu in fits:
+            apply_sample(state, i, gpu, 1.0)
+            obj = entry_comm(state, mb)
+            apply_sample(state, i, gpu, -1.0)
+            if obj < best_obj - 1e-15:
+                best_obj = obj
+                best_gpu = gpu
+        apply_sample(state, i, best_gpu, 1.0)
+        state.placement[i] = best_gpu
+    return state.placement
+
+
+@st.composite
+def sample_cases(draw):
+    """A random sample table with tokens drawn apart from the counts, so
+    that some samples fit on no GPU, and random capacity-preserving plans."""
+    nodes, gpn = draw(st.sampled_from([(1, 2), (2, 2), (1, 4), (2, 3)]))
+    g = nodes * gpn
+    layers = draw(st.integers(1, 2))
+    num_experts = g * draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    num_samples = draw(st.integers(2, 12))
+    micro_batches = draw(st.integers(1, 3))
+    hw = HardwareProfile(6.0, draw(st.floats(5, 200)), draw(st.floats(2, 60)), 1.0)
+    topo = build_topology(nodes, gpn, hw)
+    model = rt.ModelProfile(num_layers=layers, num_experts=num_experts, top_k=1,
+                            hidden_size=1, intermediate_size=1)
+    micro_batch = rng.integers(0, micro_batches, num_samples)
+    micro_batch[0] = micro_batches - 1  # the trace has `micro_batches` micro-batches, some maybe empty
+    trace = make_sample_trace(
+        counts=rng.integers(0, 10, size=(num_samples, layers, num_experts)),
+        micro_batch=micro_batch, source_gpu=rng.integers(0, g, num_samples),
+        tokens=rng.integers(1, 40, num_samples), topo=topo, model=model)
+    plans = [ro.ReorderPlan(rng.permutation(np.repeat(np.arange(g), num_experts // g)))
+             for _ in range(layers)]
+    return trace, plans, topo, model, hw
+
+
+class TestSampleArrayPasses:
+    @settings(max_examples=60, deadline=None)
+    @given(sample_cases())
+    def test_greedy_equals_per_gpu_reference(self, case):
+        got = ro.greedy_sample_initial(*case).source_gpu
+        assert np.array_equal(got, reference_greedy_sample_initial(*case))
+
+    def test_greedy_without_a_fitting_gpu_takes_the_least_loaded(self):
+        # mean 6 tokens per GPU: the 10-token sample fits under 6.6 nowhere
+        # and goes to GPU 0, the first of two empty GPUs
+        hw = HardwareProfile(6.0, 10.0, 3.0, 1.0)
+        topo = build_topology(1, 2, hw)
+        model = rt.ModelProfile(num_layers=1, num_experts=2, top_k=1, hidden_size=1, intermediate_size=1)
+        trace = make_sample_trace(
+            counts=[[[0, 10]], [[1, 0]], [[0, 1]]], micro_batch=[0, 0, 0], source_gpu=[1, 1, 0],
+            tokens=[10, 1, 1], topo=topo, model=model)
+        plans = [ro.ReorderPlan(np.array([0, 1]))]
+        got = ro.greedy_sample_initial(trace, plans, topo, model, hw).source_gpu
+        assert got[0] == 0
+        assert np.array_equal(got, reference_greedy_sample_initial(trace, plans, topo, model, hw))
+
+    @settings(max_examples=30, deadline=None)
+    @given(sample_cases())
+    def test_sample_loads_equal_the_dense_charge_table(self, case):
+        trace, plans, topo, model, hw = case
+        state = ro._SampleState(trace, plans, topo, model, hw, beta=20.0)
+        g = topo.num_gpus
+        for i in range(trace.samples.num_samples):
+            for src in range(g):
+                dense = (state.dst_mass[i] @ state.dense[src]).reshape(-1, 5, g)
+                assert np.array_equal(state.sample_loads(i, src), dense)
+
+
+class CountingStream(ro.ChainStream):
+    """A ChainStream that counts its pairs of distinct samples and its uniforms."""
+
+    swaps = uniforms = 0
+
+    def pair(self, n):
+        i, j = super().pair(n)
+        CountingStream.swaps += int(i != j)
+        return i, j
+
+    def random(self):
+        CountingStream.uniforms += 1
+        return super().random()
+
+
+class TestSampleChainCases:
+    @staticmethod
+    def two_gpu_case(mass, tokens, micro_batch):
+        # sample k carries mass[k] routed tokens per layer, all to the expert
+        # on the GPU it does not start on, and tokens[k] tokens for the band
+        hw = HardwareProfile(6.0, 10.0, 3.0, 1.0)
+        topo = build_topology(1, 2, hw)
+        model = rt.ModelProfile(num_layers=2, num_experts=2, top_k=1, hidden_size=1, intermediate_size=1)
+        source_gpu = [1, 0] * (len(mass) // 2)
+        counts = [[[m, 0], [m, 0]] if src == 1 else [[0, m], [0, m]] for m, src in zip(mass, source_gpu)]
+        trace = make_sample_trace(counts=counts, micro_batch=micro_batch, source_gpu=source_gpu,
+                                  tokens=tokens, topo=topo, model=model)
+        plans = [ro.ReorderPlan(np.array([0, 1]))] * 2
+        return trace, plans, topo, model, hw
+
+    def test_swap_within_one_micro_batch(self, monkeypatch):
+        # every swap moves two samples of micro-batch 0, so both moves land
+        # in one array; the chain's own state must end equal to a fresh
+        # placement of where it ended
+        trace, plans, topo, model, hw = self.two_gpu_case([8, 1, 5, 2], [40, 41, 40, 41], [0, 0, 0, 0])
+        cfg = ro.AnnealConfig(seeds=(3,), cooling_rate=0.9)
+        base = ro._SampleState(trace, plans, topo, model, hw, cfg.beta)
+        fork, forks = ro._SampleState.fork, []
+        monkeypatch.setattr(ro._SampleState, "fork", lambda state, p: forks.append(fork(state, p)) or forks[-1])
+        initial = trace.samples.source_gpu.astype(np.int64)
+        got = ro._run_sample_chain(base, initial, cfg, 3)
+        end = forks[0]
+        fresh = fork(base, end.placement)
+        assert np.array_equal(end.loads5, fresh.loads5)
+        assert np.array_equal(end.totals, fresh.totals)
+        assert got.tolist() == generator_sample_chain(base, initial, cfg, 3).tolist() == [0, 1, 0, 1]
+
+    @pytest.mark.parametrize("tokens, in_band", [((10, 1), False), ((4, 4), True)])
+    def test_out_of_band_swap_draws_no_uniform(self, monkeypatch, tokens, in_band):
+        # the two samples start colocated with their experts, so the swap
+        # only adds communication and would need a uniform to pass; with
+        # 10 and 1 tokens it leaves the +/-10% band and draws none
+        monkeypatch.setattr(ro, "ChainStream", CountingStream)
+        trace, plans, topo, model, hw = self.two_gpu_case([4, 4], list(tokens), [0, 0])
+        initial = np.array([0, 1])
+        cfg = ro.AnnealConfig(seeds=(0,), cooling_rate=0.5)
+        base = ro._SampleState(trace, plans, topo, model, hw, cfg.beta)
+        CountingStream.swaps = CountingStream.uniforms = 0
+        got = ro._run_sample_chain(base, initial, cfg, 0)
+        assert CountingStream.swaps > 0
+        assert (CountingStream.uniforms > 0) == in_band
+        assert got.tolist() == generator_sample_chain(base, initial, cfg, 0).tolist() == [0, 1]
 
 
 class TestRewriteTraceMatrices:
