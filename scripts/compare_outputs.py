@@ -30,7 +30,9 @@ themselves are not compared: they are made by this script from plan
 files that are.
 
 Prints every differing file and every failed command, and exits 1 if
-there is any.
+there is any. For each differing `report.json`, it also prints every
+policy whose `total_time_s` changed, old -> new with the relative change,
+so a change that moves plans on purpose shows what it did to each total.
 """
 
 from __future__ import annotations
@@ -294,6 +296,25 @@ def compare(base: Path, change: Path) -> tuple[int, list[str]]:
     return len(names), differ
 
 
+def total_deltas(base: Path, change: Path, differ: list[str]) -> list[str]:
+    """A line per policy whose `total_time_s` differs between the two
+    sides' copies of a differing `report.json`."""
+    lines = []
+    for name in differ:
+        if Path(name).name != "report.json" or not (base / name).is_file() or not (change / name).is_file():
+            continue
+        try:
+            old, new = (json.loads((side / name).read_text())["policies"] for side in (base, change))
+        except (json.JSONDecodeError, KeyError):
+            continue
+        for policy in old.keys() & new.keys():
+            a, b = old[policy]["total_time_s"], new[policy]["total_time_s"]
+            if a != b:
+                rel = f"{(b - a) / abs(a):+.3e}" if a else "inf"
+                lines.append(f"TOTAL {name} {policy}: {a!r} -> {b!r} ({rel} relative)")
+    return sorted(lines)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base_src", type=Path, help="src directory of the base tree")
@@ -315,11 +336,14 @@ def main(argv=None) -> int:
                     for src, side in zip((args.base_src, args.change_src), sides)]
             failed = [label for run in runs for label in run.result()]
         count, differ = compare(*sides)
+        deltas = total_deltas(*sides, differ)
 
     for label in failed:
         print(f"FAILED {label}")
     for name in differ:
         print(f"DIFFERS {name}")
+    for line in deltas:
+        print(line)
     print(f"{len(traces())} traces, {count} files compared, {len(differ)} differ, {len(failed)} commands failed")
     return 1 if differ or failed else 0
 

@@ -238,9 +238,17 @@ def _split_plan(rows: list, placement: ReplicaPlacement, num_gpus: int, where: s
 
 
 def save_replication_plan(path: str | Path, trace_id: str, plan: ReplicationPlan) -> None:
+    """Write one entry per line and each of its split rows on a line of
+    its own. Every part is dumped by json's C encoder, which `indent` would
+    replace by the pure-Python one; a dump of split rows holds only
+    numbers, so each "], [" in it is a row break."""
     payload = replication_plan_to_dict(plan)
-    payload["trace_id"] = trace_id
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    entries = []
+    for entry in payload["entries"]:
+        rows = json.dumps(entry.pop("splits")).replace("[[", "[\n  [", 1).replace("], [", "],\n  [")
+        entries.append(f'{json.dumps(entry)[:-1]}, "splits": {rows}}}')
+    head = json.dumps({"version": payload["version"], "trace_id": trace_id})[:-1]
+    Path(path).write_text(head + ', "entries": [\n' + ",\n".join(entries) + "\n]}\n")
 
 
 def load_replication_plan(path: str | Path, trace, home_per_layer: Sequence[np.ndarray]) -> ReplicationPlan:

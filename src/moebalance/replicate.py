@@ -13,8 +13,8 @@ hottest expert one more replica on the cheapest candidate GPU, re-solve the
 split LP (warm-started), and stop when slots, candidates, or improvement
 run out. The LP's per-token charges are rows of the topology's charge
 operator (`topology.ChargeOperator`) converted by `costmodel.TimeUnits`.
-A fixed placement's LP is built in one tableau growth per run of replicas
-that needs no new budget row, the run's columns charged in one pass.
+A fixed placement's LP is built in one column batch per run of replicas
+between budget rows, the run's columns charged in one pass.
 """
 
 from __future__ import annotations
@@ -192,13 +192,10 @@ class TokenSplitLP:
     def add_replicas(self, pairs) -> None:
         """Append replicas, one (expert, GPU) pair each, in order.
 
-        The LP grows exactly as with one `add_replica` call per pair: every
-        pair is checked before anything changes, an expert's second replica
-        first adds its budget rows in one `add_row` call, and the columns of
-        the pairs in between go into one `add_columns` call. Until the first
-        pivot the slack block is the identity, so one product over many
-        columns equals one per pair bit for bit; after it, each pair gets
-        its own call.
+        The LP grows as with one `add_replica` call per pair: every pair is
+        checked before anything changes, an expert's second replica first
+        adds its budget rows in one `add_row` call, and the columns of the
+        pairs in between go into one `add_columns` call.
         """
         pairs = [(int(e), int(gpu)) for e, gpu in pairs]
         copies: dict[int, set[int]] = {}
@@ -214,11 +211,9 @@ class TokenSplitLP:
             sources = np.flatnonzero(self.x[:, e] > 0)
             if sources.size == 0:
                 continue
-            couple = len(replicas) > 1 and e not in self.sum_rows
-            if couple or self.solver.pivots:
+            if len(replicas) > 1 and e not in self.sum_rows:
                 self._add_columns(run)
                 run = []
-            if couple:
                 # second replica: the fraction budget now couples two columns, so the
                 # v <= 1 bounds no longer suffice; the first copy's columns are in source order
                 first_copy = np.flatnonzero((self.var_meta[:, 1] == e) & (self.var_meta[:, 2] == 1))
@@ -407,7 +402,10 @@ def greedy_replicate(
     gets a trial before the search stops.
 
     A trial whose grown LP is already optimal (no column may enter) is
-    rolled back without solving it, because it cannot be accepted. No step
+    rolled back without solving it, because it cannot be accepted.
+    `DenseSimplex.optimal` is `solve`'s own stop test on the same reduced
+    costs, so such a trial is exactly a solved one that takes no step, also
+    when a new column is priced within rounding of COST_TOL. No step
     leaves the LP point unchanged, so the trial split is the accepted split
     plus a zero share on the new copy. Its exact objective differs from the
     accepted one only in the summation order of non-negative terms, about

@@ -1,5 +1,6 @@
 """Plan files round-trip: save, load and save again give the same plans and bytes."""
 
+import json
 from functools import lru_cache
 
 import numpy as np
@@ -110,3 +111,7 @@ def test_plan_files_round_trip(tmp_path_factory, case):
     save(second, trace, bundle.reorder, bundle.sample_placement, bundle.replication, objectives)
     for name in ("reorder.json", "replication.json"):
         assert (second / name).read_bytes() == (first / name).read_bytes()
+    # one split row per line
+    text = (first / "replication.json").read_text()
+    rows = [json.loads(line[:line.index("]") + 1]) for line in text.splitlines() if line.startswith("  [")]
+    assert rows == [row for entry in json.loads(text)["entries"] for row in entry["splits"]]

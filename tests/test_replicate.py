@@ -10,6 +10,7 @@ from moebalance import planio
 from moebalance import replicate as rep
 from moebalance import reorder as ro
 from moebalance import routing as rt
+from moebalance import lp as lp_module
 from moebalance.lp import LPError
 from moebalance.topology import COMP, HardwareProfile, build_topology
 
@@ -101,15 +102,11 @@ def add_replica_per_pair(lp, e, gpu):
     lp.solver.add_columns(cols, np.zeros(sources.size), upper_new=np.ones(sources.size))
 
 
-SOLVER_ARRAYS = ("tab", "rhs", "cost", "red", "upper", "at_upper", "struct_idx", "slack_idx", "basis")
-
-
-def assert_same_lp(lp, ref):
-    lp.solver.replay()
-    ref.solver.replay()
-    for name in SOLVER_ARRAYS:
+def assert_same_lp(lp, ref, fields=("tab", "cost", "upper", "struct_idx", "slack_idx")):
+    """Equal solver `fields`, by default the LP as given (its columns and
+    rows are stored untransformed), and equal replica bookkeeping."""
+    for name in fields:
         assert np.array_equal(getattr(lp.solver, name), getattr(ref.solver, name)), name
-    assert lp.solver.objective == ref.solver.objective
     assert np.array_equal(lp.var_meta, ref.var_meta)
     assert lp.sum_rows == ref.sum_rows
     assert lp.replicas == ref.replicas
@@ -313,16 +310,16 @@ class TestTokenSplitLP:
         lp.add_replicas(pairs[:cut])
         for e, g in pairs[:cut]:
             add_replica_per_pair(ref, e, g)
-        assert_same_lp(lp, ref)
-        assert lp.solve() == ref.solve()
-        assert_same_lp(lp, ref)
-        # a batch appended to a warm-started LP
+        # before the first pivot the duals are zero, so every reduced cost too
+        assert_same_lp(lp, ref, lp_module.SNAPSHOT_FIELDS)
+        assert lp.solve() == pytest.approx(ref.solve(), rel=1e-9)
+        # a batch appended to a warm-started LP; its reduced costs are
+        # priced in one product with the duals, so the pivots may differ by rounding
         lp.add_replicas(pairs[cut:])
         for e, g in pairs[cut:]:
             add_replica_per_pair(ref, e, g)
         assert_same_lp(lp, ref)
-        assert lp.solve() == ref.solve()
-        assert_same_lp(lp, ref)
+        assert lp.solve() == pytest.approx(ref.solve(), rel=1e-9)
 
     @settings(max_examples=8, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -342,13 +339,14 @@ class TestTokenSplitLP:
         for e, g in first:
             add_replica_per_pair(ref, e, g)
         assert lp.solver.num_struct - lp.N_AUX > 600
-        assert_same_lp(lp, ref)
+        assert_same_lp(lp, ref, lp_module.SNAPSHOT_FIELDS)
         # second replicas add budget rows, which split the batch into runs
         more = [(e, g) for e, g in random_pairs(rng, plan, topo, 64) if (e, g) not in first]
         lp.add_replicas(more)
         for e, g in more:
             add_replica_per_pair(ref, e, g)
-        assert_same_lp(lp, ref)
+        assert_same_lp(lp, ref, lp_module.SNAPSHOT_FIELDS)
+        assert lp.solve() == pytest.approx(ref.solve(), rel=1e-9)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.booleans())
@@ -369,7 +367,7 @@ class TestTokenSplitLP:
         message = rf"^expert {e} already has a copy on GPU {bad[1]}$"
         with pytest.raises(ValueError, match=message):
             lp.add_replicas(batch)
-        assert_same_lp(lp, ref)
+        assert_same_lp(lp, ref, lp_module.SNAPSHOT_FIELDS)
         with pytest.raises(ValueError, match=message):
             for pair in batch:
                 add_replica_per_pair(per_pair, *pair)

@@ -10,10 +10,7 @@ from moebalance import replicate as rep
 from moebalance import reorder as ro
 from moebalance import routing as rt
 from moebalance import sim
-from moebalance.lp import DenseSimplex
 from moebalance.topology import COMP, HardwareProfile, build_topology
-
-from test_lp import assert_same_up_to_zero_signs, outer_step
 
 HW = HardwareProfile(6e6, 5e3, 1e3, 1.0)
 
@@ -223,41 +220,6 @@ class TestBaselines:
         for entry in bundle.replication.entries.values():
             for gpus in entry.placement.replicas.values():
                 assert len(gpus) <= 1
-
-    def test_lplb_split_lps_never_replay_their_pivots(self, monkeypatch):
-        """simulate's lplb_like split LP is built before its first pivot and
-        only its solution is read afterwards, so on a quickstart-sized entry
-        every pivot stays recorded: the stored tableau is never brought up
-        to date and its slack block is still the identity. Replayed, its
-        records span several blocks and equal eager pivots."""
-        hw = HardwareProfile(2.577e10, 4.5e5, 2.5e4, 1.0)
-        topo = build_topology(4, 8, hw)
-        model = rt.ModelProfile(num_layers=1, num_experts=128, top_k=8)
-        spec = rt.TraceGenSpec(num_domains=3, dirichlet_alpha=4096.0, tokens_per_gpu=1024,
-                               rng_seed=11, domain_focus=0.82)
-        trace = rt.generate_synthetic_trace(spec, model, topo, 1)
-        solvers = []
-        init = DenseSimplex.__init__
-
-        def recording_init(self, *args, **kwargs):
-            init(self, *args, **kwargs)
-            solvers.append(self)
-
-        monkeypatch.setattr(DenseSimplex, "__init__", recording_init)
-        bundle, _ = sim.build_policy_bundle(trace, "lplb_like", topo, model, hw,
-                                            sim.SimConfigs(replica=rep.ReplicaConfig(2)))
-        (solver,) = solvers
-        entry = bundle.replication.entries[0, 0]
-        assert entry.split.fractions
-        assert solver._records == solver.pivots > solver.num_rows / 2
-        assert np.array_equal(solver.tab[:, solver.slack_idx], np.eye(solver.num_rows))
-        # the same LP with eager pivots, once the records are replayed
-        monkeypatch.setattr(DenseSimplex, "_step", outer_step)
-        split = rep.solve_token_split_lp(trace.matrices[0, 0].astype(np.float64), entry.placement, topo, model, hw)
-        assert_same_up_to_zero_signs(solver, solvers[1])
-        assert split.fractions.keys() == entry.split.fractions.keys()
-        for e, frac in split.fractions.items():
-            assert frac.tobytes() == entry.split.fractions[e].tobytes()
 
     def test_alternating_hot_expert_gap(self):
         # two GPUs on one node, four experts; the hot expert rotates, so a
