@@ -33,6 +33,10 @@ Prints every differing file and every failed command, and exits 1 if
 there is any. For each differing `report.json`, it also prints every
 policy whose `total_time_s` changed, old -> new with the relative change,
 so a change that moves plans on purpose shows what it did to each total.
+For each differing `replication.json`, it prints every differing
+(micro_batch, layer) entry: whether its replica list changed, how many
+split rows were added and removed, the largest fraction change and the
+objective change.
 """
 
 from __future__ import annotations
@@ -315,6 +319,44 @@ def total_deltas(base: Path, change: Path, differ: list[str]) -> list[str]:
     return sorted(lines)
 
 
+def _entries(path: Path) -> dict:
+    """{(micro_batch, layer): entry} of a `replication.json`."""
+    return {(entry["micro_batch"], entry["layer"]): entry for entry in json.loads(path.read_text())["entries"]}
+
+
+def replication_deltas(base: Path, change: Path, differ: list[str]) -> list[str]:
+    """A line per (micro_batch, layer) entry that differs between the two
+    sides' copies of a differing `replication.json`: whether its replica
+    list changed, the split rows (keyed by source GPU, expert and serving
+    GPU) added and removed, the largest change of a row's fraction (a row
+    on one side only counts as fraction 0 on the other), and the change of
+    its objective."""
+    lines = []
+    for name in differ:
+        if Path(name).name != "replication.json" or not (base / name).is_file() or not (change / name).is_file():
+            continue
+        try:
+            old, new = _entries(base / name), _entries(change / name)
+        except (json.JSONDecodeError, KeyError, TypeError):
+            continue
+        for key in sorted(old.keys() | new.keys()):
+            where = f"REPLICATION {name} (micro_batch {key[0]}, layer {key[1]})"
+            if key not in old or key not in new:
+                lines.append(f"{where}: only in {'base' if key in old else 'change'}")
+                continue
+            a, b = old[key], new[key]
+            if a == b:
+                continue
+            rows_a, rows_b = ({tuple(row[:3]): row[3] for row in entry["splits"]} for entry in (a, b))
+            frac = max((abs(rows_b.get(row, 0.0) - rows_a.get(row, 0.0)) for row in rows_a.keys() | rows_b.keys()),
+                       default=0.0)
+            lines.append(f"{where}: replicas {'same' if a['replicas'] == b['replicas'] else 'changed'}, "
+                         f"split rows +{len(rows_b.keys() - rows_a.keys())} -{len(rows_a.keys() - rows_b.keys())}, "
+                         f"max fraction change {frac:.3e}, "
+                         f"objective {a['objective']!r} -> {b['objective']!r} ({b['objective'] - a['objective']:+.3e})")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base_src", type=Path, help="src directory of the base tree")
@@ -336,7 +378,7 @@ def main(argv=None) -> int:
                     for src, side in zip((args.base_src, args.change_src), sides)]
             failed = [label for run in runs for label in run.result()]
         count, differ = compare(*sides)
-        deltas = total_deltas(*sides, differ)
+        deltas = total_deltas(*sides, differ) + replication_deltas(*sides, differ)
 
     for label in failed:
         print(f"FAILED {label}")

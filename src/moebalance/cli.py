@@ -1,7 +1,8 @@
 """Command-line front end: gen, solve, simulate, report.
 
 All randomness flows from --seed; annealing chain seeds derive from it by
-fixed offsets. Flags mirror manifest keys one-to-one and override them.
+fixed offsets. Only `gen` takes hardware and model flags: it writes them into
+the trace manifest, and `solve` and `simulate` read them from there.
 """
 
 from __future__ import annotations
@@ -159,6 +160,8 @@ def cmd_simulate(args) -> int:
         name = name.strip()
         if name not in POLICY_ALIASES:
             raise SystemExit(f"error: unknown policy {name!r}; choose from {', '.join(sorted(set(POLICY_ALIASES)))}")
+        if POLICY_ALIASES[name] in policies:
+            raise SystemExit(f"error: --policies names {POLICY_ALIASES[name]} more than once")
         policies.append(POLICY_ALIASES[name])
 
     cfgs = _sim_configs(args, trace)

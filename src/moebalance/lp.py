@@ -6,17 +6,18 @@ formulating splits as deviations from the home-only assignment; most split
 variables only need an upper bound of one, which the bounded pivot rules
 handle without a constraint row.
 
-The constraint columns, `[A | I]` and the columns and rows appended since,
-are stored as given, and B^-1 explicitly (Chvátal, *Linear Programming*,
-1983). A step reads the entering column B^-1 a_j; a pivot is one rank-1
-update of B^-1 plus one update of the reduced costs by the pivot row of
-B^-1 A, each reading and writing only the nonzeros it needs. Warm starts
-append columns priced with the duals y = c_B B^-1 and rows that border
-B^-1, in batches of one allocation; each new row bounds one variable (the
-split LP's fraction budgets). Pricing is Dantzig with a Bland fallback once
-the objective stalls, which prevents cycling on degenerate vertices. Every
-pivot and growth replaces the arrays it changes instead of writing them, so
-a snapshot is the dict of the current arrays.
+The solver starts from the slack basis and appends A's columns as a warm
+start would, so the constraint columns, `[I | A]` and the columns and rows
+appended since, are stored as given, and B^-1 explicitly (Chvátal, *Linear
+Programming*, 1983). A step reads the entering column B^-1 a_j; a pivot is
+one rank-1 update of B^-1 plus one update of the reduced costs by the pivot
+row of B^-1 A, each reading and writing only the nonzeros it needs. Warm
+starts append columns priced with the duals y = c_B B^-1 and rows that
+border B^-1, in batches of one allocation; each new row bounds one variable
+(the split LP's fraction budgets). Pricing is Dantzig with a Bland fallback
+once the objective stalls, which prevents cycling on degenerate vertices.
+Every pivot and growth replaces the arrays it changes instead of writing
+them, so a snapshot is the dict of the current arrays.
 """
 
 from __future__ import annotations
@@ -37,36 +38,24 @@ class LPError(RuntimeError):
 
 class DenseSimplex:
     def __init__(self, c, a_ub, b_ub, upper=None):
-        a = np.atleast_2d(np.asarray(a_ub, dtype=np.float64))
         b = np.asarray(b_ub, dtype=np.float64).ravel()
-        c = np.asarray(c, dtype=np.float64).ravel()
-        m, n = a.shape
-        if b.shape != (m,) or c.shape != (n,):
-            raise LPError(f"inconsistent LP shapes: A {a.shape}, b {b.shape}, c {c.shape}")
-        for name, values in (("c", c), ("A", a), ("b", b)):
-            if not np.isfinite(values).all():
-                raise LPError(f"LP {name} is not finite")
-        if m and b.min() < 0:
+        if not np.isfinite(b).all():
+            raise LPError("LP b is not finite")
+        if b.size and b.min() < 0:
             raise LPError("b must be non-negative (origin-feasible form required)")
-        if upper is None:
-            upper = np.full(n, np.inf)
-        else:
-            upper = np.asarray(upper, dtype=np.float64).ravel()
-            # an infinite upper bound is no bound; NaN fails the > 0 test
-            if upper.shape != (n,) or not (upper > 0).all():
-                raise LPError("upper bounds must be positive (or omitted)")
-        self.tab = np.hstack([a, np.eye(m)])
-        self.binv = np.eye(m)
+        m = b.size
+        # the slack basis, with no structural column yet
+        self.tab = self.binv = np.eye(m)
         self.rhs = b.copy()  # values of the basic variables, in basis order
-        self.cost = np.concatenate([c, np.zeros(m)])
-        self.red = self.cost.copy()
-        self.upper = np.concatenate([upper, np.full(m, np.inf)])
-        self.at_upper = np.zeros(n + m, dtype=bool)
-        self.struct_idx = np.arange(n)
-        self.slack_idx = np.arange(n, n + m)
+        self.cost = self.red = np.zeros(m)
+        self.upper = np.full(m, np.inf)
+        self.at_upper = np.zeros(m, dtype=bool)
+        self.struct_idx = np.arange(0)
+        self.slack_idx = np.arange(m)
         self.basis = self.slack_idx.copy()
         self.objective = 0.0
         self._pivots = 0
+        self.add_columns(np.atleast_2d(a_ub), c, upper)
 
     @property
     def num_rows(self) -> int:
@@ -98,6 +87,7 @@ class DenseSimplex:
             upper_new = np.full(k, np.inf)
         else:
             upper_new = np.asarray(upper_new, dtype=np.float64).ravel()
+            # an infinite upper bound is no bound; NaN fails the > 0 test
             if upper_new.shape != (k,):
                 raise LPError(f"{k} new columns but {upper_new.size} upper bounds")
             if not (upper_new > 0).all():
@@ -178,6 +168,19 @@ class DenseSimplex:
         mask[self.basis] = False
         return mask
 
+    def _block(self, rows: np.ndarray, limits: np.ndarray, t_best: float):
+        """(step, row) if the smallest of `limits` beats t_best by more than
+        the tolerance, else None. The step is clamped at 0; among the rows
+        within the tolerance of it, the one of the lowest basic index blocks."""
+        if not rows.size:
+            return None
+        best = float(limits.min())
+        tol = PIVOT_TOL * (1.0 + abs(best))
+        if not best < t_best - tol:
+            return None
+        tied = rows[limits <= best + tol]
+        return max(best, 0.0), int(tied[np.argmin(self.basis[tied])])
+
     def _step(self, col: int) -> None:
         from_upper = self.at_upper[col]
         a = self.tab[:, col]
@@ -185,33 +188,19 @@ class DenseSimplex:
         d = self.binv[:, nz] @ a[nz]  # the entering column B^-1 a_j
         direction = -d if from_upper else d
         # basic variables move by -t * direction as the entering variable
-        # travels t away from its bound; find the blocking limit
-        t_best = float(self.upper[col])  # bound flip; may be inf
-        block_row = -1
-        block_to_upper = False
-
-        dec = np.flatnonzero(direction > PIVOT_TOL)  # basics decreasing toward 0
-        if dec.size:
-            ratios = self.rhs[dec] / direction[dec]
-            best = float(ratios.min())
-            if best < t_best - PIVOT_TOL * (1.0 + abs(best)):
-                tied = dec[ratios <= best + PIVOT_TOL * (1.0 + abs(best))]
-                block_row = int(tied[np.argmin(self.basis[tied])])
-                block_to_upper = False
-                t_best = max(best, 0.0)
-
-        inc = np.flatnonzero(direction < -PIVOT_TOL)  # basics increasing toward upper
-        if inc.size:
-            caps = self.upper[self.basis[inc]]
-            finite = inc[np.isfinite(caps)]
-            if finite.size:
-                gaps = (self.upper[self.basis[finite]] - self.rhs[finite]) / (-direction[finite])
-                best = float(gaps.min())
-                if best < t_best - PIVOT_TOL * (1.0 + abs(best)):
-                    tied = finite[gaps <= best + PIVOT_TOL * (1.0 + abs(best))]
-                    block_row = int(tied[np.argmin(self.basis[tied])])
-                    block_to_upper = True
-                    t_best = max(best, 0.0)
+        # travels t away from its bound; find the blocking limit: a bound
+        # flip (may be inf), then basics decreasing toward 0, then basics
+        # increasing toward a finite upper bound
+        t_best, block_row, block_to_upper = float(self.upper[col]), -1, False
+        dec = np.flatnonzero(direction > PIVOT_TOL)
+        inc = np.flatnonzero(direction < -PIVOT_TOL)
+        inc = inc[np.isfinite(self.upper[self.basis[inc]])]
+        for rows, limits, to_upper in ((dec, self.rhs[dec] / direction[dec], False),
+                                       (inc, (self.upper[self.basis[inc]] - self.rhs[inc]) / -direction[inc], True)):
+            block = self._block(rows, limits, t_best)
+            if block is not None:
+                t_best, block_row = block
+                block_to_upper = to_upper
 
         if not np.isfinite(t_best):
             raise LPError("LP is unbounded (no blocking bound)")

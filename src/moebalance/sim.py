@@ -204,7 +204,7 @@ def _eplb_replication(loads: np.ndarray, home: np.ndarray, topo: ClusterTopology
     placement (heaviest share onto the lightest feasible GPU, with every
     retained home share already accounted). The plan stays fixed for every
     micro-batch. Each copy-count round is a few array passes over the
-    experts that may still take a copy; `_first_record` breaks near-ties.
+    experts that may still take a copy.
     """
     num_experts = len(loads)
     gpn = topo.gpus_per_node
@@ -218,7 +218,7 @@ def _eplb_replication(loads: np.ndarray, home: np.ndarray, topo: ClusterTopology
         cand = np.flatnonzero(open_ & (node_slots[node] > 0))
         if cand.size == 0:
             break
-        e = cand[_first_record(loads[cand] / copies[cand])]
+        e = cand[np.argmax(loads[cand] / copies[cand])]
         copies[e] += 1
         node_slots[node[e]] -= 1
         open_[e] = copies[e] < cap
@@ -242,21 +242,6 @@ def _eplb_replication(loads: np.ndarray, home: np.ndarray, topo: ClusterTopology
         gpu_load[g_t] += share
         slot_used[g_t] += 1
     return placement
-
-
-def _first_record(values: np.ndarray) -> int:
-    """The index a scan in order picks when it moves only to a value more
-    than 1e-15 above the one it holds.
-
-    Each value the scan moves to exceeds every earlier value, so it is a
-    record of the running maximum; only those records are scanned.
-    """
-    records = np.flatnonzero(values[1:] > np.maximum.accumulate(values)[:-1]) + 1
-    best = 0
-    for i in records.tolist():
-        if values[i] > values[best] + 1e-15:
-            best = i
-    return best
 
 
 def _uniform_split(placement: rep.ReplicaPlacement, num_gpus: int) -> rep.SplitPlan:

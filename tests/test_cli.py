@@ -128,6 +128,19 @@ def test_simulate_unknown_policy(tmp_path, capsys):
         run(["simulate", "--trace", trace, "--out", tmp_path / "r", "--policies", "sorcery"])
 
 
+def test_simulate_repeated_policy_is_one_error_line(tmp_path):
+    # lplb is lplb_like's short name, so the policy would be planned and scored twice
+    trace = tmp_path / "trace"
+    assert run(GEN_ARGS + ["--out", trace]) == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(moebalance.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-m", "moebalance.cli", "simulate", "--trace", str(trace),
+                             "--out", str(tmp_path / "r"), "--policies", "static,lplb,lplb_like"],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == 1
+    assert result.stderr == "error: --policies names lplb_like more than once\n", result.stderr
+    assert not (tmp_path / "r").exists()
+
+
 def test_report_series_schema(tmp_path):
     trace = tmp_path / "trace"
     report = tmp_path / "report"

@@ -44,9 +44,37 @@ def test_non_finite_input_rejected(where, bad):
     if where == "upper" and bad == np.inf:
         assert DenseSimplex(lp["c"], lp["A"], lp["b"], upper=lp["upper"]).solve() == -2.0  # no bound
         return
-    message = "upper bounds must be positive" if where == "upper" else f"LP {where} is not finite"
+    # A and c are checked where every column is appended
+    message = {"b": "LP b is not finite", "upper": "upper bounds must be positive"}.get(
+        where, "new columns and their costs must be finite")
     with pytest.raises(LPError, match=message):
         DenseSimplex(lp["c"], lp["A"], lp["b"], upper=lp["upper"])
+
+
+@pytest.mark.parametrize("shape, rows, costs", [
+    ((2, 3), 3, 2),  # as many entries as a (3, 2) A: a reshape would accept it
+    ((2, 2), 3, 2),
+    ((3, 2), 3, 3),
+    ((3, 3), 2, 3),
+])
+def test_misshaped_a_rejected(shape, rows, costs):
+    with pytest.raises(LPError, match=rf"new columns shaped \({shape[0]}, {shape[1]}\), expected \({rows}, {costs}\)"):
+        DenseSimplex(np.ones(costs), np.ones(shape), np.ones(rows))
+
+
+def test_blocking_row_rule():
+    # columns are [s0, s1 | x, y]; both rows block x at 1, and the lower basic index leaves
+    solver = DenseSimplex([-1.0], [[1.0], [1.0]], [1.0, 1.0])
+    solver.solve()
+    assert solver.basis.tolist() == [2, 1]
+    # y enters row 0 at 0.5; then x lifts y to its bound 1 and drains s1 at the same step,
+    # and the decreasing basic s1 leaves, not y to its upper bound
+    solver = DenseSimplex([0.0, -1.0], [[-1.0, 1.0], [1.0, 0.0]], [0.5, 0.5], upper=[np.inf, 1.0])
+    assert solver.solve() == -1.0
+    assert solver.basis.tolist() == [3, 2] and not solver.at_upper.any()
+    # a limit a rounding error below 0 steps 0; ties within the tolerance go to the lowest basic index
+    assert solver._block(np.array([0, 1]), np.array([-1e-12, 0.0]), np.inf) == (0.0, 1)
+    assert solver._block(np.array([0]), np.array([0.5]), 0.5 + 1e-10) is None
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

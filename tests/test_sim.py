@@ -299,7 +299,7 @@ def eplb_replication_loop(loads, home, topo, slots_per_gpu, max_replicas_per_exp
             if node_slots[topo.node_of(int(home[e]))] <= 0:
                 continue
             per_copy = loads[e] / copies[e]
-            if best is None or per_copy > best[0] + 1e-15:
+            if best is None or per_copy > best[0]:
                 best = (per_copy, e)
         if best is None:
             break
@@ -331,17 +331,14 @@ def eplb_replication_loop(loads, home, topo, slots_per_gpu, max_replicas_per_exp
 
 @st.composite
 def tied_loads(draw):
-    """Expert loads on a small cluster, drawn from a few base values plus
-    offsets of a few 1e-16, so per-copy loads tie within 1e-15 and just
-    beyond it."""
+    """Integer token loads on a small cluster, drawn from a few base values
+    so per-copy loads tie exactly across experts and copy counts (12 / 2
+    and 6 / 1, 12 / 4 and 3 / 1, ...)."""
     nodes, gpn = draw(st.sampled_from([(1, 2), (1, 4), (2, 2), (2, 4), (3, 2)]))
     topo = build_topology(nodes, gpn, HW)
     num_experts = topo.num_gpus * draw(st.integers(1, 4))
-    bases = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0, 4.0, 6.0, 12.0]), min_size=1, max_size=3))
-    loads = np.array([
-        draw(st.sampled_from(bases)) + draw(st.integers(0, 25)) * draw(st.sampled_from([1e-16, 2.5e-16, 5e-16]))
-        for _ in range(num_experts)
-    ])
+    bases = draw(st.lists(st.sampled_from([0, 1, 2, 3, 4, 6, 12]), min_size=1, max_size=3))
+    loads = np.array([draw(st.sampled_from(bases)) for _ in range(num_experts)], dtype=np.float64)
     home = np.array(draw(st.lists(st.integers(0, topo.num_gpus - 1), min_size=num_experts,
                                   max_size=num_experts)))
     return loads, home, topo, draw(st.integers(0, 3)), draw(st.sampled_from([None, 1, 2]))
