@@ -14,18 +14,16 @@ byte: traces, `reorder.json`, `replication.json`, `summary.csv`, the
 exit code, stdout and stderr. Commands run with relative paths, so their
 output names no directory outside the run.
 
-For the first trace of each workload, each tree also runs `solve` and
-`simulate` again with `--threads 2`, so the thread pool, which the CLI
-leaves off by default, stays under the same byte-for-byte comparison. A
-workload that runs the sample pass also solves its first trace with
+A workload that runs the sample pass also solves its first trace with
 `--seeds 2` at the default cooling, so the pick among several sample
-chains and the long schedule are compared too. It
-also writes mutated copies of its own `replication.json` and
-`reorder.json` (`MALFORMED`: the mutations the CLI tests reject, made
-generic over the workload) and runs `simulate --policies relibra` on
-each. These commands are meant to fail; their exit codes and their stderr
-must be the same in both trees, which checks a rewritten plan decoder or
-bundle check for identical error lines too. The mutated copies
+chains and the long schedule are compared too. On its first trace with
+a `replication.json`, each workload also writes mutated copies of its
+own `replication.json` and `reorder.json` (`MALFORMED`: the mutations
+the CLI tests reject, made generic over the workload) and runs
+`simulate --policies relibra` on each. These commands are meant to fail;
+their exit codes and their stderr must be the same in both trees, which
+checks a rewritten plan decoder or bundle check for identical error
+lines too. The mutated copies
 themselves are not compared: they are made by this script from plan
 files that are.
 
@@ -248,23 +246,18 @@ def run_side(src: Path, side: Path) -> list[str]:
             failed.append(f"{side.name}: {label}" + (" (expected to fail)" if expect_failure else ""))
 
     (side / "stdout").mkdir(parents=True)
-    first, threaded = set(), set()
+    first, seeded = set(), set()
     for name, seed in traces():
         w, tag = WORKLOADS[name], f"{name}-{seed}"
         trace, plans, report = f"trace/{tag}", f"plans/{tag}", f"report/{tag}"
         call(f"{tag}.gen", BUILD, name, str(seed), trace)
-        runs = [("", ())]
-        if name not in threaded:
-            threaded.add(name)
-            runs.append(("-threads2", ("--threads", "2")))
-            if "--sample-locality" in w.solve_args:
-                call(f"{tag}.solve-seeds2", CLI, "solve", "--trace", trace, "--out", f"{plans}-seeds2",
-                     *two_chain_args(w.solve_args))
-        for suffix, threads in runs:
-            call(f"{tag}.solve{suffix}", CLI, "solve", "--trace", trace, "--out", plans + suffix, *w.solve_args,
-                 *threads)
-            call(f"{tag}.simulate{suffix}", CLI, "simulate", "--trace", trace, "--plans", plans + suffix,
-                 "--out", report + suffix, *w.simulate_args(), *threads)
+        if name not in seeded and "--sample-locality" in w.solve_args:
+            seeded.add(name)
+            call(f"{tag}.solve-seeds2", CLI, "solve", "--trace", trace, "--out", f"{plans}-seeds2",
+                 *two_chain_args(w.solve_args))
+        call(f"{tag}.solve", CLI, "solve", "--trace", trace, "--out", plans, *w.solve_args)
+        call(f"{tag}.simulate", CLI, "simulate", "--trace", trace, "--plans", plans,
+             "--out", report, *w.simulate_args())
         call(f"{tag}.report", CLI, "report", "--report", f"{report}/report.json", "--out", f"csv/{tag}",
              "--series", "comparison,skewness,times,intersection,loads")
         if name not in first and (side / plans / "replication.json").is_file():

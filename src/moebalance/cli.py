@@ -51,17 +51,7 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta", type=float, default=20.0, help="log-sum-exp sharpness (default %(default)s)")
     p.add_argument("--replica-slots", type=int, default=2,
                    help="replica slots per GPU, home copies excluded (default %(default)s)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for independent per-entry solves; 0 = all cores (default %(default)s: "
-                        "the solves hold the GIL, so more threads measured slower)")
     p.add_argument("--seed", type=int, default=0, help="master random seed (default %(default)s)")
-
-
-def _threads(value: int) -> int:
-    import os
-    if value < 0:
-        raise ValueError(f"threads must be >= 0 (0 = all cores), got {value}")
-    return value or (os.cpu_count() or 1)
 
 
 def _sim_configs(args, trace: rt.RoutingTrace) -> sim.SimConfigs:
@@ -75,7 +65,6 @@ def _sim_configs(args, trace: rt.RoutingTrace) -> sim.SimConfigs:
         ),
         replica=rep.ReplicaConfig(slots_per_gpu=args.replica_slots),
         sample_locality=bool(args.sample_locality),
-        threads=_threads(args.threads),
     )
 
 
@@ -163,6 +152,8 @@ def cmd_simulate(args) -> int:
         if POLICY_ALIASES[name] in policies:
             raise SystemExit(f"error: --policies names {POLICY_ALIASES[name]} more than once")
         policies.append(POLICY_ALIASES[name])
+    if args.plans and "relibra" not in policies:
+        raise SystemExit("error: --plans is read only for the relibra policy, which --policies does not name")
 
     cfgs = _sim_configs(args, trace)
     reports = []

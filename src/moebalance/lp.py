@@ -28,8 +28,7 @@ PIVOT_TOL = 1e-9
 COST_TOL = 1e-9
 STALL_LIMIT = 64
 # the solver state a snapshot holds
-SNAPSHOT_FIELDS = ("tab", "binv", "rhs", "cost", "red", "upper", "at_upper", "struct_idx", "slack_idx", "basis",
-                   "objective")
+SNAPSHOT_FIELDS = ("tab", "binv", "rhs", "cost", "red", "upper", "at_upper", "struct_idx", "basis", "objective")
 
 
 class LPError(RuntimeError):
@@ -51,8 +50,7 @@ class DenseSimplex:
         self.upper = np.full(m, np.inf)
         self.at_upper = np.zeros(m, dtype=bool)
         self.struct_idx = np.arange(0)
-        self.slack_idx = np.arange(m)
-        self.basis = self.slack_idx.copy()
+        self.basis = np.arange(m)
         self.objective = 0.0
         self._pivots = 0
         self.add_columns(np.atleast_2d(a_ub), c, upper)
@@ -144,7 +142,6 @@ class DenseSimplex:
         self.red = np.concatenate([self.red, np.zeros(k)])
         self.upper = np.concatenate([self.upper, np.full(k, np.inf)])
         self.at_upper = np.concatenate([self.at_upper, np.zeros(k, dtype=bool)])
-        self.slack_idx = np.concatenate([self.slack_idx, new_slacks])
         self.basis = np.concatenate([self.basis, new_slacks])
 
     # ------------------------------------------------------------------

@@ -326,23 +326,19 @@ def anneal_reorder(
     model,
     hw: HardwareProfile,
     cfg: AnnealConfig,
-    extra_initial_plans: Sequence[ReorderPlan] = (),
 ) -> ReorderPlan:
     """Swap-based simulated annealing from the LPT plan.
 
-    Returns the plan with the lowest exact MoE time among the LPT plan, any
-    extra initial candidates, and every chain's best-so-far plan (first
-    minimum wins, chains in seed order), so the result is never worse than
-    the LPT initialization.
+    Returns the plan with the lowest exact MoE time among the LPT plan, the
+    static plan and every chain's best-so-far plan (first minimum wins,
+    chains in seed order), so the result is never worse than LPT or static:
+    it never loses to a placement it could simply have copied.
     """
     x = np.asarray(x_batch, dtype=np.float64)
     base = lpt_initial(x, topo)
     shared = AnnealState(x, base.assignment, topo, model, hw, beta=cfg.beta)
 
-    candidates = [base.assignment]
-    for plan in extra_initial_plans:
-        plan.validate(topo)
-        candidates.append(np.asarray(plan.assignment))
+    candidates = [base.assignment, static_plan(x.shape[1], topo).assignment]
     if len(cfg.seeds) >= LOCKSTEP_MIN_CHAINS:
         candidates.extend(_run_lockstep(shared, base.assignment, cfg))
     else:

@@ -72,6 +72,13 @@ class ModelProfile:
             raise ValueError(f"top_k {self.top_k} outside [1, {self.num_experts}]")
         if self.hidden_size < 1 or self.intermediate_size < 1:
             raise ValueError("hidden/intermediate sizes must be positive")
+        try:  # costmodel.TimeUnits' FLOP scale, computed the same way
+            fits = 6.0 * self.hidden_size * self.intermediate_size < float("inf")
+        except OverflowError:
+            fits = False
+        if not fits:
+            raise ValueError(f"hidden_size {self.hidden_size} and intermediate_size {self.intermediate_size}: "
+                             "the FLOP scale 6*h*h' does not fit a float")
         if self.expert_param_bytes is not None and self.expert_param_bytes < 1:
             raise ValueError(f"expert_param_bytes must be positive, got {self.expert_param_bytes}")
 

@@ -296,8 +296,7 @@ def build_policy_bundle(trace: rt.RoutingTrace, policy: str, topo: ClusterTopolo
             if not np.isfinite(times).all():
                 raise ValueError(f"layer {layer} batch aggregate at LPT homes: modeled times overflow "
                                  f"to {times.max():g} s under {hw}")
-            plans[layer] = ro.anneal_reorder(agg, topo, model, hw, cfgs.anneal,
-                                             extra_initial_plans=[ro.static_plan(model.num_experts, topo)])
+            plans[layer] = ro.anneal_reorder(agg, topo, model, hw, cfgs.anneal)
         if cfgs.sample_locality:
             sample_placement = ro.anneal_sample_placement(trace, plans, topo, model, hw, cfgs.anneal)
         matrices = scored_matrices(trace, sample_placement)

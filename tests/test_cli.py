@@ -86,14 +86,13 @@ def test_solve_then_simulate_round_trip(tmp_path, capsys):
     plans = tmp_path / "plans"
     report = tmp_path / "report"
     assert run(GEN_ARGS + ["--out", trace]) == 0
-    assert run(["solve", "--trace", trace, "--out", plans, "--replica-slots", "1",
-                "--threads", "1"] + SOLVE_SPEED) == 0
+    assert run(["solve", "--trace", trace, "--out", plans, "--replica-slots", "1"] + SOLVE_SPEED) == 0
     out = capsys.readouterr().out
     assert "reorder objective" in out
     assert (plans / "reorder.json").is_file()
     assert (plans / "replication.json").is_file()
     assert run(["simulate", "--trace", trace, "--out", report, "--plans", plans,
-                "--policies", "static,relibra", "--threads", "1"] + SOLVE_SPEED) == 0
+                "--policies", "static,relibra"] + SOLVE_SPEED) == 0
     rows = list(csv.DictReader((report / "summary.csv").open()))
     by_name = {r["policy"]: r for r in rows}
     assert float(by_name["static"]["speedup_vs_static"]) == pytest.approx(1.0)
@@ -104,8 +103,7 @@ def test_simulate_single_policy(tmp_path):
     trace = tmp_path / "trace"
     report = tmp_path / "report"
     assert run(GEN_ARGS + ["--out", trace]) == 0
-    assert run(["simulate", "--trace", trace, "--out", report, "--policies", "static",
-                "--threads", "1"]) == 0
+    assert run(["simulate", "--trace", trace, "--out", report, "--policies", "static"]) == 0
     rows = list(csv.DictReader((report / "summary.csv").open()))
     assert len(rows) == 1
     assert float(rows[0]["speedup_vs_static"]) == pytest.approx(1.0)
@@ -147,7 +145,7 @@ def test_report_series_schema(tmp_path):
     csv_dir = tmp_path / "csv"
     assert run(GEN_ARGS + ["--out", trace]) == 0
     assert run(["simulate", "--trace", trace, "--out", report,
-                "--policies", "static,balanced", "--threads", "1"]) == 0
+                "--policies", "static,balanced"]) == 0
     assert run(["report", "--report", report / "report.json", "--out", csv_dir,
                 "--series", "comparison,skewness,times,intersection,loads"]) == 0
 
@@ -176,7 +174,7 @@ def test_simulate_idempotent_modulo_timestamp(tmp_path):
     for name in ("r1", "r2"):
         out = tmp_path / name
         assert run(["simulate", "--trace", trace, "--out", out,
-                    "--policies", "static,lpt", "--threads", "1"]) == 0
+                    "--policies", "static,lpt"]) == 0
         outs.append(out)
     assert (outs[0] / "summary.csv").read_bytes() == (outs[1] / "summary.csv").read_bytes()
     a = json.loads((outs[0] / "report.json").read_text())
@@ -199,7 +197,7 @@ def simulated(tmp_path_factory):
     root = tmp_path_factory.mktemp("simulated")
     assert run(GEN_ARGS + ["--out", root / "trace"]) == 0
     assert run(["simulate", "--trace", root / "trace", "--out", root / "report",
-                "--policies", "static,lpt", "--threads", "1"]) == 0
+                "--policies", "static,lpt"]) == 0
     return root / "report" / "report.json"
 
 
@@ -314,16 +312,46 @@ def test_solve_overflow_fails_before_annealing(tmp_path, capsys, monkeypatch):
         assert not out.exists()
 
 
+def test_gen_rejects_sizes_past_a_float(tmp_path, capsys):
+    hidden = "1" + "0" * 400
+    out = tmp_path / "t"
+    capsys.readouterr()
+    assert run(GEN_ARGS + ["--hidden", hidden, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: hidden_size {hidden} and intermediate_size ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["solve", "simulate"])
-def test_negative_threads_is_one_error_line(tmp_path, capsys, command):
+@pytest.mark.parametrize("sizes", [
+    {"hidden_size": 10**400},  # 6.0 * h raises OverflowError
+    {"intermediate_size": 10**400},
+    {"hidden_size": 10**160, "intermediate_size": 10**160},  # each fits a float, 6*h*h' does not
+], ids=["hidden", "intermediate", "product"])
+def test_manifest_sizes_past_a_float_are_one_error_line(generated, tmp_path, capsys, command, sizes):
+    trace = tmp_path / "trace"
+    shutil.copytree(generated, trace)
+    path = trace / "manifest.json"
+    manifest = {**json.loads(path.read_text()), **sizes}
+    path.write_text(json.dumps(manifest))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([command, "--trace", trace, "--out", out, "--seeds", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: hidden_size {manifest['hidden_size']} and intermediate_size "
+                   f"{manifest['intermediate_size']}: the FLOP scale 6*h*h' does not fit a float\n"), err
+    assert not out.exists()
+
+
+def test_simulate_plans_without_relibra_is_an_error(tmp_path):
+    # --plans is read only for relibra; any other policy list would ignore it
     trace = tmp_path / "trace"
     assert run(DEGENERATE_GEN + ["--out", trace]) == 0
-    capsys.readouterr()
-    out = tmp_path / "out"
-    assert run([command, "--trace", trace, "--out", out, "--seeds", "1", "--threads", "-3"]) == 1
-    err = capsys.readouterr().err
-    assert err == "error: threads must be >= 0 (0 = all cores), got -3\n", err
-    assert not out.exists()
+    with pytest.raises(SystemExit) as exited:
+        run(["simulate", "--trace", trace, "--out", tmp_path / "r", "--plans", tmp_path / "nonexistent",
+             "--policies", "static,lpt"])
+    assert exited.value.code == "error: --plans is read only for the relibra policy, which --policies does not name"
+    assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("policies", ["static", "static,lpt,eplb"])
@@ -356,11 +384,11 @@ def test_solve_with_samples_and_locality(tmp_path):
     report = tmp_path / "report"
     assert run(GEN_ARGS + ["--out", trace, "--samples-per-gpu", "2"]) == 0
     assert run(["solve", "--trace", trace, "--out", plans, "--sample-locality",
-                "--replica-slots", "1", "--threads", "1"] + SOLVE_SPEED) == 0
+                "--replica-slots", "1"] + SOLVE_SPEED) == 0
     data = json.loads((plans / "reorder.json").read_text())
     assert data["sample_placement"] is not None
     assert run(["simulate", "--trace", trace, "--out", report, "--plans", plans,
-                "--policies", "static,relibra", "--threads", "1"] + SOLVE_SPEED) == 0
+                "--policies", "static,relibra"] + SOLVE_SPEED) == 0
 
 
 def test_simulate_trace_with_an_empty_micro_batch(tmp_path, capsys):
@@ -385,8 +413,8 @@ def test_simulate_trace_with_an_empty_micro_batch(tmp_path, capsys):
 def solved(tmp_path_factory):
     root = tmp_path_factory.mktemp("solved")
     assert run(GEN_ARGS + ["--out", root / "trace"]) == 0
-    assert run(["solve", "--trace", root / "trace", "--out", root / "plans", "--replica-slots", "1",
-                "--threads", "1"] + SOLVE_SPEED) == 0
+    assert run(["solve", "--trace", root / "trace", "--out", root / "plans",
+                "--replica-slots", "1"] + SOLVE_SPEED) == 0
     return root
 
 
@@ -558,7 +586,7 @@ def test_simulate_rejects_malformed_plan_files(solved, tmp_path, capsys, file, m
     path.write_text(json.dumps(data))
     capsys.readouterr()
     code = run(["simulate", "--trace", solved / "trace", "--out", tmp_path / "r", "--plans", plans,
-                "--policies", "relibra", "--threads", "1"])
+                "--policies", "relibra"])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1, err
@@ -589,7 +617,7 @@ def test_split_row_form_errors_come_before_copy_and_repeat_errors(solved, tmp_pa
     path.write_text(json.dumps(data))
     capsys.readouterr()
     code = run(["simulate", "--trace", solved / "trace", "--out", tmp_path / "r", "--plans", plans,
-                "--policies", "relibra", "--threads", "1"])
+                "--policies", "relibra"])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1, err
@@ -634,8 +662,7 @@ def test_simulate_rejects_malformed_manifest(generated, tmp_path, capsys, key, m
         manifest[key] = _wrong_type(manifest[key])
     path.write_text(json.dumps(manifest))
     capsys.readouterr()
-    code = run(["simulate", "--trace", trace, "--out", tmp_path / "r", "--policies", "static",
-                "--threads", "1"])
+    code = run(["simulate", "--trace", trace, "--out", tmp_path / "r", "--policies", "static"])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1, err
@@ -672,8 +699,7 @@ def test_simulate_rejects_malformed_samples(generated, tmp_path, capsys, text, m
         text = json.dumps(data)
     path.write_text(text)
     capsys.readouterr()
-    code = run(["simulate", "--trace", trace, "--out", tmp_path / "r", "--policies", "static",
-                "--threads", "1"])
+    code = run(["simulate", "--trace", trace, "--out", tmp_path / "r", "--policies", "static"])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1, err

@@ -2,8 +2,12 @@
 `src/moebalance` is the package itself, numpy, or the standard library."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "moebalance"
 ALLOWED = {"moebalance", "numpy"}
@@ -29,6 +33,16 @@ def test_runtime_imports_are_numpy_or_stdlib():
         if root not in ALLOWED and root not in sys.stdlib_module_names
     ]
     assert foreign == []
+
+
+@pytest.mark.parametrize("module", sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__"))
+def test_each_module_imports_on_its_own(module):
+    """`moebalance` imports none of its modules, so an import cycle would
+    break only the orders that enter it at the wrong module."""
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    result = subprocess.run([sys.executable, "-B", "-c", f"import moebalance.{module}"],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
 
 
 # defined for a caller that is still to come: ROADMAP item 4 reports the

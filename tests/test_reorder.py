@@ -160,9 +160,26 @@ class TestAnnealReorder:
         static = ro.static_plan(8, topo)
         t_static = cm.moe_time(cm.compute_loads(x, static.assignment, topo), model, hw).t_moe
         cfg = ro.AnnealConfig(seeds=(0,), cooling_rate=0.9)
-        plan = ro.anneal_reorder(x, topo, model, hw, cfg, extra_initial_plans=[static])
+        plan = ro.anneal_reorder(x, topo, model, hw, cfg)
         t = cm.moe_time(cm.compute_loads(x, plan.assignment, topo), model, hw).t_moe
         assert t <= t_static + 1e-12
+
+    def test_static_is_a_candidate(self):
+        # each source routes only to its own static block, so static moves no
+        # token; LPT splits both blocks, two swaps away from static, and one
+        # annealing step cannot get there
+        hw = HardwareProfile(6e6, 1.0, 1.0, 1.0)  # communication dominates
+        topo = build_topology(1, 2, hw)
+        x = np.array([[10, 9, 8, 7, 0, 0, 0, 0], [0, 0, 0, 0, 1, 1, 1, 1]], dtype=float)
+        model = comm_model(8)
+
+        def exact(assignment):
+            return cm.moe_time(cm.compute_loads(x, assignment, topo), model, hw).t_moe
+
+        t_static = exact(ro.static_plan(8, topo).assignment)
+        assert exact(ro.lpt_initial(x, topo).assignment) > t_static
+        plan = ro.anneal_reorder(x, topo, model, hw, ro.AnnealConfig(seeds=(0,), cooling_rate=1e-4))
+        assert exact(plan.assignment) <= t_static
 
     def test_deterministic(self):
         rng = np.random.default_rng(13)

@@ -102,7 +102,7 @@ def add_replica_per_pair(lp, e, gpu):
     lp.solver.add_columns(cols, np.zeros(sources.size), upper_new=np.ones(sources.size))
 
 
-def assert_same_lp(lp, ref, fields=("tab", "cost", "upper", "struct_idx", "slack_idx")):
+def assert_same_lp(lp, ref, fields=("tab", "cost", "upper", "struct_idx")):
     """Equal solver `fields`, by default the LP as given (its columns and
     rows are stored untransformed), and equal replica bookkeeping."""
     for name in fields:
