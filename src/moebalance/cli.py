@@ -118,7 +118,7 @@ def cmd_solve(args) -> int:
         objectives.append({"exact": est.t_moe, "smoothed": est.t_moe_smoothed})
         print(f"layer {layer}: reorder objective {lpt_cost:.6g} (LPT) -> {est.t_moe:.6g} (annealed)")
     if placement is not None:
-        moved = int((placement.source_gpu != trace.samples.source_gpu).sum())
+        moved = int((placement != trace.samples.source_gpu).sum())
         print(f"sample placement: {moved}/{trace.samples.num_samples} samples relocated")
 
     reorder_only = sim.evaluate_bundle(trace, sim.PlanBundle(plans, placement), topo, model, hw)

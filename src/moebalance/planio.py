@@ -85,7 +85,7 @@ def _read_plan_file(p: Path, kind: str, trace) -> dict:
 
 
 def save_reorder_plan(path: str | Path, trace_id: str, plans: list[ro.ReorderPlan],
-                      objectives: list[dict], sample_placement: ro.SamplePlacement | None,
+                      objectives: list[dict], sample_placement: np.ndarray | None,
                       config: dict) -> None:
     payload = {
         "version": 1,
@@ -93,7 +93,7 @@ def save_reorder_plan(path: str | Path, trace_id: str, plans: list[ro.ReorderPla
         "num_layers": len(plans),
         "plans": [plan.assignment.tolist() for plan in plans],
         "objectives": objectives,
-        "sample_placement": sample_placement.source_gpu.tolist() if sample_placement else None,
+        "sample_placement": sample_placement.tolist() if sample_placement is not None else None,
         "config": config,
     }
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
@@ -107,7 +107,7 @@ def load_reorder_plan(path: str | Path, trace) -> dict:
         rows = _plan_field(data, "plans", "plan", list)
         data["plans"] = [ro.ReorderPlan(_gpu_ids(row, f"plans[{layer}]", g)) for layer, row in enumerate(rows)]
         if data.get("sample_placement") is not None:
-            data["sample_placement"] = ro.SamplePlacement(_gpu_ids(data["sample_placement"], "sample_placement", g))
+            data["sample_placement"] = _gpu_ids(data["sample_placement"], "sample_placement", g)
     return data
 
 

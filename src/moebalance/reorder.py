@@ -11,11 +11,11 @@ the initial objective until it drops to EPS_FRAC of that.
 State is cached per GPU and updated incrementally per swap from a
 precomputed per-(expert, host) contribution tensor. Loads come from the
 topology's charge operator (`topology.ChargeOperator`): the tensor is one
-contraction of the routing matrix with it, and the sample pass charges each
-moved sample's source row through it and takes a placement's loads from
-`costmodel.compute_loads`, as the evaluator does. Loads are sums of integer
-token counts times 0/1 charge weights, far below 2**53, so every incremental
-update is exact. `costmodel.TimeUnits` turns loads into times.
+contraction of the routing matrix with its dense table; the sample pass
+charges every sample move through the same table and takes a placement's
+loads from `costmodel.compute_loads`, as the evaluator does. Loads are sums
+of integer token counts times 0/1 charge weights, far below 2**53, so every
+incremental update is exact. `costmodel.TimeUnits` turns loads into times.
 
 Two or more chains run in lockstep: one step of every chain is one numpy
 pass over a (chains, 5, G) load stack, and each chain ends exactly where it
@@ -79,13 +79,6 @@ class AnnealConfig:
             raise ValueError(f"cooling_rate must be in (0, 1), got {self.cooling_rate}")
         if not (math.isfinite(self.beta) and self.beta > 0):
             raise ValueError(f"beta must be positive and finite, got {self.beta!r}")
-
-
-@dataclass
-class SamplePlacement:
-    """Sample-to-source-GPU assignment within the data-parallel group."""
-
-    source_gpu: np.ndarray  # (S,)
 
 
 # ---------------------------------------------------------------------------
@@ -355,10 +348,11 @@ def anneal_reorder(
 class _SampleState:
     """Per-(micro_batch, layer) loads and per-GPU token totals of placed samples.
 
-    A new state has no sample placed; `fork` places every sample as a
-    placement says, and `sample_loads` gives the loads one sample adds from
-    a source GPU. Loads are integer token sums, so loads built from these
-    charges in any order equal the evaluator's exactly.
+    A placement is the (S,) array of every sample's source GPU. A new state
+    has none placed; `fork` places every sample as a placement says. Sample
+    i adds `dst_mass[i] @ dense[src]` from source GPU src in the greedy start
+    and the chain alike; loads are integer token sums, so any order of
+    charges gives the evaluator's loads exactly.
     """
 
     def __init__(self, trace, plans: Sequence[ReorderPlan], topo: ClusterTopology, model,
@@ -383,16 +377,12 @@ class _SampleState:
         """A state with every sample placed, loads as the evaluator computes them."""
         clone = copy.copy(self)
         clone.placement = np.asarray(placement, dtype=np.int64).copy()
-        x = rewrite_trace_matrices(self.trace, SamplePlacement(clone.placement))
+        x = rewrite_trace_matrices(self.trace, clone.placement)
         clone.loads5 = np.array([[cm.compute_loads(x[mb, layer], plan.assignment, self.topo)
                                   for layer, plan in enumerate(self.plans)] for mb in range(len(x))])
         clone.totals = np.zeros_like(self.totals)
         np.add.at(clone.totals, (self.samples.micro_batch, clone.placement), self.samples.tokens)
         return clone
-
-    def sample_loads(self, i: int, src: int) -> np.ndarray:
-        """(L, 5, G) loads sample i adds when it starts on GPU src."""
-        return np.stack([self.topo.charges.loads(mass, src=src) for mass in self.dst_mass[i]])
 
     def entry_exact(self, mb: int) -> float:
         return sum(self.units.exact(loads5) for loads5 in self.loads5[mb])
@@ -402,7 +392,7 @@ class _SampleState:
 
 
 def greedy_sample_initial(trace, plans: Sequence[ReorderPlan], topo, model, hw,
-                          beta: float = 20.0) -> SamplePlacement:
+                          beta: float = 20.0) -> np.ndarray:
     """Longest-first greedy: each sample goes to the GPU with the lowest
     resulting per-micro-batch communication time, within the token band.
 
@@ -430,7 +420,7 @@ def greedy_sample_initial(trace, plans: Sequence[ReorderPlan], topo, model, hw,
         state.loads5[mb] = placed[best]
         state.totals[mb, fits[best]] += float(s.tokens[i])
         state.placement[i] = fits[best]
-    return SamplePlacement(source_gpu=state.placement)
+    return state.placement
 
 
 def _run_sample_chain(base: _SampleState, initial: np.ndarray, cfg: AnnealConfig, seed: int) -> np.ndarray:
@@ -438,9 +428,10 @@ def _run_sample_chain(base: _SampleState, initial: np.ndarray, cfg: AnnealConfig
 
     Each micro-batch's smoothed time, its layers' times summed from 0, is
     cached. A swap builds the swapped loads of the one or two micro-batches
-    it touches as new arrays and scores each as one `TimeUnits.smoothed_rows`
-    stack; only an accepted swap writes loads, token totals, placement and
-    cached times. A swap that leaves the token band draws no uniform.
+    it touches as new arrays, a move being `dst_mass[k] @ (dense[dst] -
+    dense[src])`, and scores each as one `TimeUnits.smoothed_rows` stack;
+    only an accepted swap writes loads, token totals, placement and cached
+    times. A swap that leaves the token band draws no uniform.
     """
     state = base.fork(initial)
     s = state.samples
@@ -462,7 +453,8 @@ def _run_sample_chain(base: _SampleState, initial: np.ndarray, cfg: AnnealConfig
         loads, totals = {}, {}  # swapped loads per micro-batch, token totals per (micro-batch, GPU)
         for k, src, dst in ((i, gi, gj), (j, gj, gi)):
             mb = micro_batch[k]
-            loads[mb] = loads.get(mb, state.loads5[mb]) + state.sample_loads(k, dst) - state.sample_loads(k, src)
+            moved = (state.dst_mass[k] @ (state.dense[dst] - state.dense[src])).reshape(state.loads5.shape[1:])
+            loads[mb] = loads.get(mb, state.loads5[mb]) + moved
             totals[mb, src] = totals.get((mb, src), state.totals[mb, src]) - tokens[k]
             totals[mb, dst] = totals.get((mb, dst), state.totals[mb, dst]) + tokens[k]
         scored = {mb: sum(state.units.smoothed_rows(new, state.beta)) for mb, new in loads.items()}
@@ -491,38 +483,33 @@ def anneal_sample_placement(
     model,
     hw: HardwareProfile,
     cfg: AnnealConfig,
-) -> SamplePlacement:
+) -> np.ndarray:
     """Second annealing round: swap sample source GPUs under fixed expert plans.
 
     The objective is the smoothed MoE time summed over every micro-batch and
     layer; moves that would leave a GPU's token total outside the +/-SAMPLE_BAND
-    around the per-micro-batch mean are rejected. The returned placement is
-    never worse than the greedy initial one in summed exact time.
+    around the per-micro-batch mean are rejected. Returns the (S,) source GPU
+    array of lowest summed exact time among the trace's own placement, the
+    greedy start and each chain's best (first minimum wins, in that order), so
+    the pass never loses to not moving and exact ties keep samples in place.
     """
     initial = greedy_sample_initial(trace, plans, topo, model, hw, beta=cfg.beta)
     base = _SampleState(trace, plans, topo, model, hw, cfg.beta)
-    candidates = [initial.source_gpu]
+    candidates = [trace.samples.source_gpu.astype(np.int64), initial]
     if topo.num_gpus >= 2 and trace.samples.num_samples >= 2:
-        candidates.extend(_run_sample_chain(base, initial.source_gpu, cfg, seed) for seed in cfg.seeds)
-    best = min(candidates, key=lambda placement: base.fork(placement).exact_total())
-    return SamplePlacement(source_gpu=best.copy())
+        candidates.extend(_run_sample_chain(base, initial, cfg, seed) for seed in cfg.seeds)
+    return min(candidates, key=lambda placement: base.fork(placement).exact_total())
 
 
-def rewrite_trace_matrices(trace, placement: SamplePlacement) -> np.ndarray:
-    """All (MB, L, G, E) matrices with sample rows moved to their new sources."""
+def rewrite_trace_matrices(trace, source_gpu: np.ndarray) -> np.ndarray:
+    """All (MB, L, G, E) matrices with each sample i's rows moved to GPU source_gpu[i]."""
     s = trace.samples
     if s is None:
         raise ValueError("trace has no sample table")
     out = trace.matrices.astype(np.float64)
-    for i in range(s.num_samples):
-        src = int(s.source_gpu[i])
-        dst = int(placement.source_gpu[i])
-        if src == dst:
-            continue
-        mb = int(s.micro_batch[i])
-        counts = s.counts[i].astype(np.float64)  # (L, E)
-        out[mb, :, src, :] -= counts
-        out[mb, :, dst, :] += counts
+    counts = s.counts.astype(np.float64)  # (S, L, E)
+    np.subtract.at(out, (s.micro_batch, slice(None), s.source_gpu), counts)
+    np.add.at(out, (s.micro_batch, slice(None), source_gpu), counts)
     if out.min() < 0:
         raise ValueError("sample relocation produced negative counts")
     return out

@@ -218,8 +218,7 @@ class RoutingTrace:
             raise TraceFormatError(f"sample {bad[0]} routes {routed[bad[0]].tolist()} expert assignments per layer, "
                                    f"not tokens * top_k = {s.tokens[bad[0]]} * {self.model.top_k}")
         rebuilt = np.zeros((mb, layers, g, e), dtype=np.int64)
-        for i in range(s.num_samples):
-            rebuilt[s.micro_batch[i], :, s.source_gpu[i], :] += s.counts[i].astype(np.int64)
+        np.add.at(rebuilt, (s.micro_batch, slice(None), s.source_gpu), s.counts.astype(np.int64))
         if (rebuilt != self.matrices.astype(np.int64)).any():
             raise TraceFormatError("per-GPU sums over samples do not reproduce the routing matrices")
 

@@ -48,7 +48,7 @@ class PlanBundle:
     """Everything needed to evaluate one policy over a trace."""
 
     reorder: list[ro.ReorderPlan]
-    sample_placement: ro.SamplePlacement | None = None
+    sample_placement: np.ndarray | None = None  # (S,) source GPU per sample
     replication: rep.ReplicationPlan = field(default_factory=rep.ReplicationPlan)
 
 
@@ -73,7 +73,7 @@ def _check_gpu_ids(name: str, ids: np.ndarray, count: int, what: str, num_gpus: 
 
 
 def check_reorder(trace: rt.RoutingTrace, plans: list[ro.ReorderPlan],
-                  sample_placement: ro.SamplePlacement | None, topo: ClusterTopology) -> None:
+                  sample_placement: np.ndarray | None, topo: ClusterTopology) -> None:
     """Check the reorder.json part of a bundle against the trace."""
     layers = trace.model.num_layers
     if len(plans) != layers:
@@ -84,7 +84,7 @@ def check_reorder(trace: rt.RoutingTrace, plans: list[ro.ReorderPlan],
     if sample_placement is not None:
         if trace.samples is None:
             raise ValueError("a sample placement is set, but the trace has no sample table")
-        _check_gpu_ids("the sample placement", sample_placement.source_gpu, trace.samples.num_samples,
+        _check_gpu_ids("the sample placement", sample_placement, trace.samples.num_samples,
                        "samples", topo.num_gpus)
 
 
@@ -107,7 +107,7 @@ def check_replication(trace: rt.RoutingTrace, bundle: PlanBundle, topo: ClusterT
             rep.validate_split(entry.split, entry.placement, matrices[mb, layer])
 
 
-def scored_matrices(trace: rt.RoutingTrace, sample_placement: ro.SamplePlacement | None) -> np.ndarray:
+def scored_matrices(trace: rt.RoutingTrace, sample_placement: np.ndarray | None) -> np.ndarray:
     """The (MB, L, G, E) float routing matrices a bundle is scored on."""
     if sample_placement is not None:
         return ro.rewrite_trace_matrices(trace, sample_placement)

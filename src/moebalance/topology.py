@@ -165,18 +165,15 @@ class ChargeOperator:
         offsets = np.concatenate([[0], np.cumsum(used.sum(axis=1))])
         return cls(g, offsets, table[used])
 
-    def loads(self, flow: np.ndarray, src: int | None = None) -> np.ndarray:
-        """(5, G) loads of token masses flow[src, dst].
+    def loads(self, flow: np.ndarray) -> np.ndarray:
+        """(5, G) loads of the (G, G) token masses flow[src, dst].
 
-        With `src` given, flow is that one source's (G,) masses by
-        destination. Each load sums its pair charges in pair order, so a
-        GPU's computation load adds its sources in ascending order.
+        Each load sums its pair charges in pair order, so a GPU's
+        computation load adds its sources in ascending order.
         """
         g = self.num_gpus
-        lo, hi = (0, g * g) if src is None else (src * g, src * g + g)
-        ends = self.offsets[lo:hi + 1]
-        mass = np.repeat(np.asarray(flow, dtype=np.float64).ravel(), ends[1:] - ends[:-1])
-        return np.bincount(self.positions[ends[0]:ends[-1]], weights=mass, minlength=5 * g).reshape(5, g)
+        mass = np.repeat(np.asarray(flow, dtype=np.float64).ravel(), np.diff(self.offsets))
+        return np.bincount(self.positions, weights=mass, minlength=5 * g).reshape(5, g)
 
     def dense(self) -> np.ndarray:
         """(G, G, 5, G) 0/1 array: [src, dst] is the loads of one token (5*G**3 floats)."""

@@ -3,18 +3,22 @@
 `benchmarks/tracer.py` replaces every `TARGETS` entry through
 `owner.__dict__[attr]`, reads `DenseSimplex._pivots` and `tab.size` after
 each solve, and unpacks the `(tasks, threads)` arguments of
-`sim.solve_tasks`. Outside the traced targets, `benchmarks/run.py` builds
+`sim.solve_tasks`; `benchmarks/perlayer.py` then derives every per-layer
+metric from the spans and the written plans. Outside the traced targets, `benchmarks/run.py` builds
 the `lplb_like` bundle itself for its reference check, and
 `benchmarks/perlayer.py` scores LPT plans per layer. A rename would make a
 benchmark run fail only after minutes of work; these checks fail at once.
 """
 
+import dataclasses
 import importlib
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
 
+from moebalance import cli
 from moebalance import reorder as ro
 from moebalance import replicate as rep
 from moebalance import routing as rt
@@ -103,3 +107,32 @@ def test_tasks_hook_unpacks_solve_tasks_calls():
     # the tasks ran on the pool's worker threads, under the pool's span
     for name in ("replicate.solve_token_split_lp", "replicate.greedy_replicate"):
         assert any(span[1] == name and span[4] in pools for span in tracer.spans)
+
+
+def test_traced_run_yields_every_metric(tmp_path, bench_module):
+    # the benchmark's traced path end to end: gen, solve with the sample pass
+    # and one replica slot, and simulate --plans, each inside its bench span
+    tracer_module = bench_module("tracer")
+    perlayer = bench_module("perlayer")
+    workload = dataclasses.replace(bench_module("workloads").WORKLOADS["locality-ep32x2"], replica_slots=1)
+    trace_dir, plans, report = tmp_path / "trace", tmp_path / "plans", tmp_path / "report"
+    gen = ["gen", "--out", str(trace_dir), "--nodes", "2", "--gpus-per-node", "2", "--experts", "8",
+           "--layers", "2", "--micro-batches", "2", "--top-k", "2", "--tokens-per-gpu", "32",
+           "--samples-per-gpu", "2", "--seed", "3", "--flops", "4e6", "--bw-nvlink", "5e3", "--bw-rdma", "1e3"]
+    solve = ["solve", "--trace", str(trace_dir), "--out", str(plans), "--sample-locality",
+             "--replica-slots", "1", "--seeds", "2", "--cooling", "0.9"]
+    simulate = ["simulate", "--trace", str(trace_dir), "--plans", str(plans), "--out", str(report),
+                "--replica-slots", "1", "--policies", "static,lpt,eplb,lplb,balanced,relibra"]
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        for phase, argv in (("bench.setup", gen), ("bench.solve", solve), ("bench.simulate", simulate)):
+            assert tracer.span(phase, cli.main, argv) == 0
+    finally:
+        tracer.uninstall()
+    metrics, _ = perlayer.compute(tracer.spans, trace=rt.load_trace(trace_dir), workload=workload, plans=plans,
+                                  report=report, trace_dir=trace_dir, untraced={"solve_s": 0.0, "simulate_s": 0.0})
+    assert sorted(metrics) == sorted(name for name, _, _ in perlayer.METRICS)
+    assert [name for name, value in metrics.items() if not math.isfinite(value)] == []
+    assert 0.0 <= metrics["reorder.sample_moved_frac"] <= 1.0
+    assert metrics["lp.solves"] > 0 and metrics["reorder.sample_pass_s"] > 0

@@ -77,22 +77,6 @@ def test_local_pairs_charge_no_link(case):
     np.testing.assert_array_equal(loads[COMP], np.diag(flow))
 
 
-@settings(max_examples=40, deadline=None)
-@given(topo_and_flow(), st.data())
-def test_row_pair_and_dense_views_agree(case, data):
-    topo, flow = case
-    ops = topo.charges
-    g = topo.num_gpus
-    src = data.draw(st.integers(0, g - 1))
-    dst = data.draw(st.integers(0, g - 1))
-    only_row = np.zeros_like(flow)
-    only_row[src] = flow[src]
-    np.testing.assert_array_equal(ops.loads(flow[src], src=src), ops.loads(only_row))
-    unit = np.zeros_like(flow)
-    unit[src, dst] = 1.0
-    np.testing.assert_array_equal(ops.dense()[src, dst], ops.loads(unit))
-
-
 def test_operator_is_cached_per_topology():
     topo = build_topology(2, 4, HW)
     assert topo.charges is topo.charges

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import moebalance
+from moebalance import planio
 from moebalance import routing as rt
 from moebalance import sim
 from moebalance.cli import main
@@ -389,6 +390,24 @@ def test_solve_with_samples_and_locality(tmp_path):
     assert data["sample_placement"] is not None
     assert run(["simulate", "--trace", trace, "--out", report, "--plans", plans,
                 "--policies", "static,relibra"] + SOLVE_SPEED) == 0
+
+
+@pytest.mark.parametrize("seed", ["2", "7"])
+def test_sample_locality_never_worse_than_none(tmp_path, seed):
+    # on the seed 2 trace the samples' own placement beats every placement
+    # the greedy start and the chains reach; on seed 7 the pass moves samples
+    trace_dir = tmp_path / "trace"
+    gen = list(GEN_ARGS)
+    gen[gen.index("--seed") + 1] = seed
+    assert run(gen + ["--out", trace_dir, "--samples-per-gpu", "2"]) == 0
+    trace = rt.load_trace(trace_dir)
+    totals = {}
+    for name, flags in (("plain", []), ("locality", ["--sample-locality"])):
+        assert run(["solve", "--trace", trace_dir, "--out", tmp_path / name, "--replica-slots", "0",
+                    *flags] + SOLVE_SPEED) == 0
+        bundle = planio.load_plan_bundle(tmp_path / name, trace)
+        totals[name] = sim.evaluate_bundle(trace, bundle, trace.topo, trace.model, trace.topo.profile).total_time
+    assert totals["locality"] <= totals["plain"]
 
 
 def test_simulate_trace_with_an_empty_micro_batch(tmp_path, capsys):

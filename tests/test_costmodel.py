@@ -134,7 +134,7 @@ def test_planners_convert_loads_like_the_evaluator():
             assert np.array_equal(rhs[g:].reshape(4, g).min(axis=0), est.comm_times.max() - est.comm_times)
         samples = ro._SampleState(trace, plans, topo, model, hw, beta=20.0)
         for i, gpu in enumerate(trace.samples.source_gpu):
-            samples.loads5[trace.samples.micro_batch[i]] += samples.sample_loads(i, int(gpu))
+            samples.loads5[trace.samples.micro_batch[i]] += (samples.dst_mass[i] @ samples.dense[gpu]).reshape(-1, 5, g)
         for mb in range(trace.num_micro_batches):
             exact = sum(
                 cm.moe_time(cm.compute_loads(trace.matrices[mb, layer], plans[layer].assignment, topo),

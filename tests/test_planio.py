@@ -66,7 +66,7 @@ def plan_files(draw):
     if trace.samples is not None and draw(st.booleans()):
         gpus = draw(st.lists(st.integers(0, g - 1), min_size=trace.samples.num_samples,
                              max_size=trace.samples.num_samples))
-        placement = ro.SamplePlacement(np.array(gpus, dtype=np.int64))
+        placement = np.array(gpus, dtype=np.int64)
     replication = rep.ReplicationPlan()
     for mb in range(trace.num_micro_batches):
         for layer in range(trace.model.num_layers):
@@ -97,7 +97,7 @@ def test_plan_files_round_trip(tmp_path_factory, case):
     if placement is None:
         assert bundle.sample_placement is None
     else:
-        assert bundle.sample_placement.source_gpu.tolist() == placement.source_gpu.tolist()
+        assert bundle.sample_placement.tolist() == placement.tolist()
     loaded = bundle.replication.entries
     assert sorted(loaded) == sorted(replication.entries)
     for key, want in replication.entries.items():

@@ -353,11 +353,21 @@ def make_sample_trace(counts, micro_batch, source_gpu, tokens, topo, model):
     return rt.RoutingTrace(model=model, topo=topo, matrices=matrices, tokens_per_gpu=0, samples=samples)
 
 
+def source_row_loads(state, i, gpu):
+    """(L, 5, G) loads of sample i from source gpu, charged as one whole flow per layer."""
+    g = state.topo.num_gpus
+    out = []
+    for mass in state.dst_mass[i]:
+        flow = np.zeros((g, g))
+        flow[gpu] = mass
+        out.append(state.topo.charges.loads(flow))
+    return np.stack(out)
+
+
 def apply_sample(state, i, gpu, sign):
     """Add (sign 1) or remove (sign -1) sample i's charges from source gpu in place."""
     mb = int(state.samples.micro_batch[i])
-    for layer in range(state.dst_mass.shape[1]):
-        state.loads5[mb, layer] += sign * state.topo.charges.loads(state.dst_mass[i, layer], src=gpu)
+    state.loads5[mb] += sign * source_row_loads(state, i, gpu)
     state.totals[mb, gpu] += sign * float(state.samples.tokens[i])
 
 
@@ -385,7 +395,7 @@ class TestSamplePlacement:
             topo=topo, model=model)
         cfg = ro.AnnealConfig(seeds=(0,), cooling_rate=0.9)
         placement = ro.anneal_sample_placement(trace, [ro.ReorderPlan(np.array([0, 0]))], topo, model, hw, cfg)
-        assert placement.source_gpu.tolist() == [0, 0]
+        assert placement.tolist() == [0, 0]
 
     def test_colocates_with_activated_experts(self):
         # two single-GPU nodes; each sample only uses experts on one node
@@ -399,10 +409,31 @@ class TestSamplePlacement:
         plans = [ro.ReorderPlan(np.array([0, 1]))]
         cfg = ro.AnnealConfig(seeds=(0, 1), cooling_rate=0.9)
         placement = ro.anneal_sample_placement(trace, plans, topo, model, hw, cfg)
-        assert placement.source_gpu.tolist() == [0, 1]
+        assert placement.tolist() == [0, 1]
         matrices = ro.rewrite_trace_matrices(trace, placement)
         loads = cm.compute_loads(matrices[0, 0], plans[0].assignment, topo)
         assert loads[RDMA_TX].sum() == 0
+
+    def test_keeps_the_given_placement_when_greedy_is_worse(self):
+        # both 10-token samples start on GPU 0 with all their tokens routed
+        # to its expert. The band (mean 10, at most 11 per GPU) pushes the
+        # greedy start to put one sample on GPU 1, which adds communication;
+        # equal token counts keep every swap in that shape, so no chain gets
+        # back to the given placement and only its own candidate can
+        hw = HardwareProfile(6.0, 10.0, 3.0, 1.0)
+        topo = build_topology(1, 2, hw)
+        model = rt.ModelProfile(num_layers=1, num_experts=2, top_k=1, hidden_size=1, intermediate_size=1)
+        trace = make_sample_trace(
+            counts=[[[10, 0]], [[10, 0]]], micro_batch=[0, 0], source_gpu=[0, 0], tokens=[10, 10],
+            topo=topo, model=model)
+        plans = [ro.ReorderPlan(np.array([0, 1]))]
+        cfg = ro.AnnealConfig(seeds=(0, 1), cooling_rate=0.9)
+        greedy = ro.greedy_sample_initial(trace, plans, topo, model, hw)
+        assert sorted(greedy.tolist()) == [0, 1]
+        base = ro._SampleState(trace, plans, topo, model, hw, cfg.beta)
+        assert base.fork(greedy).exact_total() > base.fork(trace.samples.source_gpu).exact_total()
+        placement = ro.anneal_sample_placement(trace, plans, topo, model, hw, cfg)
+        assert placement.tolist() == [0, 0]
 
     def test_never_worse_than_greedy_initial(self):
         rng = np.random.default_rng(21)
@@ -441,7 +472,7 @@ class TestSamplePlacement:
         for mb in range(trace.num_micro_batches):
             totals = np.zeros(topo.num_gpus)
             for i in np.flatnonzero(s.micro_batch == mb):
-                totals[placement.source_gpu[i]] += s.tokens[i]
+                totals[placement[i]] += s.tokens[i]
             mean = totals.sum() / topo.num_gpus
             assert (totals >= 0.9 * mean - 1e-9).all()
             assert (totals <= 1.1 * mean + 1e-9).all()
@@ -464,10 +495,9 @@ class TestSamplePlacement:
             move_sample(state, i, int(rng.integers(0, topo.num_gpus)))
             if rng.random() < 0.3:
                 move_sample(state, i, old)
-        placement = ro.SamplePlacement(source_gpu=state.placement.copy())
-        matrices = ro.rewrite_trace_matrices(trace, placement)
+        matrices = ro.rewrite_trace_matrices(trace, state.placement)
         totals = np.zeros((trace.num_micro_batches, topo.num_gpus))
-        np.add.at(totals, (trace.samples.micro_batch, placement.source_gpu), trace.samples.tokens)
+        np.add.at(totals, (trace.samples.micro_batch, state.placement), trace.samples.tokens)
         assert np.array_equal(state.totals, totals)
         for mb in range(trace.num_micro_batches):
             for layer in range(2):
@@ -550,7 +580,7 @@ class TestSampleChainStream:
         plans = [ro.lpt_initial(rt.aggregate_batch(trace, layer), topo) for layer in range(layers)]
         cfg = ro.AnnealConfig(seeds=tuple(seeds), cooling_rate=0.97)
         base = ro._SampleState(trace, plans, topo, model, hw, cfg.beta)
-        initial = ro.greedy_sample_initial(trace, plans, topo, model, hw).source_gpu
+        initial = ro.greedy_sample_initial(trace, plans, topo, model, hw)
         for seed in seeds:
             got = ro._run_sample_chain(base, initial, cfg, seed)
             assert got.tolist() == generator_sample_chain(base, initial, cfg, seed).tolist()
@@ -612,7 +642,7 @@ class TestSampleArrayPasses:
     @settings(max_examples=60, deadline=None)
     @given(sample_cases())
     def test_greedy_equals_per_gpu_reference(self, case):
-        got = ro.greedy_sample_initial(*case).source_gpu
+        got = ro.greedy_sample_initial(*case)
         assert np.array_equal(got, reference_greedy_sample_initial(*case))
 
     def test_greedy_without_a_fitting_gpu_takes_the_least_loaded(self):
@@ -625,7 +655,7 @@ class TestSampleArrayPasses:
             counts=[[[0, 10]], [[1, 0]], [[0, 1]]], micro_batch=[0, 0, 0], source_gpu=[1, 1, 0],
             tokens=[10, 1, 1], topo=topo, model=model)
         plans = [ro.ReorderPlan(np.array([0, 1]))]
-        got = ro.greedy_sample_initial(trace, plans, topo, model, hw).source_gpu
+        got = ro.greedy_sample_initial(trace, plans, topo, model, hw)
         assert got[0] == 0
         assert np.array_equal(got, reference_greedy_sample_initial(trace, plans, topo, model, hw))
 
@@ -638,7 +668,7 @@ class TestSampleArrayPasses:
         for i in range(trace.samples.num_samples):
             for src in range(g):
                 dense = (state.dst_mass[i] @ state.dense[src]).reshape(-1, 5, g)
-                assert np.array_equal(state.sample_loads(i, src), dense)
+                assert np.array_equal(source_row_loads(state, i, src), dense)
 
 
 class CountingStream(ro.ChainStream):
@@ -705,6 +735,42 @@ class TestSampleChainCases:
         assert got.tolist() == generator_sample_chain(base, initial, cfg, 0).tolist() == [0, 1]
 
 
+@st.composite
+def rewrite_cases(draw):
+    """A sample table that sums to its matrices and a placement. Samples 0
+    and 1 share one (micro-batch, source GPU), sample 0 stays on its own GPU
+    and others may too; per-layer counts are permutations of one row, so
+    the trace validates."""
+    nodes, gpn = draw(st.sampled_from([(1, 1), (1, 2), (2, 2), (1, 4)]))
+    g = nodes * gpn
+    layers = draw(st.integers(1, 3))
+    num_experts = g * draw(st.integers(1, 2))
+    num_samples = draw(st.integers(2, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    micro_batch = rng.integers(0, draw(st.integers(1, 3)), num_samples)
+    source_gpu = rng.integers(0, g, num_samples)
+    micro_batch[1], source_gpu[1] = micro_batch[0], source_gpu[0]
+    row = rng.integers(0, 10, size=(num_samples, num_experts))
+    counts = np.stack([rng.permuted(row, axis=1) for _ in range(layers)], axis=1)
+    model = rt.ModelProfile(num_layers=layers, num_experts=num_experts, top_k=1, hidden_size=1, intermediate_size=1)
+    trace = make_sample_trace(counts=counts, micro_batch=micro_batch, source_gpu=source_gpu,
+                              tokens=row.sum(axis=1), topo=build_topology(nodes, gpn, UNIT_HW), model=model)
+    placement = np.where(rng.random(num_samples) < 0.3, source_gpu, rng.integers(0, g, num_samples))
+    placement[0] = source_gpu[0]
+    return trace, placement
+
+
+def loop_rewrite(trace, placement):
+    """The rewrite one sample at a time."""
+    s = trace.samples
+    out = trace.matrices.astype(np.float64)
+    for i in range(s.num_samples):
+        out[s.micro_batch[i], :, s.source_gpu[i], :] -= s.counts[i]
+        out[s.micro_batch[i], :, placement[i], :] += s.counts[i]
+    return out
+
+
+
 class TestRewriteTraceMatrices:
     @staticmethod
     def two_sample_trace():
@@ -717,15 +783,34 @@ class TestRewriteTraceMatrices:
 
     def test_identity(self):
         trace = self.two_sample_trace()
-        unmoved = ro.SamplePlacement(trace.samples.source_gpu.copy())
+        unmoved = trace.samples.source_gpu.copy()
         np.testing.assert_array_equal(ro.rewrite_trace_matrices(trace, unmoved), trace.matrices)
 
     def test_sample_moves_preserve_column_sums(self):
         trace = self.two_sample_trace()
-        placement = ro.SamplePlacement(np.array([1, 0]))
+        placement = np.array([1, 0])
         x = trace.matrices[0, 0].astype(float)
         moved = ro.rewrite_trace_matrices(trace, placement)[0, 0]
         np.testing.assert_allclose(moved.sum(axis=0), x.sum(axis=0))
         assert moved.sum() == x.sum()
         np.testing.assert_allclose(moved[1], [2, 1, 0])
         np.testing.assert_allclose(moved[0], [0, 1, 2])
+
+    @settings(max_examples=60, deadline=None)
+    @given(rewrite_cases())
+    def test_equals_per_sample_loop(self, case):
+        trace, placement = case
+        trace.validate()  # the one-pass rebuild accepts a table that sums to the matrices
+        assert np.array_equal(ro.rewrite_trace_matrices(trace, placement), loop_rewrite(trace, placement))
+
+    @settings(max_examples=30, deadline=None)
+    @given(rewrite_cases(), st.data())
+    def test_table_off_the_matrices_raises(self, case, data):
+        trace, _ = case
+        mb, _, g, e = trace.matrices.shape
+        at = (data.draw(st.integers(0, mb - 1)), slice(None), data.draw(st.integers(0, g - 1)),
+              data.draw(st.integers(0, e - 1)))
+        trace.matrices[at] += 1  # one more token on one GPU in every layer: only the sample sums disagree
+        with pytest.raises(rt.TraceFormatError,
+                           match="^per-GPU sums over samples do not reproduce the routing matrices$"):
+            trace.validate()

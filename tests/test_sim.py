@@ -81,7 +81,7 @@ class TestEvaluateBundle:
         gpus = trace.samples.source_gpu.astype(np.int64)
         gpus = np.concatenate([[-1], gpus[1:]]) if mutate == "negative" else gpus[:-1]
         bundle = sim.PlanBundle(reorder=[ro.static_plan(model.num_experts, topo)],
-                                sample_placement=ro.SamplePlacement(gpus))
+                                sample_placement=gpus)
         with pytest.raises(ValueError, match=expected):
             sim.evaluate_bundle(trace, bundle, topo, model, hw)
 
@@ -400,7 +400,7 @@ def scored_bundles(draw):
         plans.append(ro.ReorderPlan(np.repeat(np.arange(g), num_experts // g)[list(perm)]))
     placement = None
     if trace.samples is not None and draw(st.booleans()):
-        placement = ro.SamplePlacement(trace.samples.source_gpu[::-1].astype(np.int64).copy())
+        placement = trace.samples.source_gpu[::-1].astype(np.int64)
     replication = rep.ReplicationPlan()
     for mb, layer in np.ndindex(mbs, layers):
         kind = draw(st.sampled_from(["absent", "split-free", "split"]))
