@@ -169,6 +169,8 @@ MALFORMED = {
         "split_row_not_a_list": _set(("splits", 0), "0 1 2 1.0"),
         "string_objective": _set(("objective",), "fast"),
         "bool_objective": _set(("objective",), True),
+        "nan_objective": _set(("objective",), float("nan")),
+        "infinite_objective": _set(("objective",), float("inf")),
         "replica_gpu_outside": _set(("replicas", 0, 1), 999),
         "split_gpu_outside": _set(("splits", 0, 2), 999),
         "drop_served_replica": _drop_served_replica,

@@ -10,14 +10,16 @@ The solver starts from the slack basis and appends A's columns as a warm
 start would, so the constraint columns, `[I | A]` and the columns and rows
 appended since, are stored as given, and B^-1 explicitly (Chvátal, *Linear
 Programming*, 1983). A step reads the entering column B^-1 a_j; a pivot is
-one rank-1 update of B^-1 plus one update of the reduced costs by the pivot
-row of B^-1 A, each reading and writing only the nonzeros it needs. Warm
+one rank-1 update of B^-1, over the columns where the pivot row is nonzero,
+plus one update of the reduced costs by the pivot row of B^-1 A. Warm
 starts append columns priced with the duals y = c_B B^-1 and rows that
 border B^-1, in batches of one allocation; each new row bounds one variable
-(the split LP's fraction budgets). Pricing is Dantzig with a Bland fallback
-once the objective stalls, which prevents cycling on degenerate vertices.
-Every pivot and growth replaces the arrays it changes instead of writing
-them, so a snapshot is the dict of the current arrays.
+(the split LP's fraction budgets). Pricing is Dantzig over one gain per
+column, with a Bland fallback once the objective stalls, which prevents
+cycling on degenerate vertices. Growth replaces the arrays it changes, and
+`solve` pivots in place on copies it takes once, at entry, so nothing
+writes an array a snapshot holds: a snapshot is the dict of the current
+arrays.
 """
 
 from __future__ import annotations
@@ -154,16 +156,23 @@ class DenseSimplex:
         return x
 
     def optimal(self) -> bool:
-        """True when no column may enter the basis: `solve`'s own stop
+        """True when no column's gain exceeds COST_TOL: `solve`'s own stop
         test, so `solve` would return at once, without a step."""
-        return not self._eligible().any()
+        return self._entering() is None
 
-    def _eligible(self) -> np.ndarray:
-        lower_gain = (~self.at_upper) & (self.red < -COST_TOL)
-        upper_gain = self.at_upper & (self.red > COST_TOL)
-        mask = lower_gain | upper_gain
-        mask[self.basis] = False
-        return mask
+    def _entering(self):
+        """(gain, the lowest column of the largest gain) if some gain exceeds
+        COST_TOL, else None. A column's gain is how fast the objective falls
+        as it leaves its bound: -red at its lower bound, red at its upper,
+        -inf while basic. A NaN gain raises LPError naming its column."""
+        gain = np.where(self.at_upper, self.red, -self.red)
+        gain[self.basis] = -np.inf
+        col = int(np.argmax(gain))  # the first NaN, if there is one
+        if gain[col] > COST_TOL:
+            return gain, col
+        if np.isnan(gain[col]):
+            raise LPError(f"column {col} has a NaN reduced cost")
+        return None
 
     def _block(self, rows: np.ndarray, limits: np.ndarray, t_best: float):
         """(step, row) if the smallest of `limits` beats t_best by more than
@@ -203,56 +212,52 @@ class DenseSimplex:
             raise LPError("LP is unbounded (no blocking bound)")
 
         t = t_best
-        self.rhs = self.rhs - t * direction
+        self.rhs -= t * direction
         self.objective += self.red[col] * (-t if from_upper else t)
-        at_upper = self.at_upper.copy()
-        self.at_upper = at_upper
 
         if block_row < 0:
             # bound flip: the entering variable runs to its other bound
-            at_upper[col] = not from_upper
+            self.at_upper[col] = not from_upper
             return
 
         leaving = self.basis[block_row]
         if block_to_upper:
-            at_upper[leaving] = True
+            self.at_upper[leaving] = True
         piv = d[block_row]
         if abs(piv) < PIVOT_TOL:
             raise LPError("numerically singular pivot")
         entering_value = self.upper[col] - t if from_upper else t
         # the new B^-1: its pivot row divided by the pivot, and d times that
-        # row subtracted from every other row where d is nonzero
+        # row subtracted from every row, only in the columns where it is
+        # nonzero; a row where d is 0 subtracts an exact zero
         brow = self.binv[block_row] / piv
         used = np.flatnonzero(brow)
-        others = np.flatnonzero(d)
-        others = others[others != block_row]
-        binv = self.binv.copy()
-        binv[np.ix_(others, used)] -= np.outer(d[others], brow[used])
-        binv[block_row] = brow
-        self.binv = binv
+        self.binv[:, used] -= np.outer(d, brow[used])
+        self.binv[block_row] = brow
         prow = brow[used] @ self.tab[used]  # the pivot row of B^-1 A, divided by the pivot
-        self.red = self.red - self.red[col] * prow
-        self.basis = self.basis.copy()
+        self.red -= self.red[col] * prow
         self.basis[block_row] = col
-        at_upper[col] = False
+        self.at_upper[col] = False
         self.rhs[block_row] = entering_value
         self._pivots += 1
 
     def solve(self) -> float:
-        """Run primal simplex to optimality; returns the objective value."""
+        """Run primal simplex to optimality; returns the objective value.
+        Pivots write in place the copies of B^-1, the basic values, the
+        reduced costs, the basis and the bound flags taken here, once."""
+        self.binv, self.rhs, self.red = self.binv.copy(), self.rhs.copy(), self.red.copy()
+        self.basis, self.at_upper = self.basis.copy(), self.at_upper.copy()
         m = self.num_rows
         max_iter = 200 * (m + self.num_struct) + 2000
         stall = 0
         last_obj = self.objective
         for _ in range(max_iter):
-            mask = self._eligible()
-            if not mask.any():
+            entering = self._entering()
+            if entering is None:
                 return self.objective
-            candidates = np.flatnonzero(mask)
-            if stall < STALL_LIMIT:
-                col = int(candidates[np.argmax(np.abs(self.red[candidates]))])
-            else:
-                col = int(candidates[0])  # Bland: smallest index, guarantees termination
+            gain, col = entering
+            if stall >= STALL_LIMIT:
+                col = int(np.argmax(gain > COST_TOL))  # Bland: smallest index, guarantees termination
             self._step(col)
             if self.objective < last_obj - 1e-12 * (1.0 + abs(last_obj)):
                 stall = 0
@@ -267,12 +272,12 @@ class DenseSimplex:
 
     def snapshot(self) -> dict:
         """Solver state to roll back to with restore(). No array is copied:
-        nothing writes an array a snapshot holds, since every pivot and
-        every growth replaces the arrays it changes."""
+        growth replaces the arrays it changes and `solve` pivots on its own
+        copies, so nothing writes an array a snapshot holds."""
         return {name: getattr(self, name) for name in SNAPSHOT_FIELDS}
 
     def restore(self, snap: dict) -> None:
         """Take a snapshot's state back without copying; the snapshot stays
-        valid, so it can be restored again."""
+        valid, since the next `solve` pivots on copies, and can be restored again."""
         for name in SNAPSHOT_FIELDS:
             setattr(self, name, snap[name])

@@ -137,10 +137,11 @@ def replication_plan_from_dict(data: dict, home_per_layer: Sequence[np.ndarray],
     """Inverse of replication_plan_to_dict, for homes of GPU ids in [0, num_gpus).
 
     Raises ValueError naming the entry and field of a missing key, a value
-    of the wrong type, an index the plan cannot be decoded through (a
-    micro-batch, layer, expert, source or GPU), a split row served by a GPU
-    that holds no copy, a second split row for the same (source, expert,
-    GPU), or a second entry for the same (micro_batch, layer).
+    of the wrong type, an objective that is not a finite float, an index
+    the plan cannot be decoded through (a micro-batch, layer, expert, source
+    or GPU), a split row served by a GPU that holds no copy, a second split
+    row for the same (source, expert, GPU), or a second entry for the same
+    (micro_batch, layer).
     """
     plan = ReplicationPlan()
     seen: dict[tuple[int, int], int] = {}
@@ -160,6 +161,8 @@ def replication_plan_from_dict(data: dict, home_per_layer: Sequence[np.ndarray],
             placement.replicas.setdefault(e, []).append(_plan_index(g, num_gpus, f"{what} gpu"))
         split = _split_plan(_plan_field(entry, "splits", where, list), placement, num_gpus, where)
         objective = _plan_field(entry, "objective", where, (int, float))
+        if not abs(objective) <= sys.float_info.max:  # NaN fails the comparison
+            raise ValueError(f"{where}.objective = {objective!r} is not a finite float")
         plan.entries[(mb, layer)] = ReplicationEntry(placement=placement, split=split, objective=objective)
     return plan
 

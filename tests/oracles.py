@@ -2,7 +2,9 @@
 
 `exact_milp_small` enumerates every feasible replica placement of a small
 instance and solves the token-split LP for each; the greedy replication
-planner is checked against its optimum.
+planner is checked against its optimum. `ReferencePivotSimplex` keeps the
+simplex's pivot rule as it was before pivots wrote B^-1 in place; the
+solver is checked against it step for step.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from itertools import chain, combinations
 import numpy as np
 
 from moebalance import costmodel as cm
+from moebalance import lp
 from moebalance.reorder import ReorderPlan
 from moebalance.replicate import (
     ReplicaConfig,
@@ -86,3 +89,99 @@ def exact_milp_small(
     recurse(0, np.zeros(topo.num_gpus, dtype=int), {})
     assert best is not None
     return best[1], best[2]
+
+
+class ReferencePivotSimplex(lp.DenseSimplex):
+    """`lp.DenseSimplex` with a frozen copy of its earlier pivot rule.
+
+    Pricing masks the eligible columns and takes the largest |red| among
+    them (Bland: the first), and a pivot replaces every array it changes,
+    updating B^-1 only in the block of rows where the entering column is
+    nonzero. Growth, snapshots and the blocking rule are inherited.
+    `lp.STALL_LIMIT` is read at each solve, so a test may lower it.
+    """
+
+    def optimal(self) -> bool:
+        return not self._eligible().any()
+
+    def _eligible(self) -> np.ndarray:
+        lower_gain = (~self.at_upper) & (self.red < -lp.COST_TOL)
+        upper_gain = self.at_upper & (self.red > lp.COST_TOL)
+        mask = lower_gain | upper_gain
+        mask[self.basis] = False
+        return mask
+
+    def _step(self, col: int) -> None:
+        from_upper = self.at_upper[col]
+        a = self.tab[:, col]
+        nz = np.flatnonzero(a)
+        d = self.binv[:, nz] @ a[nz]
+        direction = -d if from_upper else d
+        t_best, block_row, block_to_upper = float(self.upper[col]), -1, False
+        dec = np.flatnonzero(direction > lp.PIVOT_TOL)
+        inc = np.flatnonzero(direction < -lp.PIVOT_TOL)
+        inc = inc[np.isfinite(self.upper[self.basis[inc]])]
+        for rows, limits, to_upper in ((dec, self.rhs[dec] / direction[dec], False),
+                                       (inc, (self.upper[self.basis[inc]] - self.rhs[inc]) / -direction[inc], True)):
+            block = self._block(rows, limits, t_best)
+            if block is not None:
+                t_best, block_row = block
+                block_to_upper = to_upper
+
+        if not np.isfinite(t_best):
+            raise lp.LPError("LP is unbounded (no blocking bound)")
+
+        t = t_best
+        self.rhs = self.rhs - t * direction
+        self.objective += self.red[col] * (-t if from_upper else t)
+        at_upper = self.at_upper.copy()
+        self.at_upper = at_upper
+
+        if block_row < 0:
+            at_upper[col] = not from_upper
+            return
+
+        leaving = self.basis[block_row]
+        if block_to_upper:
+            at_upper[leaving] = True
+        piv = d[block_row]
+        if abs(piv) < lp.PIVOT_TOL:
+            raise lp.LPError("numerically singular pivot")
+        entering_value = self.upper[col] - t if from_upper else t
+        brow = self.binv[block_row] / piv
+        used = np.flatnonzero(brow)
+        others = np.flatnonzero(d)
+        others = others[others != block_row]
+        binv = self.binv.copy()
+        binv[np.ix_(others, used)] -= np.outer(d[others], brow[used])
+        binv[block_row] = brow
+        self.binv = binv
+        prow = brow[used] @ self.tab[used]
+        self.red = self.red - self.red[col] * prow
+        self.basis = self.basis.copy()
+        self.basis[block_row] = col
+        at_upper[col] = False
+        self.rhs[block_row] = entering_value
+        self._pivots += 1
+
+    def solve(self) -> float:
+        m = self.num_rows
+        max_iter = 200 * (m + self.num_struct) + 2000
+        stall = 0
+        last_obj = self.objective
+        for _ in range(max_iter):
+            mask = self._eligible()
+            if not mask.any():
+                return self.objective
+            candidates = np.flatnonzero(mask)
+            if stall < lp.STALL_LIMIT:
+                col = int(candidates[np.argmax(np.abs(self.red[candidates]))])
+            else:
+                col = int(candidates[0])
+            self._step(col)
+            if self.objective < last_obj - 1e-12 * (1.0 + abs(last_obj)):
+                stall = 0
+                last_obj = self.objective
+            else:
+                stall += 1
+        raise lp.LPError(f"simplex exceeded {max_iter} iterations (m={m}, n={self.num_struct})")

@@ -494,6 +494,14 @@ def _bool_objective(data):
     data["entries"][0]["objective"] = True
 
 
+def _nan_objective(data):
+    data["entries"][0]["objective"] = float("nan")
+
+
+def _infinite_objective(data):
+    data["entries"][0]["objective"] = float("inf")
+
+
 def _true_gpu(data):
     data["plans"][0][0] = True
 
@@ -591,6 +599,8 @@ def _missing_trace_id(data):
     ("replication.json", _string_objective, "entries[0].objective has the wrong type: 'fast'"),
     ("replication.json", _repeat_split_row, "entries[0].splits[1] repeats (source, expert, gpu) = "),
     ("replication.json", _bool_objective, "entries[0].objective has the wrong type: True"),
+    ("replication.json", _nan_objective, "entries[0].objective = nan is not a finite float"),
+    ("replication.json", _infinite_objective, "entries[0].objective = inf is not a finite float"),
     ("reorder.json", _true_gpu, "plans[0][0] = True is not an index in [0, 4)"),
     ("reorder.json", _reorder_gpu_outside, "plans[0][0] = 999 is not an index in [0, 4)"),
     ("replication.json", _replica_gpu_outside, "replicas[0] gpu = 999 is not an index in [0, 4)"),

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from moebalance.lp import COST_TOL, SNAPSHOT_FIELDS, DenseSimplex, LPError
+from moebalance import lp as lpmod
+from moebalance.lp import COST_TOL, SNAPSHOT_FIELDS, STALL_LIMIT, DenseSimplex, LPError
+from oracles import ReferencePivotSimplex
 
 
 def solve_lp(c, a_ub, b_ub, upper=None):
@@ -462,3 +464,76 @@ def test_batched_rows_equal_single_rows(seed, k):
     for name in SNAPSHOT_FIELDS:
         assert np.array_equal(getattr(together, name), getattr(apart, name)), name
     assert_basis_inverse(together)
+
+
+def test_nan_reduced_cost_raises():
+    # columns [s0 | x0, x1]: a NaN on a nonbasic column is named, even when
+    # another column has the larger gain; a NaN on a basic column is never read
+    solver = DenseSimplex([-1.0, -2.0], [[1.0, 1.0]], [1.0], upper=[1.0, 1.0])
+    solver.red[0] = np.nan
+    assert not solver.optimal()
+    solver.red[1] = np.nan
+    for call in (solver.optimal, solver.solve):
+        with pytest.raises(LPError, match=r"^column 1 has a NaN reduced cost$"):
+            call()
+
+
+def state(solver):
+    """What a pivot decides and writes, compared by value (-0.0 == 0.0)."""
+    return (solver.basis.tolist(), solver.at_upper.tolist(), solver.objective, solver._pivots,
+            *(getattr(solver, name).tolist() for name in ("binv", "rhs", "red")))
+
+
+def log_steps(solver):
+    """Record (entering column, state) after every step `solve` takes."""
+    steps, step = [], solver._step
+
+    def logged(col):
+        step(col)
+        steps.append((col, state(solver)))
+    solver._step = logged
+    return steps
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, STALL_LIMIT]), st.booleans(),
+       st.lists(st.sampled_from(["columns", "row", "copy", "snapshot", "restore"]), max_size=8))
+def test_pivots_match_the_reference_rule(seed, stall_limit, integral, ops):
+    """Each solve takes the entering columns, bases, bound flags, B^-1,
+    basic values, reduced costs and objective of the earlier pivot rule,
+    step for step, under growth, copies of a column (ties in |red| that
+    integral data also makes), snapshot and restore, and the Bland
+    fallback after one or two stalled steps."""
+    rng = np.random.default_rng(seed)
+    c, a, b, upper = bounded_lp(rng, int(rng.integers(1, 6)), int(rng.integers(1, 9)))
+    if integral:
+        c, a, b, upper = np.round(2 * c), np.round(2 * a), np.round(b), np.ceil(upper)
+    pair = DenseSimplex(c, a, b, upper=upper), ReferencePivotSimplex(c, a, b, upper=upper)
+    logs = [log_steps(solver) for solver in pair]
+    snaps = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lpmod, "STALL_LIMIT", stall_limit)
+        for op in ("none", *ops):
+            op_seed = int(rng.integers(0, 2**32 - 1))
+            if op == "snapshot":
+                snaps.append([solver.snapshot() for solver in pair])
+            elif op == "restore" and snaps:
+                for solver, snap in zip(pair, snaps[op_seed % len(snaps)]):
+                    solver.restore(snap)
+            elif op == "copy":
+                pos = op_seed % pair[0].num_struct
+                for solver in pair:
+                    j = solver.struct_idx[pos]
+                    solver.add_columns(solver.tab[:, [j]], solver.cost[[j]], upper_new=solver.upper[[j]])
+            elif op in ("columns", "row"):
+                for solver in pair:
+                    grow(solver, np.random.default_rng(op_seed), op)
+            assert state(pair[0]) == state(pair[1]) and pair[0].optimal() == pair[1].optimal()
+            objectives = []
+            for solver in pair:
+                try:
+                    objectives.append(solver.solve())
+                except LPError as err:
+                    objectives.append(str(err))
+            assert objectives[0] == objectives[1]
+            assert logs[0] == logs[1] and state(pair[0]) == state(pair[1])
