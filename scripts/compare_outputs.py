@@ -182,6 +182,9 @@ MALFORMED = {
         "repeat_entry": _repeat_entry,
         "micro_batch_outside": _set(("entries", 0, "micro_batch"), 999, first=_whole),
         "drop_trace_id": _drop_trace_id,
+        "true_version": _set(("version",), True, first=_whole),
+        "float_version": _set(("version",), 1.0, first=_whole),
+        "entry_not_an_object": _set(("entries", 1), [0, 0], first=_whole),
     },
     "reorder.json": {
         "true_gpu": _set(("plans", 0, 0), True, first=_whole),
@@ -190,6 +193,8 @@ MALFORMED = {
         "extra_layer_plan": _extra_layer_plan,
         "samples_without_table": _samples_without_table,
         "plan_row_not_a_list": _set(("plans", 0), "0 1 2 3", first=_whole),
+        "true_version": _set(("version",), True, first=_whole),
+        "float_version": _set(("version",), 1.0, first=_whole),
     },
 }
 

@@ -1,8 +1,9 @@
 """Command-line front end: gen, solve, simulate, report.
 
-All randomness flows from --seed; annealing chain seeds derive from it by
-fixed offsets. Only `gen` takes hardware and model flags: it writes them into
-the trace manifest, and `solve` and `simulate` read them from there.
+`solve` is the only command that plans relibra; its annealing chain i draws
+from seed i. `simulate` scores relibra from the plan files `solve` writes.
+Only `gen` takes hardware and model flags: it writes them into the trace
+manifest, and `solve` and `simulate` read them from there.
 """
 
 from __future__ import annotations
@@ -29,11 +30,6 @@ POLICY_ALIASES = {**{policy: policy for policy in sim.POLICIES},
                   "lpt": "lpt_only", "eplb": "eplb_like", "lplb": "lplb_like", "balanced": "balanced_oracle"}
 
 
-def chain_seeds(master_seed: int, count: int) -> tuple[int, ...]:
-    """Annealing chain seeds derived from the master seed by fixed offsets."""
-    return tuple(master_seed * 1000 + i for i in range(count))
-
-
 def _add_hardware_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--flops", type=float, default=2.5e10,
                    help="effective FLOPS per GPU (default %(default)s)")
@@ -43,29 +39,6 @@ def _add_hardware_flags(p: argparse.ArgumentParser) -> None:
                    help="effective per-GPU RDMA bandwidth, bytes/s (default %(default)s)")
     p.add_argument("--bytes-per-token", type=float, default=1.0,
                    help="token payload bytes; 1 treats bandwidths as tokens/s (default %(default)s)")
-
-
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seeds", type=int, default=16, help="annealing chains (default %(default)s)")
-    p.add_argument("--cooling", type=float, default=0.9995, help="cooling rate gamma in (0,1) (default %(default)s)")
-    p.add_argument("--beta", type=float, default=20.0, help="log-sum-exp sharpness (default %(default)s)")
-    p.add_argument("--replica-slots", type=int, default=2,
-                   help="replica slots per GPU, home copies excluded (default %(default)s)")
-    p.add_argument("--seed", type=int, default=0, help="master random seed (default %(default)s)")
-
-
-def _sim_configs(args, trace: rt.RoutingTrace) -> sim.SimConfigs:
-    if args.sample_locality and trace.samples is None:
-        raise SystemExit("error: --sample-locality needs a trace with a sample table")
-    return sim.SimConfigs(
-        anneal=ro.AnnealConfig(
-            seeds=chain_seeds(args.seed, args.seeds),
-            cooling_rate=args.cooling,
-            beta=args.beta,
-        ),
-        replica=rep.ReplicaConfig(slots_per_gpu=args.replica_slots),
-        sample_locality=bool(args.sample_locality),
-    )
 
 
 def cmd_gen(args) -> int:
@@ -105,8 +78,13 @@ def cmd_gen(args) -> int:
 def cmd_solve(args) -> int:
     trace = rt.load_trace(args.trace)
     topo, model, hw = trace.topo, trace.model, trace.topo.profile
-    cfgs = _sim_configs(args, trace)
-
+    if args.sample_locality and trace.samples is None:
+        raise SystemExit("error: --sample-locality needs a trace with a sample table")
+    cfgs = sim.SimConfigs(
+        anneal=ro.AnnealConfig(seeds=tuple(range(args.seeds)), cooling_rate=args.cooling, beta=args.beta),
+        replica=rep.ReplicaConfig(slots_per_gpu=args.replica_slots),
+        sample_locality=args.sample_locality,
+    )
     bundle, _ = sim.build_policy_bundle(trace, "relibra", topo, model, hw, cfgs)
     plans, placement, replication = bundle.reorder, bundle.sample_placement, bundle.replication
     objectives: list[dict] = []
@@ -130,8 +108,7 @@ def cmd_solve(args) -> int:
 
     config_echo = {
         "seeds": args.seeds, "cooling": args.cooling, "beta": args.beta,
-        "replica_slots": args.replica_slots, "seed": args.seed,
-        "sample_locality": bool(args.sample_locality),
+        "replica_slots": args.replica_slots, "sample_locality": args.sample_locality,
     }
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -144,8 +121,12 @@ def cmd_solve(args) -> int:
 def cmd_simulate(args) -> int:
     trace = rt.load_trace(args.trace)
     topo, model, hw = trace.topo, trace.model, trace.topo.profile
+    if args.policies is None:
+        names = [policy for policy in sim.POLICIES if args.plans or policy != "relibra"]
+    else:
+        names = args.policies.split(",")
     policies = []
-    for name in args.policies.split(","):
+    for name in names:
         name = name.strip()
         if name not in POLICY_ALIASES:
             raise SystemExit(f"error: unknown policy {name!r}; choose from {', '.join(sorted(set(POLICY_ALIASES)))}")
@@ -154,11 +135,13 @@ def cmd_simulate(args) -> int:
         policies.append(POLICY_ALIASES[name])
     if args.plans and "relibra" not in policies:
         raise SystemExit("error: --plans is read only for the relibra policy, which --policies does not name")
+    if "relibra" in policies and not args.plans:
+        raise SystemExit("error: relibra is scored from the plans solve writes; pass them with --plans")
 
-    cfgs = _sim_configs(args, trace)
+    cfgs = sim.SimConfigs(replica=rep.ReplicaConfig(slots_per_gpu=args.replica_slots))
     reports = []
     for policy in policies:
-        if policy == "relibra" and args.plans:
+        if policy == "relibra":
             bundle = planio.load_plan_bundle(args.plans, trace)
             report = sim.evaluate_bundle(trace, bundle, topo, model, hw, policy="relibra")
         else:
@@ -246,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate a synthetic routing trace")
+    p = sub.add_parser("gen", help="generate a synthetic routing trace", allow_abbrev=False)
     p.add_argument("--out", required=True, help="trace output directory")
     p.add_argument("--nodes", type=int, default=2)
     p.add_argument("--gpus-per-node", type=int, default=4)
@@ -268,27 +251,31 @@ def build_parser() -> argparse.ArgumentParser:
     _add_hardware_flags(p)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("solve", help="compute reorder + replication plans for a trace")
+    p = sub.add_parser("solve", help="compute reorder + replication plans for a trace", allow_abbrev=False)
     p.add_argument("--trace", required=True)
     p.add_argument("--out", required=True, help="plan output directory")
     p.add_argument("--sample-locality", action="store_true",
                    help="run the sample-placement pass (needs a sample table)")
-    _add_solver_flags(p)
+    p.add_argument("--seeds", type=int, default=16,
+                   help="annealing chains; chain i draws from seed i (default %(default)s)")
+    p.add_argument("--cooling", type=float, default=0.9995, help="cooling rate gamma in (0,1) (default %(default)s)")
+    p.add_argument("--beta", type=float, default=20.0, help="log-sum-exp sharpness (default %(default)s)")
+    p.add_argument("--replica-slots", type=int, default=2,
+                   help="replica slots per GPU, home copies excluded (default %(default)s)")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("simulate", help="evaluate policies over a trace")
+    p = sub.add_parser("simulate", help="score policies over a trace, relibra from solve's plans", allow_abbrev=False)
     p.add_argument("--trace", required=True)
     p.add_argument("--out", required=True, help="report output directory")
-    p.add_argument("--policies", default="static,relibra",
-                   help="comma list: static,lpt,eplb,lplb,balanced,relibra")
-    p.add_argument("--plans", default=None,
-                   help="solve output directory (used for the relibra policy)")
-    p.add_argument("--sample-locality", action="store_true",
-                   help="run relibra's sample-placement pass (needs a sample table)")
-    _add_solver_flags(p)
+    p.add_argument("--policies", default=None,
+                   help="comma list: static,lpt,eplb,lplb,balanced,relibra "
+                        "(default: every policy, relibra only with --plans)")
+    p.add_argument("--plans", default=None, help="solve output directory, read for the relibra policy")
+    p.add_argument("--replica-slots", type=int, default=2,
+                   help="replica slots per GPU of eplb and lplb, home copies excluded (default %(default)s)")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("report", help="flatten a report.json into plot-ready CSV")
+    p = sub.add_parser("report", help="flatten a report.json into plot-ready CSV", allow_abbrev=False)
     p.add_argument("--report", required=True, help="path to report.json")
     p.add_argument("--out", required=True, help="CSV output directory")
     p.add_argument("--series", default="comparison",

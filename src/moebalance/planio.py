@@ -31,7 +31,9 @@ class PlanFormatError(ValueError):
 
 
 def _plan_field(obj, key: str, where: str, kind: type | tuple | None = None):
-    if not isinstance(obj, dict) or key not in obj:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} is not a JSON object")
+    if key not in obj:
         raise ValueError(f"{where}: missing required key {key!r}")
     value = obj[key]
     # a JSON true or false is no number, though bool subclasses int
@@ -74,7 +76,8 @@ def _read_plan_file(p: Path, kind: str, trace) -> dict:
         data = json.loads(p.read_text())
     except json.JSONDecodeError as err:
         raise PlanFormatError(f"{p}: malformed JSON ({err})") from err
-    if not isinstance(data, dict) or data.get("version") != 1:
+    # a JSON true or 1.0 equals 1 but is no version number
+    if not isinstance(data, dict) or data.get("version") != 1 or type(data["version"]) is not int:
         raise PlanFormatError(f"unsupported {kind} plan version in {p}")
     trace_id = data.get("trace_id")
     if not isinstance(trace_id, str) or not trace_id:

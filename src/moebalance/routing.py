@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -308,7 +309,7 @@ def load_trace(path: str | Path) -> RoutingTrace:
     payload = (root / "routing.bin").read_bytes() if (root / "routing.bin").is_file() else None
     if payload is None:
         raise TraceFormatError(f"missing routing.bin in {root}")
-    expected_bytes = int(np.prod(shape)) * 4
+    expected_bytes = math.prod(shape) * 4  # exact: np.prod wraps past int64
     if len(payload) != expected_bytes:
         raise TraceFormatError(
             f"routing.bin holds {len(payload)} bytes, manifest implies {expected_bytes}"

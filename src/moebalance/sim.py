@@ -93,18 +93,22 @@ def check_replication(trace: rt.RoutingTrace, bundle: PlanBundle, topo: ClusterT
     """Check the replication.json part of a bundle that passed `check_reorder`.
     Given the scored matrices, also check split conservation, which
     `evaluate_bundle` leaves to `compute_loads`. A placement object shared
-    by several entries is validated once, at its first entry."""
+    by several entries is validated once, at its first entry, which a
+    failure names."""
     validated = set()
     for (mb, layer), entry in bundle.replication.entries.items():
         if not (0 <= mb < trace.num_micro_batches and 0 <= layer < trace.model.num_layers):
             raise ValueError(f"replication entry ({mb}, {layer}) outside the trace")
         if not np.array_equal(entry.placement.home, bundle.reorder[layer].assignment):
             raise ValueError(f"replication entry ({mb}, {layer}) was built for a different expert plan")
-        if id(entry.placement) not in validated:
-            rep.validate_placement(entry.placement, topo)
-            validated.add(id(entry.placement))
-        if matrices is not None:
-            rep.validate_split(entry.split, entry.placement, matrices[mb, layer])
+        try:
+            if id(entry.placement) not in validated:
+                rep.validate_placement(entry.placement, topo)
+                validated.add(id(entry.placement))
+            if matrices is not None:
+                rep.validate_split(entry.split, entry.placement, matrices[mb, layer])
+        except ValueError as err:
+            raise ValueError(f"replication entry ({mb}, {layer}): {err}") from err
 
 
 def scored_matrices(trace: rt.RoutingTrace, sample_placement: np.ndarray | None) -> np.ndarray:
@@ -143,8 +147,11 @@ def evaluate_bundle(trace: rt.RoutingTrace, bundle: PlanBundle, topo: ClusterTop
         entry = bundle.replication.entries[mb, layer]
         if entry.split.fractions:
             # compute_loads checks the split (costmodel.check_splits)
-            loads[mb, layer] = cm.compute_loads(matrices[mb, layer], bundle.reorder[layer].assignment, topo,
-                                                splits=entry.split.to_split_map(entry.placement))
+            try:
+                loads[mb, layer] = cm.compute_loads(matrices[mb, layer], bundle.reorder[layer].assignment, topo,
+                                                    splits=entry.split.to_split_map(entry.placement))
+            except ValueError as err:
+                raise ValueError(f"replication entry ({mb}, {layer}): {err}") from err
     totals = matrices.sum(axis=(2, 3))
     comp = loads[:, :, COMP]
     comp_sums = comp.sum(axis=2)

@@ -1,3 +1,4 @@
+import argparse
 import copy
 import csv
 import json
@@ -14,7 +15,7 @@ import moebalance
 from moebalance import planio
 from moebalance import routing as rt
 from moebalance import sim
-from moebalance.cli import main
+from moebalance.cli import build_parser, main
 from moebalance.topology import HardwareProfile, build_topology
 
 GEN_ARGS = [
@@ -29,6 +30,13 @@ SOLVE_SPEED = ["--seeds", "2", "--cooling", "0.97"]
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def run_process(argv):
+    """The CLI as a user runs it, in its own process."""
+    env = {**os.environ, "PYTHONPATH": str(Path(moebalance.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "moebalance.cli", *map(str, argv)],
+                          capture_output=True, text=True, env=env)
 
 
 def test_gen_manifest_echoes_flags(tmp_path, capsys):
@@ -93,7 +101,7 @@ def test_solve_then_simulate_round_trip(tmp_path, capsys):
     assert (plans / "reorder.json").is_file()
     assert (plans / "replication.json").is_file()
     assert run(["simulate", "--trace", trace, "--out", report, "--plans", plans,
-                "--policies", "static,relibra"] + SOLVE_SPEED) == 0
+                "--policies", "static,relibra"]) == 0
     rows = list(csv.DictReader((report / "summary.csv").open()))
     by_name = {r["policy"]: r for r in rows}
     assert float(by_name["static"]["speedup_vs_static"]) == pytest.approx(1.0)
@@ -131,10 +139,7 @@ def test_simulate_repeated_policy_is_one_error_line(tmp_path):
     # lplb is lplb_like's short name, so the policy would be planned and scored twice
     trace = tmp_path / "trace"
     assert run(GEN_ARGS + ["--out", trace]) == 0
-    env = {**os.environ, "PYTHONPATH": str(Path(moebalance.__file__).parents[1])}
-    result = subprocess.run([sys.executable, "-m", "moebalance.cli", "simulate", "--trace", str(trace),
-                             "--out", str(tmp_path / "r"), "--policies", "static,lplb,lplb_like"],
-                            capture_output=True, text=True, env=env)
+    result = run_process(["simulate", "--trace", trace, "--out", tmp_path / "r", "--policies", "static,lplb,lplb_like"])
     assert result.returncode == 1
     assert result.stderr == "error: --policies names lplb_like more than once\n", result.stderr
     assert not (tmp_path / "r").exists()
@@ -250,24 +255,14 @@ def test_report_mistyped_section_is_one_error_line(simulated, tmp_path, capsys, 
     assert f"{series} series" in err, err
 
 
-def test_solve_sample_locality_needs_samples(tmp_path, capsys):
+def test_solve_sample_locality_needs_samples(tmp_path):
+    # seen as the process exit a user sees
     trace = tmp_path / "trace"
     assert run(GEN_ARGS + ["--out", trace]) == 0
-    with pytest.raises(SystemExit):
-        run(["solve", "--trace", trace, "--out", tmp_path / "p", "--sample-locality"] + SOLVE_SPEED)
-
-
-def test_simulate_sample_locality_needs_samples(tmp_path):
-    # the same check as solve's, seen as the process exit a user sees
-    trace = tmp_path / "trace"
-    assert run(GEN_ARGS + ["--out", trace]) == 0
-    env = {**os.environ, "PYTHONPATH": str(Path(moebalance.__file__).parents[1])}
-    result = subprocess.run([sys.executable, "-m", "moebalance.cli", "simulate", "--trace", str(trace),
-                             "--out", str(tmp_path / "r"), "--policies", "static", "--sample-locality"],
-                            capture_output=True, text=True, env=env)
+    result = run_process(["solve", "--trace", trace, "--out", tmp_path / "p", "--sample-locality", *SOLVE_SPEED])
     assert result.returncode == 1
     assert result.stderr == "error: --sample-locality needs a trace with a sample table\n", result.stderr
-    assert not (tmp_path / "r").exists()
+    assert not (tmp_path / "p").exists()
 
 
 DEGENERATE_GEN = ["gen", "--nodes", "2", "--gpus-per-node", "2", "--experts", "8", "--top-k", "2",
@@ -337,7 +332,7 @@ def test_manifest_sizes_past_a_float_are_one_error_line(generated, tmp_path, cap
     path.write_text(json.dumps(manifest))
     out = tmp_path / "out"
     capsys.readouterr()
-    assert run([command, "--trace", trace, "--out", out, "--seeds", "1"]) == 1
+    assert run([command, "--trace", trace, "--out", out, *(["--seeds", "1"] if command == "solve" else [])]) == 1
     err = capsys.readouterr().err
     assert err == (f"error: hidden_size {manifest['hidden_size']} and intermediate_size "
                    f"{manifest['intermediate_size']}: the FLOP scale 6*h*h' does not fit a float\n"), err
@@ -353,6 +348,55 @@ def test_simulate_plans_without_relibra_is_an_error(tmp_path):
              "--policies", "static,lpt"])
     assert exited.value.code == "error: --plans is read only for the relibra policy, which --policies does not name"
     assert not (tmp_path / "r").exists()
+
+
+def test_simulate_relibra_without_plans_is_one_error_line(tmp_path):
+    # solve is the only planner of relibra; nothing is planned or written first
+    trace = tmp_path / "trace"
+    assert run(DEGENERATE_GEN + ["--out", trace]) == 0
+    result = run_process(["simulate", "--trace", trace, "--out", tmp_path / "r", "--policies", "static,relibra"])
+    assert result.returncode == 1
+    assert result.stderr == "error: relibra is scored from the plans solve writes; pass them with --plans\n"
+    assert result.stdout == ""
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("with_plans", [False, True])
+def test_simulate_scores_every_policy_by_default(solved, tmp_path, with_plans):
+    # in sim.POLICIES order, relibra only when its plans are given
+    plans = ["--plans", solved / "plans"] if with_plans else []
+    assert run(["simulate", "--trace", solved / "trace", "--out", tmp_path / "r", *plans]) == 0
+    scored = [row["policy"] for row in csv.DictReader((tmp_path / "r" / "summary.csv").open())]
+    assert scored == [policy for policy in sim.POLICIES if with_plans or policy != "relibra"]
+
+
+def _options(command):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {flag for action in sub.choices[command]._actions for flag in action.option_strings} - {"-h", "--help"}
+
+
+def test_solve_and_simulate_option_sets():
+    assert _options("simulate") == {"--trace", "--out", "--policies", "--plans", "--replica-slots"}
+    assert _options("solve") == {"--trace", "--out", "--sample-locality", "--seeds", "--cooling", "--beta",
+                                 "--replica-slots"}
+
+
+@pytest.mark.parametrize("command,flag", [
+    *(("simulate", flag) for flag in ("--seeds", "--cooling", "--beta", "--seed", "--sample-locality")),
+    ("solve", "--seed"),  # no abbreviation of --seeds either
+])
+def test_dropped_options_are_rejected(solved, tmp_path, capsys, command, flag):
+    value = [] if flag == "--sample-locality" else ["1"]
+    with pytest.raises(SystemExit) as exited:
+        run([command, "--trace", solved / "trace", "--out", tmp_path / "o", flag, *value])
+    assert exited.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_reorder_config_echoes_the_solve_options(solved):
+    config = json.loads((solved / "plans" / "reorder.json").read_text())["config"]
+    assert config == {"seeds": 2, "cooling": 0.97, "beta": 20.0, "replica_slots": 1, "sample_locality": False}
 
 
 @pytest.mark.parametrize("policies", ["static", "static,lpt,eplb"])
@@ -389,7 +433,7 @@ def test_solve_with_samples_and_locality(tmp_path):
     data = json.loads((plans / "reorder.json").read_text())
     assert data["sample_placement"] is not None
     assert run(["simulate", "--trace", trace, "--out", report, "--plans", plans,
-                "--policies", "static,relibra"] + SOLVE_SPEED) == 0
+                "--policies", "static,relibra"]) == 0
 
 
 @pytest.mark.parametrize("seed", ["2", "7"])
@@ -562,6 +606,18 @@ def _halve_fractions(data):
         row[3] /= 2
 
 
+def _true_version(data):
+    data["version"] = True
+
+
+def _float_version(data):
+    data["version"] = 1.0
+
+
+def _entry_not_an_object(data):
+    data["entries"][1] = [0, 0]
+
+
 def _short_reorder_layer(data):
     data["plans"][0].pop()
 
@@ -605,8 +661,19 @@ def _missing_trace_id(data):
     ("reorder.json", _reorder_gpu_outside, "plans[0][0] = 999 is not an index in [0, 4)"),
     ("replication.json", _replica_gpu_outside, "replicas[0] gpu = 999 is not an index in [0, 4)"),
     ("replication.json", _split_gpu_outside, "splits[0] gpu = 999 is not an index in [0, 4)"),
+    ("reorder.json", _true_version, "unsupported reorder plan version"),
+    ("reorder.json", _float_version, "unsupported reorder plan version"),
+    ("replication.json", _true_version, "unsupported replication plan version"),
+    ("replication.json", _float_version, "unsupported replication plan version"),
+    ("replication.json", _entry_not_an_object, "entries[1] is not a JSON object"),
 ])
 def test_simulate_rejects_malformed_plan_files(solved, tmp_path, capsys, file, mutate, expected):
+    err = simulate_mutated(solved, tmp_path, capsys, file, mutate)
+    assert file in err and expected in err, err
+
+
+def simulate_mutated(solved, tmp_path, capsys, file, mutate):
+    """The one error line of `simulate` on the solved plans with `file` mutated."""
     plans = tmp_path / "plans"
     shutil.copytree(solved / "plans", plans)
     path = plans / file
@@ -619,7 +686,22 @@ def test_simulate_rejects_malformed_plan_files(solved, tmp_path, capsys, file, m
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1, err
-    assert file in err and expected in err, err
+    return err
+
+
+@pytest.mark.parametrize("mutate,expected", [
+    (_halve_fractions, "violate conservation by 5.000e-01"),
+    (_duplicate_replica, "duplicate replica GPUs for expert"),
+    (_replica_off_node, "leaves its home node"),
+])
+def test_bundle_fit_errors_name_their_entry(solved, tmp_path, capsys, mutate, expected):
+    # the mutation hits entries[2], not entries[0], and the error names its (micro_batch, layer)
+    entry = json.loads((solved / "plans" / "replication.json").read_text())["entries"][2]
+    key = (entry["micro_batch"], entry["layer"])
+    assert key != (0, 0)
+    err = simulate_mutated(solved, tmp_path, capsys, "replication.json",
+                           lambda data: mutate({"entries": data["entries"][2:]}))
+    assert f"replication.json: replication entry {key}: " in err and expected in err, err
 
 
 def _repeat_then_bad_row(data):
@@ -638,18 +720,7 @@ def test_split_row_form_errors_come_before_copy_and_repeat_errors(solved, tmp_pa
     # the split rows are checked for form, types and ranges all at once
     # before any row is checked against the copies and the other rows, so
     # the last row's bad fraction is named, not an earlier row's copy or repeat
-    plans = tmp_path / "plans"
-    shutil.copytree(solved / "plans", plans)
-    path = plans / "replication.json"
-    data = json.loads(path.read_text())
-    mutate(data)
-    path.write_text(json.dumps(data))
-    capsys.readouterr()
-    code = run(["simulate", "--trace", solved / "trace", "--out", tmp_path / "r", "--plans", plans,
-                "--policies", "relibra"])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert err.startswith("error:") and err.count("\n") == 1, err
+    err = simulate_mutated(solved, tmp_path, capsys, "replication.json", mutate)
     assert "fraction = 'half' of expert 0 is not a finite float" in err, err
 
 

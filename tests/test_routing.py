@@ -97,6 +97,19 @@ class TestTraceIO:
             rt.load_trace(tmp_path / "t")
         assert "\n" not in str(err.value)
 
+    def test_routing_bin_size_past_int64_is_exact(self, tmp_path):
+        # 2^20 * 2^20 * 4096 * 4096 * 4 bytes wraps to 0 in int64, which an
+        # empty routing.bin would match; the exact size is checked before any array is built
+        trace, _, _ = make_trace()
+        rt.save_trace(trace, tmp_path / "t")
+        manifest = json.loads((tmp_path / "t" / "manifest.json").read_text())
+        manifest.update(num_micro_batches=2**20, num_layers=2**20, num_nodes=64, gpus_per_node=64,
+                        num_experts=4096)
+        (tmp_path / "t" / "manifest.json").write_text(json.dumps(manifest))
+        (tmp_path / "t" / "routing.bin").write_bytes(b"")
+        with pytest.raises(rt.TraceFormatError, match=f"^routing.bin holds 0 bytes, manifest implies {2**66}$"):
+            rt.load_trace(tmp_path / "t")
+
     def test_cross_layer_consistency_enforced(self):
         topo = build_topology(1, 2, HW)
         model = rt.ModelProfile(num_layers=2, num_experts=2, top_k=1)

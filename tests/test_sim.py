@@ -110,7 +110,21 @@ class TestEvaluateBundle:
         # entry (0, 0) fails the negative-load check, entry (1, 0) its split check;
         # every split is checked before the array pass, so the later entry is named
         trace, bundle, topo, model = self.split_bundle([[1 + 5e-7, -5e-7], [1 + 5e-6, -5e-6]])
-        with pytest.raises(ValueError, match=r"^split fractions for expert 0 outside \[0, 1\]$"):
+        with pytest.raises(ValueError, match=r"^replication entry \(1, 0\): "
+                                             r"split fractions for expert 0 outside \[0, 1\]$"):
+            sim.evaluate_bundle(trace, bundle, topo, model, HW)
+
+    def test_fit_errors_name_their_entry(self):
+        # entry (1, 0) moves half its tokens nowhere; the placement every entry
+        # shares is validated at, and named by, its first entry (0, 0)
+        trace, bundle, topo, model = self.split_bundle([[1.0, 0.0], [0.5, 0.0]])
+        with pytest.raises(ValueError, match=r"^replication entry \(1, 0\): split fractions for expert 0 "
+                                             r"violate conservation by 5\.000e-01$"):
+            sim.evaluate_bundle(trace, bundle, topo, model, HW)
+        with pytest.raises(ValueError, match=r"^replication entry \(1, 0\): split fractions"):
+            sim.check_replication(trace, bundle, topo, sim.scored_matrices(trace, None))
+        bundle.replication.entries[1, 0].placement.replicas[0].append(1)
+        with pytest.raises(ValueError, match=r"^replication entry \(0, 0\): duplicate replica GPUs for expert 0$"):
             sim.evaluate_bundle(trace, bundle, topo, model, HW)
 
 
