@@ -35,6 +35,9 @@ For each differing `replication.json`, it prints every differing
 (micro_batch, layer) entry: whether its replica list changed, how many
 split rows were added and removed, the largest fraction change and the
 objective change.
+
+Ends by printing each tree's line count of `src/moebalance/*.py`, the
+tracked size of the program.
 """
 
 from __future__ import annotations
@@ -387,6 +390,9 @@ def main(argv=None) -> int:
     for line in deltas:
         print(line)
     print(f"{len(traces())} traces, {count} files compared, {len(differ)} differ, {len(failed)} commands failed")
+    for label, src in (("base", args.base_src), ("change", args.change_src)):
+        lines = sum(path.read_bytes().count(b"\n") for path in (src / "moebalance").glob("*.py"))
+        print(f"{label} src/moebalance: {lines} lines")
     return 1 if differ or failed else 0
 
 

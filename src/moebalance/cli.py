@@ -9,7 +9,6 @@ manifest, and `solve` and `simulate` read them from there.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -159,67 +158,30 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-SERIES_CHOICES = ("comparison", "skewness", "times", "intersection", "loads")
-
-
 def cmd_report(args) -> int:
     path = Path(args.report)
     if not path.is_file():
         raise SystemExit(f"error: missing report file {path}")
     try:
         data = json.loads(path.read_text())
-    except json.JSONDecodeError as err:
+        sim.check_report(data)
+    except ValueError as err:
         raise SystemExit(f"error: malformed report: {err}")
-    if not (isinstance(data, dict) and "comparison" in data and "policies" in data):
-        raise SystemExit("error: malformed report: expected a JSON object with comparison/policies sections")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    series = args.series.split(",") if args.series else ["comparison"]
-    for name in series:
+    for name in (args.series or "comparison").split(","):
         name = name.strip()
-        if name not in SERIES_CHOICES:
-            raise SystemExit(f"error: unknown series {name!r}; choose from {', '.join(SERIES_CHOICES)}")
+        if name not in sim.SERIES:
+            raise SystemExit(f"error: unknown series {name!r}; choose from {', '.join(sim.SERIES)}")
+        target = out / f"{name}.csv"
         try:
-            rows = list(_series_rows(name, data))
+            sim.write_series(target, name, data)
         except KeyError as err:
             raise ValueError(f"malformed report {path}: missing key {err}") from None
         except (TypeError, AttributeError) as err:
             raise ValueError(f"malformed report {path}: {name} series: {err}") from None
-        target = out / f"{name}.csv"
-        with target.open("w", newline="") as fh:
-            csv.writer(fh).writerows(rows)
         print(f"wrote {target}")
     return 0
-
-
-def _series_rows(name: str, data: dict):
-    """Header and rows of one report series."""
-    if name == "comparison":
-        yield sim.SUMMARY_COLUMNS
-        for row in data["comparison"]["rows"]:
-            yield [row[c] if row[c] is not None else "" for c in sim.SUMMARY_COLUMNS]
-    elif name == "skewness":
-        yield ["policy", "micro_batch", "layer", "skewness"]
-        for policy, body in data["policies"].items():
-            for mb, per_layer in enumerate(body["skew"]):
-                for layer, value in enumerate(per_layer):
-                    yield [policy, mb, layer, value]
-    elif name == "times":
-        yield ["policy", "micro_batch", "time_s"]
-        for policy, body in data["policies"].items():
-            for mb, value in enumerate(body["mb_times"]):
-                yield [policy, mb, value]
-    elif name == "intersection":
-        yield ["layer", "pair_index", "ratio"]
-        for layer, ratios in enumerate(data["trace_summary"]["intersection_ratio"]):
-            for pair, value in enumerate(ratios):
-                yield [layer, pair, value]
-    elif name == "loads":
-        yield ["layer", "micro_batch", "expert", "share"]
-        for layer, per_mb in enumerate(data["trace_summary"]["expert_load_share"]):
-            for mb, shares in enumerate(per_mb):
-                for expert, share in enumerate(shares):
-                    yield [layer, mb, expert, share]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -279,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", required=True, help="path to report.json")
     p.add_argument("--out", required=True, help="CSV output directory")
     p.add_argument("--series", default="comparison",
-                   help=f"comma list from: {', '.join(SERIES_CHOICES)}")
+                   help=f"comma list from: {', '.join(sim.SERIES)}")
     p.set_defaults(func=cmd_report)
     return parser
 

@@ -129,12 +129,13 @@ class TraceGenSpec:
     def __post_init__(self) -> None:
         if self.num_domains < 1:
             raise ValueError("need at least one domain")
-        if not self.dirichlet_alpha > 0:
-            raise ValueError("dirichlet_alpha must be > 0")
+        if not (math.isfinite(self.dirichlet_alpha) and self.dirichlet_alpha > 0):
+            raise ValueError(f"dirichlet_alpha must be finite and > 0, got {self.dirichlet_alpha!r}")
         if not 0 <= self.domain_focus < 1:
             raise ValueError("domain_focus must be in [0, 1)")
-        if self.redraw_concentration is not None and not self.redraw_concentration > 0:
-            raise ValueError("redraw_concentration must be > 0 when set")
+        redraw = self.redraw_concentration
+        if redraw is not None and not (math.isfinite(redraw) and redraw > 0):
+            raise ValueError(f"redraw_concentration must be finite and > 0 when set, got {redraw!r}")
         if self.tokens_per_gpu < 1:
             raise ValueError("tokens_per_gpu must be >= 1")
         if self.samples_per_gpu < 0:

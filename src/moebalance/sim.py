@@ -8,10 +8,15 @@ Every policy becomes a PlanBundle and is scored by the same evaluator, in
 one array pass over every entry. The modeled time covers the MoE block
 only; attention and optimizer time are policy-invariant and excluded, so
 speedup ratios are an upper bound on end-to-end gains.
+
+This module alone knows `report.json`: `write_reports` writes each fact
+once, `series_rows` reads it back as flat series, and `summary.csv` is the
+comparison series.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import functools
 import json
@@ -59,7 +64,6 @@ class SimReport:
     entry_times: np.ndarray   # (MB, L) seconds
     skew: np.ndarray          # (MB, L) rank-level skewness
     total_time: float
-    metadata: dict = field(default_factory=dict)
 
     def mb_times(self) -> np.ndarray:
         return self.entry_times.sum(axis=1)
@@ -179,7 +183,6 @@ def evaluate_bundle(trace: rt.RoutingTrace, bundle: PlanBundle, topo: ClusterTop
         entry_times=entry_times,
         skew=skew,
         total_time=float(entry_times.sum()),
-        metadata={"throughput_proxy": "modeled MoE time only; attention and optimizer excluded"},
     )
 
 
@@ -188,17 +191,18 @@ def evaluate_bundle(trace: rt.RoutingTrace, bundle: PlanBundle, topo: ClusterTop
 
 
 def _uniform_matrices(trace: rt.RoutingTrace) -> np.ndarray:
-    """Each row redistributed uniformly over experts, preserving integer sums."""
+    """Each row redistributed uniformly over experts, preserving integer sums.
+
+    Source GPU j gives its row's remainder to the experts from its own
+    static block (expert j * E / G) on, wrapping mod E, so equal remainders
+    load every static block equally."""
     mats = trace.matrices.astype(np.int64)
     mb_count, layers, g, e = mats.shape
-    out = np.zeros_like(mats)
     row_sums = mats.sum(axis=3)
     base = row_sums // e
     extra = row_sums - base * e
-    out += base[..., None]
-    # remainders tie everywhere; the lowest expert indices take the extras
-    idx = np.arange(e)
-    out += (idx[None, None, None, :] < extra[..., None]).astype(np.int64)
+    offset = (np.arange(e)[None, :] - np.arange(g)[:, None] * (e // g)) % e  # (G, E) rank from the source's block
+    out = base[..., None] + (offset < extra[..., None])
     return out.astype(np.uint32)
 
 
@@ -347,30 +351,22 @@ def run_baseline(trace: rt.RoutingTrace, policy: str, topo: ClusterTopology,
 
 
 def compare_report(reports: list[SimReport]) -> dict:
-    """Speedups vs static plus skewness distribution stats per policy."""
+    """The comparison section: speedup vs static and skewness stats per policy."""
     if not reports:
         raise ValueError("no reports to compare")
     ids = {r.trace_id for r in reports}
     if len(ids) > 1:
         raise ValueError(f"reports cover different traces: {sorted(ids)}")
     static_total = next((r.total_time for r in reports if r.policy == "static"), None)
-    rows = []
-    for r in reports:
-        flat = r.skew.ravel()
-        rows.append({
-            "policy": r.policy,
-            "total_time_s": r.total_time,
-            "speedup_vs_static": (static_total / r.total_time) if static_total else None,
-            "skew_mean": float(flat.mean()),
-            "skew_p50": float(np.percentile(flat, 50)),
-            "skew_p95": float(np.percentile(flat, 95)),
-            "skew_max": float(flat.max()),
-        })
-    return {
-        "trace_id": reports[0].trace_id,
-        "rows": rows,
-        "mb_times": {r.policy: r.mb_times().tolist() for r in reports},
-    }
+    return {"rows": [{
+        "policy": r.policy,
+        "total_time_s": r.total_time,
+        "speedup_vs_static": (static_total / r.total_time) if static_total else None,
+        "skew_mean": float(r.skew.mean()),
+        "skew_p50": float(np.percentile(r.skew, 50)),
+        "skew_p95": float(np.percentile(r.skew, 95)),
+        "skew_max": float(r.skew.max()),
+    } for r in reports]}
 
 
 def trace_summary(trace: rt.RoutingTrace) -> dict:
@@ -392,13 +388,60 @@ def trace_summary(trace: rt.RoutingTrace) -> dict:
     return out
 
 
-def reports_to_dict(trace: rt.RoutingTrace, reports: list[SimReport]) -> dict:
-    comparison = compare_report(reports)
-    return {
-        "version": 1,
-        "trace_id": comparison["trace_id"],
+SUMMARY_COLUMNS = ("policy", "total_time_s", "speedup_vs_static", "skew_mean", "skew_p95", "skew_max")
+SERIES = ("comparison", "skewness", "times", "intersection", "loads")
+
+
+def check_report(data) -> None:
+    if not (isinstance(data, dict) and "comparison" in data and "policies" in data):
+        raise ValueError("expected a JSON object with comparison/policies sections")
+
+
+def series_rows(name: str, report: dict):
+    """Header and rows of one report series; version 1 reports give the same rows."""
+    if name == "comparison":
+        yield SUMMARY_COLUMNS
+        for row in report["comparison"]["rows"]:
+            yield [row[c] if row[c] is not None else "" for c in SUMMARY_COLUMNS]
+    elif name == "skewness":
+        yield ["policy", "micro_batch", "layer", "skewness"]
+        for policy, body in report["policies"].items():
+            for mb, per_layer in enumerate(body["skew"]):
+                for layer, value in enumerate(per_layer):
+                    yield [policy, mb, layer, value]
+    elif name == "times":
+        yield ["policy", "micro_batch", "time_s"]
+        for policy, body in report["policies"].items():
+            for mb, value in enumerate(body["mb_times"]):
+                yield [policy, mb, value]
+    elif name == "intersection":
+        yield ["layer", "pair_index", "ratio"]
+        for layer, ratios in enumerate(report["trace_summary"]["intersection_ratio"]):
+            for pair, value in enumerate(ratios):
+                yield [layer, pair, value]
+    elif name == "loads":
+        yield ["layer", "micro_batch", "expert", "share"]
+        for layer, per_mb in enumerate(report["trace_summary"]["expert_load_share"]):
+            for mb, shares in enumerate(per_mb):
+                for expert, share in enumerate(shares):
+                    yield [layer, mb, expert, share]
+
+
+def write_series(target: Path, name: str, report: dict) -> None:
+    """Write one series as CSV; a malformed report leaves no file."""
+    rows = list(series_rows(name, report))
+    with target.open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+def write_reports(out_dir: str | Path, trace: rt.RoutingTrace, reports: list[SimReport]) -> dict:
+    """Write report.json and summary.csv, its comparison series; returns the report."""
+    comparison = compare_report(reports)  # checks that the reports cover one trace
+    payload = {
+        "version": 2,
+        "trace_id": reports[0].trace_id,
         "timestamp": datetime.now(timezone.utc).isoformat(),  # volatile field, excluded from idempotence
-        "metadata": {r.policy: r.metadata for r in reports},
+        "throughput_proxy": "modeled MoE time only; attention and optimizer excluded",
         "comparison": comparison,
         "trace_summary": trace_summary(trace),
         "policies": {
@@ -411,31 +454,8 @@ def reports_to_dict(trace: rt.RoutingTrace, reports: list[SimReport]) -> dict:
             for r in reports
         },
     }
-
-
-SUMMARY_COLUMNS = ("policy", "total_time_s", "speedup_vs_static", "skew_mean", "skew_p95", "skew_max")
-
-
-def summary_csv_lines(comparison: dict) -> list[str]:
-    lines = [",".join(SUMMARY_COLUMNS)]
-    for row in comparison["rows"]:
-        cells = []
-        for col in SUMMARY_COLUMNS:
-            value = row[col]
-            if value is None:
-                cells.append("")
-            elif isinstance(value, str):
-                cells.append(value)
-            else:
-                cells.append(f"{value:.9g}")
-        lines.append(",".join(cells))
-    return lines
-
-
-def write_reports(out_dir: str | Path, trace: rt.RoutingTrace, reports: list[SimReport]) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    payload = reports_to_dict(trace, reports)
     (out / "report.json").write_text(json.dumps(payload, indent=2) + "\n")
-    (out / "summary.csv").write_text("\n".join(summary_csv_lines(payload["comparison"])) + "\n")
+    write_series(out / "summary.csv", "comparison", payload)
     return payload

@@ -136,3 +136,18 @@ def test_traced_run_yields_every_metric(tmp_path, bench_module):
     assert [name for name, value in metrics.items() if not math.isfinite(value)] == []
     assert 0.0 <= metrics["reorder.sample_moved_frac"] <= 1.0
     assert metrics["lp.solves"] > 0 and metrics["reorder.sample_pass_s"] > 0
+
+
+def test_workload_command_lines_parse(bench_module):
+    # the flags the benchmark passes, parsed as the CLI parses them; nothing runs
+    workloads = bench_module("workloads")
+    parser = cli.build_parser()
+    for workload in workloads.WORKLOADS.values():
+        if workload.gen_args is not None:
+            parser.parse_args(["gen", "--out", "trace", "--seed", "0", *workload.gen_args])
+        parser.parse_args(["solve", "--trace", "trace", "--out", "plans", *workload.solve_args])
+        parser.parse_args(["simulate", "--trace", "trace", "--plans", "plans", "--out", "report",
+                           *workload.simulate_args()])
+    names = workloads.POLICIES.split(",")
+    assert set(names) <= set(cli.POLICY_ALIASES)
+    assert tuple(cli.POLICY_ALIASES[name] for name in names) == workloads.POLICY_NAMES

@@ -90,6 +90,18 @@ def test_gen_rejects_negative_expert_param_bytes(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("alpha", ["inf", "-inf", "nan"])
+def test_gen_rejects_non_finite_alpha(tmp_path, capsys, alpha):
+    # numpy's own error for an infinite concentration names neither the flag nor its value
+    out = tmp_path / "t"
+    capsys.readouterr()
+    code = run(GEN_ARGS + [f"--alpha={alpha}", "--out", out])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"error: dirichlet_alpha must be finite and > 0, got {float(alpha)!r}\n", err
+    assert not out.exists()
+
+
 def test_solve_then_simulate_round_trip(tmp_path, capsys):
     trace = tmp_path / "trace"
     plans = tmp_path / "plans"
@@ -205,6 +217,40 @@ def simulated(tmp_path_factory):
     assert run(["simulate", "--trace", root / "trace", "--out", root / "report",
                 "--policies", "static,lpt"]) == 0
     return root / "report" / "report.json"
+
+
+def test_summary_csv_is_the_comparison_series(simulated, tmp_path):
+    assert run(["report", "--report", simulated, "--out", tmp_path, "--series", "comparison"]) == 0
+    assert (simulated.parent / "summary.csv").read_bytes() == (tmp_path / "comparison.csv").read_bytes()
+
+
+def test_report_states_each_fact_once(simulated):
+    text = simulated.read_text()
+    data = json.loads(text)
+    assert set(data) == {"version", "trace_id", "timestamp", "throughput_proxy", "comparison",
+                         "trace_summary", "policies"}
+    assert set(data["comparison"]) == {"rows"}
+    assert data["version"] == 2
+    assert text.count("throughput_proxy") == 1
+
+
+def test_report_reads_version_1_reports(simulated, tmp_path):
+    # the version 1 layout: copies of the trace id, the per-micro-batch
+    # times and the throughput note, which the series never read
+    data = json.loads(simulated.read_text())
+    proxy = data.pop("throughput_proxy")
+    v1 = {"version": 1, "trace_id": data["trace_id"], "timestamp": data["timestamp"],
+          "metadata": {policy: {"throughput_proxy": proxy} for policy in data["policies"]},
+          "comparison": {"trace_id": data["trace_id"], "rows": data["comparison"]["rows"],
+                         "mb_times": {policy: body["mb_times"] for policy, body in data["policies"].items()}},
+          "trace_summary": data["trace_summary"], "policies": data["policies"]}
+    old = tmp_path / "v1" / "report.json"
+    old.parent.mkdir()
+    old.write_text(json.dumps(v1, indent=2))
+    for report, out in ((simulated, tmp_path / "csv2"), (old, tmp_path / "csv1")):
+        assert run(["report", "--report", report, "--out", out, "--series", ",".join(sim.SERIES)]) == 0
+    for name in sim.SERIES:
+        assert (tmp_path / "csv1" / f"{name}.csv").read_bytes() == (tmp_path / "csv2" / f"{name}.csv").read_bytes()
 
 
 def _drop_policy_field(field):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -171,6 +172,13 @@ class TestGenerator:
             rt.TraceGenSpec(num_domains=1, dirichlet_alpha=0.0)
         with pytest.raises(ValueError):
             rt.TraceGenSpec(num_domains=1, dirichlet_alpha=1.0, domain_focus=1.0)
+
+    @pytest.mark.parametrize("field", ["dirichlet_alpha", "redraw_concentration"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_concentration_rejected(self, field, value):
+        # `not inf > 0` is false, so a plain positivity check lets inf through
+        with pytest.raises(ValueError, match=f"^{field} must be finite and > 0"):
+            rt.TraceGenSpec(**{"num_domains": 1, "dirichlet_alpha": 1.0, field: value})
 
 
 class TestAggregation:

@@ -149,6 +149,25 @@ class TestBaselines:
         report = sim.run_baseline(trace, "balanced_oracle", topo, model, hw, fast_cfgs())
         assert report.skew.max() <= 1.0 + 1e-9  # row sums divide the expert count here
 
+    @pytest.mark.parametrize("nodes,gpus_per_node,experts,top_k,tokens", [(4, 8, 64, 2, 1000), (2, 4, 16, 3, 7)])
+    def test_balanced_oracle_spreads_row_remainders(self, nodes, gpus_per_node, experts, top_k, tokens):
+        # every row sum leaves a remainder mod the expert count, which each
+        # source gives out from its own static block on
+        assert top_k * tokens % experts
+        topo = build_topology(nodes, gpus_per_node, HW)
+        model = rt.ModelProfile(num_layers=1, num_experts=experts, top_k=top_k,
+                                hidden_size=32, intermediate_size=16)
+        spec = rt.TraceGenSpec(num_domains=2, dirichlet_alpha=0.4, tokens_per_gpu=tokens, rng_seed=5)
+        trace = rt.generate_synthetic_trace(spec, model, topo, 3)
+        uniform = sim._uniform_matrices(trace)
+        np.testing.assert_array_equal(uniform.sum(axis=3), trace.matrices.sum(axis=3))
+        static = ro.static_plan(experts, topo).assignment
+        for mb in range(trace.num_micro_batches):
+            comp = cm.compute_loads(uniform[mb, 0].astype(np.float64), static, topo)[COMP]
+            assert (comp == comp[0]).all(), comp
+        report = sim.run_baseline(trace, "balanced_oracle", topo, model, HW, fast_cfgs())
+        assert (report.skew == 1.0).all()
+
     def test_uniform_trace_all_policies_tie(self):
         topo = build_topology(2, 2, HW)
         model = rt.ModelProfile(num_layers=1, num_experts=8, top_k=2,
