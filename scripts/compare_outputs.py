@@ -36,8 +36,9 @@ For each differing `replication.json`, it prints every differing
 split rows were added and removed, the largest fraction change and the
 objective change.
 
-Ends by printing each tree's line count of `src/moebalance/*.py`, the
-tracked size of the program.
+Ends by printing the line count of each `src/moebalance/*.py` module,
+base -> change, and then of the whole package, the tracked size of the
+program.
 """
 
 from __future__ import annotations
@@ -360,6 +361,11 @@ def replication_deltas(base: Path, change: Path, differ: list[str]) -> list[str]
     return lines
 
 
+def line_counts(src: Path) -> dict[str, int]:
+    """{module file name: line count} of `src/moebalance`."""
+    return {path.name: path.read_bytes().count(b"\n") for path in (src / "moebalance").glob("*.py")}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base_src", type=Path, help="src directory of the base tree")
@@ -390,9 +396,10 @@ def main(argv=None) -> int:
     for line in deltas:
         print(line)
     print(f"{len(traces())} traces, {count} files compared, {len(differ)} differ, {len(failed)} commands failed")
-    for label, src in (("base", args.base_src), ("change", args.change_src)):
-        lines = sum(path.read_bytes().count(b"\n") for path in (src / "moebalance").glob("*.py"))
-        print(f"{label} src/moebalance: {lines} lines")
+    base, change = (line_counts(src) for src in (args.base_src, args.change_src))
+    for name in sorted(base.keys() | change.keys()):
+        print(f"  {name}: {base.get(name, 0)} -> {change.get(name, 0)} lines")
+    print(f"src/moebalance: {sum(base.values())} -> {sum(change.values())} lines")
     return 1 if differ or failed else 0
 
 

@@ -2,8 +2,9 @@
 
 Loads are measured in tokens. A routing matrix x[j, e] (tokens on source
 GPU j routed to expert e) plus an expert placement, and optionally a
-replica/split assignment, yield a (5, G) load array: per-GPU computation
-and the four link directions, rows `topology.COMP` ... `topology.RDMA_RX`.
+`SplitPlan` (one column of per-source shares per copy of each split
+expert), yield a (5, G) load array: per-GPU computation and the four link
+directions, rows `topology.COMP` ... `topology.RDMA_RX`.
 `TimeUnits` is the one conversion of such an array to seconds. The
 aggregate time is max-of-comp plus max-of-comm across the EP group, with a
 log-sum-exp surrogate available for search.
@@ -12,7 +13,8 @@ log-sum-exp surrogate available for search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -20,10 +22,47 @@ from .topology import ClusterTopology, HardwareProfile
 
 SPLIT_TOL = 1e-6
 
-# Split assignment: expert -> (serving GPU ids (k,), fractions (G, k)).
-# Rows of the fraction matrix sum to 1 for sources with tokens routed to
-# the expert; experts absent from the dict are served entirely at home.
-SplitMap = dict[int, tuple[np.ndarray, np.ndarray]]
+
+@dataclass(frozen=True, eq=False)
+class SplitPlan:
+    """A token split, one column per copy of each split expert.
+
+    Column c serves share[c, j] of source j's tokens of expert[c] on
+    gpu[c]. An expert's columns are adjacent and in
+    `ReplicaPlacement.copies` order, home first; experts without columns
+    are served entirely at home.
+    """
+
+    expert: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))  # (C,)
+    gpu: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))     # (C,)
+    share: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))             # (C, G)
+
+    def starts(self) -> np.ndarray:
+        """The first column of each expert, in column order."""
+        new = np.ones(self.expert.size, dtype=bool)
+        new[1:] = self.expert[1:] != self.expert[:-1]
+        return np.flatnonzero(new)
+
+    def copy_sums(self, first: int = 0) -> np.ndarray:
+        """(experts, G) sums of each expert's shares from copy `first` on.
+
+        A loop over copy position adds them left to right, as numpy's sum
+        over a last axis of fewer than 8 terms does; `np.add.reduceat`
+        does not match it.
+        """
+        starts = self.starts()
+        counts = np.diff(starts, append=self.expert.size)
+        total = np.zeros((starts.size, self.share.shape[1]))
+        for c in range(first, counts.max(initial=0)):
+            more = counts > c
+            total[more] += self.share[starts[more] + c]
+        return total
+
+    @property
+    def fractions(self) -> MappingProxyType:
+        """Read-only {expert: (G, k) view of its shares}, columns in copy order."""
+        starts = self.starts()
+        return MappingProxyType({e: v.T for e, v in zip(self.expert[starts].tolist(), np.split(self.share, starts[1:]))})
 
 
 @dataclass
@@ -36,103 +75,71 @@ class CostEstimate:
     t_moe_smoothed: float | None = None
 
 
-def flow_matrix(x: np.ndarray, placement: np.ndarray, topo: ClusterTopology, splits: SplitMap | None = None) -> np.ndarray:
-    """(G, G) token masses flow[src, serving GPU] induced by x, placement, splits.
+def flow_matrix(x: np.ndarray, placement: np.ndarray, topo: ClusterTopology, split: SplitPlan | None = None) -> np.ndarray:
+    """(G, G) token masses flow[src, serving GPU] induced by x, placement, split.
 
-    Experts without a split go to their home GPU in one contraction, exact
-    for integer token counts. Split experts are checked at once
-    (`check_splits`) and their fractional shares added by one `np.add.at`,
-    which adds them in the order of `splits`, then copy, then source, as a
-    loop over the split experts would.
+    Experts without columns go to their home GPU in one contraction, exact
+    for integer token counts. The split is checked (`check_split`) and its
+    shares added by one `np.add.at` in (column, source) order.
     """
     g = topo.num_gpus
     num_experts = x.shape[1]
     x = np.asarray(x, dtype=np.float64)
-    splits = splits or {}
-    for e in splits:
-        if not 0 <= e < num_experts:
-            raise ValueError(f"split entry for unknown expert {e}")
-    groups = check_splits(x, placement, splits)
+    split = split or SplitPlan()
+    check_split(x, placement, split)
     kept = np.ones(num_experts, dtype=bool)
-    kept[list(splits)] = False
+    kept[split.expert] = False
     home = np.zeros((num_experts, g))
     home[np.flatnonzero(kept), placement[kept]] = 1.0
     flow = x @ home
-    if not splits:
-        return flow
-    # each entry's (copy, source) shares fill one run of `shares`, runs in splits order
-    width = g * np.array([len(gpus) for gpus, _ in splits.values()])
-    start = np.cumsum(width) - width
-    src = np.tile(np.arange(g), width.sum() // g)
-    dst = np.empty(width.sum(), dtype=np.intp)
-    shares = np.empty(width.sum())
-    for pos, experts, gpus, frac in groups:
-        n, k = gpus.shape
-        at = start[pos][:, None] + np.arange(k * g)
-        shares[at] = (x[:, experts].T[:, :, None] * frac).transpose(0, 2, 1).reshape(n, k * g)
-        dst[at] = np.repeat(gpus, g, axis=1)
-    np.add.at(flow, (src, dst), shares)
+    if split.expert.size:
+        shares = split.share * x[:, split.expert].T
+        np.add.at(flow, (np.tile(np.arange(g), split.expert.size), np.repeat(split.gpu, g)), shares.ravel())
     return flow
 
 
-def check_splits(x: np.ndarray, home: np.ndarray, splits: SplitMap) -> list[tuple[np.ndarray, ...]]:
-    """`check_split` of every entry at once; the first rejected entry in
-    the order of `splits` raises its `check_split` error.
+def check_split(x: np.ndarray, home: np.ndarray, split: SplitPlan) -> None:
+    """Reject a split that cannot be a valid token assignment, naming the
+    first failing expert in column order.
 
-    Returns the entries grouped by copy count k, each group as (positions
-    in `splits`, experts (n,), GPUs (n, k), fractions (n, G, k)).
+    An expert's columns must be adjacent and include its home GPU, and
+    hold finite shares within [0, 1]; every source routing tokens to it
+    must split them with shares summing to 1. Both bounds allow SPLIT_TOL
+    of LP drift.
     """
-    items = list(splits.items())
-    members: dict[int, list[int]] = {}
-    failing = [len(items)]
-    for p, (e, (gpus, frac)) in enumerate(items):
-        if len(gpus) == 0 or np.shape(frac) != (x.shape[0], len(gpus)):
-            failing.append(p)  # fails on its shapes alone; later entries are never reached
-            break
-        members.setdefault(len(gpus), []).append(p)
-    groups = []
-    for pos in members.values():
-        pos = np.array(pos)
-        experts = np.array([items[p][0] for p in pos])
-        gpus = np.array([items[p][1][0] for p in pos])
-        frac = np.stack([items[p][1][1] for p in pos])
-        # a NaN or infinite fraction fails the range test through its min or max
-        in_range = (frac.min(axis=(1, 2)) >= -SPLIT_TOL) & (frac.max(axis=(1, 2)) <= 1 + SPLIT_TOL)
-        leaks = (np.abs(frac.sum(axis=2) - 1.0) > SPLIT_TOL) & (x[:, experts].T > 0)
-        bad = (gpus != home[experts][:, None]).all(axis=1) | ~in_range | leaks.any(axis=1)
-        failing.extend(pos[bad][:1].tolist())
-        groups.append((pos, experts, gpus, frac))
-    first = min(failing)
-    if first < len(items):
-        e, (gpus, frac) = items[first]
-        check_split(x, home, e, gpus, frac)
-    return groups
+    expert, share = split.expert, split.share
+    if not expert.size:
+        return
+    unknown = (expert < 0) | (expert >= x.shape[1])
+    if unknown.any():
+        raise ValueError(f"split entry for unknown expert {expert[unknown][0]}")
+    if share.shape != (expert.size, x.shape[0]):
+        raise ValueError(f"split shares have shape {share.shape}, expected {(expert.size, x.shape[0])}")
+    starts = split.starts()
+    experts = expert[starts]
+    if np.unique(experts).size < experts.size:
+        raise ValueError(f"split columns of an expert are not adjacent; experts by column run: {experts.tolist()}")
+    homeless = ~np.logical_or.reduceat(split.gpu == home[expert], starts)
+    infinite = ~np.logical_and.reduceat(np.isfinite(share).all(axis=1), starts)
+    # a NaN share fails the finite test; its min and max compare false
+    outside = ((np.minimum.reduceat(share.min(axis=1), starts) < -SPLIT_TOL)
+               | (np.maximum.reduceat(share.max(axis=1), starts) > 1 + SPLIT_TOL))
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite shares are named above
+        err = np.where(x[:, experts].T > 0, np.abs(split.copy_sums() - 1.0), 0.0).max(axis=1)
+    bad = np.flatnonzero(homeless | infinite | outside | (err > SPLIT_TOL))
+    if bad.size:
+        r = bad[0]
+        e = int(experts[r])
+        if homeless[r]:
+            raise ValueError(f"split for expert {e} omits its home GPU {home[e]}")
+        if infinite[r]:
+            raise ValueError(f"split fractions for expert {e} are not finite")
+        if outside[r]:
+            raise ValueError(f"split fractions for expert {e} outside [0, 1]")
+        raise ValueError(f"split fractions for expert {e} violate conservation by {err[r]:.3e}")
 
 
-def check_split(x: np.ndarray, home: np.ndarray, e: int, gpus: np.ndarray, frac: np.ndarray) -> None:
-    """Reject a split of expert e that cannot be a valid token assignment.
-
-    gpus must include e's home GPU and frac must be a (G, len(gpus)) array
-    of finite fractions within [0, 1]; every source routing tokens to e
-    must split them with fractions summing to 1. Both bounds allow
-    SPLIT_TOL of LP drift.
-    """
-    if home[e] not in gpus:
-        raise ValueError(f"split for expert {e} omits its home GPU {home[e]}")
-    if frac.shape != (x.shape[0], len(gpus)):
-        raise ValueError(f"split fractions for expert {e} have shape {frac.shape}, expected {(x.shape[0], len(gpus))}")
-    if not np.isfinite(frac).all():
-        raise ValueError(f"split fractions for expert {e} are not finite")
-    if frac.min() < -SPLIT_TOL or frac.max() > 1 + SPLIT_TOL:
-        raise ValueError(f"split fractions for expert {e} outside [0, 1]")
-    active = x[:, e] > 0
-    if active.any():
-        err = float(np.abs(frac[active].sum(axis=1) - 1.0).max())
-        if err > SPLIT_TOL:
-            raise ValueError(f"split fractions for expert {e} violate conservation by {err:.3e}")
-
-
-def compute_loads(x: np.ndarray, placement: np.ndarray, topo: ClusterTopology, splits: SplitMap | None = None) -> np.ndarray:
+def compute_loads(x: np.ndarray, placement: np.ndarray, topo: ClusterTopology, split: SplitPlan | None = None) -> np.ndarray:
     """(5, G) computation and link loads from routing and placement.
 
     Dispatch moves tokens from their source GPU to the serving GPU; combine
@@ -149,7 +156,7 @@ def compute_loads(x: np.ndarray, placement: np.ndarray, topo: ClusterTopology, s
         raise ValueError("placement references GPU ids outside the topology")
     if x.shape[0] != g:
         raise ValueError(f"routing matrix has {x.shape[0]} source rows, topology has {g} GPUs")
-    return topo.charges.loads(flow_matrix(x, placement, topo, splits))
+    return topo.charges.loads(flow_matrix(x, placement, topo, split))
 
 
 @dataclass(frozen=True, eq=False)

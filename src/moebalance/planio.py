@@ -23,7 +23,7 @@ import numpy as np
 
 from . import reorder as ro
 from . import sim
-from .replicate import ReplicaPlacement, ReplicationEntry, ReplicationPlan, SplitPlan
+from .replicate import ReplicaPlacement, ReplicationEntry, ReplicationPlan, SplitPlan, split_of
 
 
 class PlanFormatError(ValueError):
@@ -115,21 +115,21 @@ def load_reorder_plan(path: str | Path, trace) -> dict:
 
 
 def replication_plan_to_dict(plan: ReplicationPlan) -> dict:
+    """The file form of a plan: split rows by expert, source, then copy,
+    one per positive share."""
     entries = []
     for (mb, layer) in sorted(plan.entries):
         entry = plan.entries[(mb, layer)]
-        rows = []
-        for e, frac in sorted(entry.split.fractions.items()):
-            copies = entry.placement.copies(e)
-            for j in range(frac.shape[0]):
-                for col, gpu in enumerate(copies):
-                    if frac[j, col] > 0:
-                        rows.append([int(j), int(e), int(gpu), float(frac[j, col])])
+        split = entry.split
+        col, source = np.nonzero(split.share > 0)
+        order = np.lexsort((col, source, split.expert[col]))
+        col, source = col[order], source[order]
         entries.append({
             "micro_batch": mb,
             "layer": layer,
             "replicas": [[int(e), int(g)] for e in sorted(entry.placement.replicas) for g in entry.placement.replicas[e]],
-            "splits": rows,
+            "splits": list(map(list, zip(source.tolist(), split.expert[col].tolist(), split.gpu[col].tolist(),
+                                         split.share[col, source].tolist()))),
             "objective": entry.objective,
         })
     return {"version": 1, "entries": entries}
@@ -180,7 +180,7 @@ def _split_plan(rows: list, placement: ReplicaPlacement, num_gpus: int, where: s
     row's form, type or range error comes before an earlier row's copy or
     repeat error.
 
-    Experts with the same number of copies k share one (n, G, k) array.
+    Experts take their columns in the order of their first row.
     """
     num_experts = len(placement.home)
     if not rows:
@@ -207,40 +207,29 @@ def _split_plan(rows: list, placement: ReplicaPlacement, num_gpus: int, where: s
             if isinstance(frac, bool) or not isinstance(frac, (int, float)) or not abs(frac) <= sys.float_info.max:
                 raise ValueError(f"{what} fraction = {frac!r} of expert {e} is not a finite float")
         raise  # not reached: the row check rejects every row the passes above reject
-    # column of (expert, GPU) in ReplicaPlacement.copies, -1 without a copy;
-    # like list.index, a GPU listed twice takes its first column
-    column = np.full((num_experts, num_gpus), -1)
-    ncopies = np.ones(num_experts, dtype=np.int64)
-    for e, gpus in placement.replicas.items():
-        ncopies[e] += len(gpus)
-        for c in range(len(gpus), 0, -1):
-            column[e, gpus[c - 1]] = c
-    column[np.arange(num_experts), placement.home] = 0
+    _, firsts = np.unique(expert, return_index=True)
+    split = split_of(placement, {e: np.zeros((num_gpus, len(placement.copies(e))))
+                                 for e in expert[np.sort(firsts)].tolist()})
+    # split column of each (expert, GPU), C without a copy; like list.index,
+    # a GPU listed twice takes its first column
+    column = np.full((num_experts, num_gpus), split.expert.size)
+    np.minimum.at(column, (split.expert, split.gpu), np.arange(split.expert.size))
     col = column[expert, gpu]
+    no_copy = col == split.expert.size
     key = (source * num_experts + expert) * num_gpus + gpu
     ordered = np.sort(key)
-    if (col < 0).any() or (ordered[1:] == ordered[:-1]).any():
+    if no_copy.any() or (ordered[1:] == ordered[:-1]).any():
         _, firsts, same = np.unique(key, return_index=True, return_inverse=True)
         first = firsts[same]  # the first row with each row's (source, expert, GPU)
-        r = int(np.flatnonzero((col < 0) | (first != np.arange(len(rows))))[0])
+        r = int(np.flatnonzero(no_copy | (first != np.arange(len(rows))))[0])
         j, e, g = (int(ids[r]) for ids in (source, expert, gpu))
-        if col[r] < 0:
+        if no_copy[r]:
             raise ValueError(f"{where}.splits[{r}] gpu = {g} holds no copy of expert {e} "
                              f"(copies {placement.copies(e)})")
         raise ValueError(f"{where}.splits[{r}] repeats (source, expert, gpu) = ({j}, {e}, {g}) "
                          f"of {where}.splits[{first[r]}]")
-    _, firsts = np.unique(expert, return_index=True)
-    order = expert[np.sort(firsts)]  # experts in the order of their first row
-    member = np.zeros(num_experts, dtype=np.int64)  # index within the expert's group
-    fractions = {}
-    for k in np.unique(ncopies[order]).tolist():
-        group = order[ncopies[order] == k]
-        member[group] = np.arange(group.size)
-        mine = ncopies[expert] == k
-        frac = np.zeros((group.size, num_gpus, k))
-        frac[member[expert[mine]], source[mine], col[mine]] = value[mine]
-        fractions.update(zip(group.tolist(), frac))
-    return SplitPlan({e: fractions[e] for e in order.tolist()})
+    split.share[col, source] = value
+    return split
 
 
 def save_replication_plan(path: str | Path, trace_id: str, plan: ReplicationPlan) -> None:

@@ -14,7 +14,9 @@ split LP (warm-started), and stop when slots, candidates, or improvement
 run out. The LP's per-token charges are rows of the topology's charge
 operator (`topology.ChargeOperator`) converted by `costmodel.TimeUnits`.
 A fixed placement's LP is built in one column batch per run of replicas
-between budget rows, the run's columns charged in one pass.
+between budget rows, the run's columns charged in one pass. A split is a
+`costmodel.SplitPlan`, one column per copy; the LP's solution is scattered
+into those columns in one pass.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import costmodel as cm
+from .costmodel import SplitPlan
 from .lp import DenseSimplex, LPError
 from .reorder import ReorderPlan
 from .topology import ClusterTopology, HardwareProfile
@@ -66,22 +69,14 @@ class ReplicaPlacement:
         return sorted(set(int(e) for e in out))
 
 
-@dataclass
-class SplitPlan:
-    """Per-source token fractions over each replicated expert's copies.
-
-    fractions[e] has shape (G, len(copies(e))), columns ordered like
-    ReplicaPlacement.copies(e). Experts absent from the dict are served
-    entirely by their home copy.
-    """
-
-    fractions: dict[int, np.ndarray] = field(default_factory=dict)
-
-    def to_split_map(self, placement: ReplicaPlacement) -> cm.SplitMap:
-        return {
-            e: (np.array(placement.copies(e)), frac)
-            for e, frac in self.fractions.items()
-        }
+def split_of(placement: ReplicaPlacement, matrices: dict[int, np.ndarray]) -> SplitPlan:
+    """The split giving each expert of `matrices`, in that order, one
+    column per copy, with the shares of its (G, len(copies(e))) matrix."""
+    if not matrices:
+        return SplitPlan()
+    copies = [placement.copies(e) for e in matrices]
+    return SplitPlan(np.repeat(list(matrices), list(map(len, copies))), np.concatenate(copies),
+                     np.concatenate([np.asarray(frac, dtype=np.float64).T for frac in matrices.values()]))
 
 
 @dataclass
@@ -120,11 +115,17 @@ def validate_placement(placement: ReplicaPlacement, topo: ClusterTopology, cfg: 
             )
 
 
-def validate_split(split: SplitPlan, placement: ReplicaPlacement, x: np.ndarray) -> None:
-    """Conservation (fractions sum to 1 on routed entries) and coupling
-    (mass only on placed copies, all fractions finite and within [0, 1])
-    of every split entry; see costmodel.check_split."""
-    cm.check_splits(np.asarray(x, dtype=np.float64), placement.home, split.to_split_map(placement))
+def validate_split(split: SplitPlan, placement: ReplicaPlacement, x: np.ndarray | None = None) -> None:
+    """Coupling: each split expert's columns are exactly its copies, in
+    order. Given x, first the shares' conservation, range and home checks
+    of `costmodel.check_split`."""
+    if x is not None:
+        cm.check_split(np.asarray(x, dtype=np.float64), placement.home, split)
+    starts = split.starts()
+    for e, gpus in zip(split.expert[starts].tolist(), np.split(split.gpu, starts[1:])):
+        copies = placement.copies(e) if 0 <= e < len(placement.home) else []
+        if gpus.tolist() != copies:
+            raise ValueError(f"split columns of expert {e} serve GPUs {gpus.tolist()}, not its copies {copies} in order")
 
 
 # ---------------------------------------------------------------------------
@@ -284,52 +285,43 @@ class TokenSplitLP:
         self.replicas = {e: list(g) for e, g in snap["replica_gpus"].items()}
 
     def split_plan(self) -> SplitPlan:
-        """Fractions of the current solution; the home copy takes the rest.
+        """Shares of the current solution; the home copy takes the rest.
 
-        Experts with the same number of copies k share one (n, G, k)
-        array: the LP values are scattered into it, then checked, clipped
-        and renormalized at once. Raises LPError when a routed source's
+        The LP values are scattered into one column per copy of each
+        replicated expert, in replica order, then checked, clipped and
+        renormalized at once. Raises LPError when a routed source's
         replica fractions sum outside [-SPLIT_TOL, 1 + SPLIT_TOL], naming
         the first such expert in replica order and its worst source;
         smaller drift is clipped and renormalized away.
         """
-        values = self.solver.solution()[self.N_AUX:]
+        if not self.replicas:
+            return SplitPlan()
+        experts = list(self.replicas)
+        gpus = [[int(self.home[e]), *replicas] for e, replicas in self.replicas.items()]
+        counts = list(map(len, gpus))
+        share = np.zeros((sum(counts), self.topo.num_gpus))
+        split = SplitPlan(np.repeat(experts, counts), np.concatenate(gpus), share)
+        starts = split.starts()
+        start = np.zeros(self.x.shape[1], dtype=np.int64)
+        start[experts] = starts
         source, expert, copy = self.var_meta.T
-        experts = np.array(list(self.replicas), dtype=np.int64)
-        counts = np.array([1 + len(gpus) for gpus in self.replicas.values()], dtype=np.int64)
-        member = np.zeros(self.x.shape[1], dtype=np.int64)  # index within the expert's group
-        ncopies = np.zeros(self.x.shape[1], dtype=np.int64)
-        ncopies[experts] = counts
-        fractions: dict[int, np.ndarray] = {}
-        residuals = []  # (replica order, expert, source, moved, outside) of each group's first
-        for k in np.unique(counts):
-            order = np.flatnonzero(counts == k)
-            member[experts[order]] = np.arange(order.size)
-            frac = np.zeros((order.size, self.topo.num_gpus, k))
-            frac[:, :, 0] = 1.0
-            mine = ncopies[expert] == k
-            frac[member[expert[mine]], source[mine], copy[mine]] = values[mine]
-            routed = self.x[:, experts[order]].T > 0
-            moved = frac[:, :, 1:].sum(axis=2)
-            outside = np.where(routed, np.maximum(moved - 1.0, -moved), 0.0)
-            bad = np.flatnonzero((outside > cm.SPLIT_TOL).any(axis=1))
-            if bad.size:
-                i = bad[0]
-                j = int(np.argmax(outside[i]))
-                residuals.append((order[i], int(experts[order[i]]), j, moved[i, j], outside[i, j]))
-            # rows without routed tokens stay (1, 0, ..., 0): moved is 0 and the sum 1
-            frac[:, :, 0] = 1.0 - moved
-            np.clip(frac, 0.0, 1.0, out=frac)
-            frac /= frac.sum(axis=2, keepdims=True)
-            fractions.update(zip(experts[order].tolist(), frac))
-        if residuals:
-            _, e, j, moved, outside = min(residuals)
+        share[start[expert] + copy, source] = self.solver.solution()[self.N_AUX:]
+        moved = split.copy_sums(first=1)
+        outside = np.where(self.x[:, experts].T > 0, np.maximum(moved - 1.0, -moved), 0.0)
+        bad = np.flatnonzero((outside > cm.SPLIT_TOL).any(axis=1))
+        if bad.size:
+            i = bad[0]
+            j = int(np.argmax(outside[i]))
             raise LPError(
-                f"token-split LP residual: replica fractions of expert {e} from source "
-                f"{j} sum to {moved:.9g}, {outside:.3e} outside [0, 1] "
+                f"token-split LP residual: replica fractions of expert {experts[i]} from source "
+                f"{j} sum to {moved[i, j]:.9g}, {outside[i, j]:.3e} outside [0, 1] "
                 f"(tolerance {cm.SPLIT_TOL:g})"
             )
-        return SplitPlan({e: fractions[e] for e in self.replicas})
+        # rows without routed tokens stay (1, 0, ..., 0): moved is 0 and the sum 1
+        share[starts] = 1.0 - moved
+        np.clip(share, 0.0, 1.0, out=share)
+        share /= np.repeat(split.copy_sums(), counts, axis=0)
+        return split
 
 
 def solve_token_split_lp(
@@ -354,16 +346,15 @@ def solve_token_split_lp(
 
 
 def _estimate(x, placement: ReplicaPlacement, split: SplitPlan, topo, units: cm.TimeUnits) -> cm.CostEstimate:
-    loads = cm.compute_loads(x, placement.home, topo, splits=split.to_split_map(placement))
+    loads = cm.compute_loads(x, placement.home, topo, split=split)
     return units.estimate(loads)
 
 
 def _served_tokens(x: np.ndarray, placement: ReplicaPlacement, split: SplitPlan, e: int, gpu: int) -> float:
-    copies = placement.copies(e)
-    if e in split.fractions:
-        col = copies.index(gpu)
-        return float((x[:, e] * split.fractions[e][:, col]).sum())
-    return float(x[:, e].sum()) if copies[0] == gpu else 0.0
+    col = np.flatnonzero((split.expert == e) & (split.gpu == gpu))
+    if col.size:
+        return float((x[:, e] * split.share[col[0]]).sum())
+    return float(x[:, e].sum()) if placement.home[e] == gpu else 0.0
 
 
 MAX_TRIALS_PER_STEP = 8

@@ -94,11 +94,11 @@ def check_reorder(trace: rt.RoutingTrace, plans: list[ro.ReorderPlan],
 
 def check_replication(trace: rt.RoutingTrace, bundle: PlanBundle, topo: ClusterTopology,
                       matrices: np.ndarray | None = None) -> None:
-    """Check the replication.json part of a bundle that passed `check_reorder`.
-    Given the scored matrices, also check split conservation, which
-    `evaluate_bundle` leaves to `compute_loads`. A placement object shared
-    by several entries is validated once, at its first entry, which a
-    failure names."""
+    """Check the replication.json part of a bundle that passed `check_reorder`:
+    each placement, and each split's columns against it. Given the scored
+    matrices, also check split conservation, which `evaluate_bundle` leaves
+    to `compute_loads`. A placement object shared by several entries is
+    validated once, at its first entry, which a failure names."""
     validated = set()
     for (mb, layer), entry in bundle.replication.entries.items():
         if not (0 <= mb < trace.num_micro_batches and 0 <= layer < trace.model.num_layers):
@@ -109,8 +109,7 @@ def check_replication(trace: rt.RoutingTrace, bundle: PlanBundle, topo: ClusterT
             if id(entry.placement) not in validated:
                 rep.validate_placement(entry.placement, topo)
                 validated.add(id(entry.placement))
-            if matrices is not None:
-                rep.validate_split(entry.split, entry.placement, matrices[mb, layer])
+            rep.validate_split(entry.split, entry.placement, None if matrices is None else matrices[mb, layer])
         except ValueError as err:
             raise ValueError(f"replication entry ({mb}, {layer}): {err}") from err
 
@@ -149,11 +148,11 @@ def evaluate_bundle(trace: rt.RoutingTrace, bundle: PlanBundle, topo: ClusterTop
         loads[:, layer] = (flows @ charge).reshape(mb_count, 5, g)
     for mb, layer in sorted(bundle.replication.entries):  # in entry order, so the first bad split raises
         entry = bundle.replication.entries[mb, layer]
-        if entry.split.fractions:
-            # compute_loads checks the split (costmodel.check_splits)
+        if entry.split.expert.size:
+            # compute_loads checks the split (costmodel.check_split)
             try:
                 loads[mb, layer] = cm.compute_loads(matrices[mb, layer], bundle.reorder[layer].assignment, topo,
-                                                    splits=entry.split.to_split_map(entry.placement))
+                                                    split=entry.split)
             except ValueError as err:
                 raise ValueError(f"replication entry ({mb}, {layer}): {err}") from err
     totals = matrices.sum(axis=(2, 3))
@@ -256,11 +255,8 @@ def _eplb_replication(loads: np.ndarray, home: np.ndarray, topo: ClusterTopology
 
 
 def _uniform_split(placement: rep.ReplicaPlacement, num_gpus: int) -> rep.SplitPlan:
-    split = rep.SplitPlan()
-    for e in placement.replicas:
-        k = len(placement.copies(e))
-        split.fractions[e] = np.full((num_gpus, k), 1.0 / k)
-    return split
+    return rep.split_of(placement, {e: np.full((num_gpus, 1 + len(gpus)), 1.0 / (1 + len(gpus)))
+                                    for e, gpus in placement.replicas.items()})
 
 
 def solve_tasks(tasks, threads: int):

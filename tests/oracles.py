@@ -4,7 +4,9 @@
 instance and solves the token-split LP for each; the greedy replication
 planner is checked against its optimum. `ReferencePivotSimplex` keeps the
 simplex's pivot rule as it was before pivots wrote B^-1 in place; the
-solver is checked against it step for step.
+solver is checked against it step for step. `split_table` builds the
+split of a {expert: (GPUs, fractions)} dict, the form the split tests
+draw.
 """
 
 from __future__ import annotations
@@ -26,6 +28,16 @@ from moebalance.replicate import (
 from moebalance.topology import ClusterTopology, HardwareProfile
 
 ENUM_GUARD = 2**20
+
+
+def split_table(splits: dict) -> SplitPlan:
+    """The split of {expert: (GPUs (k,), fractions (G, k))}: one column per
+    GPU, experts in dict order."""
+    if not splits:
+        return SplitPlan()
+    return SplitPlan(np.repeat(list(splits), [len(gpus) for gpus, _ in splits.values()]),
+                     np.concatenate([gpus for gpus, _ in splits.values()]),
+                     np.concatenate([np.asarray(frac, dtype=np.float64).T for _, frac in splits.values()]))
 
 
 class InstanceTooLargeError(ValueError):
@@ -68,7 +80,7 @@ def exact_milp_small(
         if e == num_experts:
             placement = ReplicaPlacement(home=home, replicas={k: list(v) for k, v in chosen.items() if v})
             split = solve_token_split_lp(x, placement, topo, model, hw)
-            loads = cm.compute_loads(x, home, topo, splits=split.to_split_map(placement))
+            loads = cm.compute_loads(x, home, topo, split=split)
             obj = units.estimate(loads).t_moe
             if best is None or obj < best[0] - 1e-15:
                 best = (obj, placement, split)

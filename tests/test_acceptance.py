@@ -18,7 +18,7 @@ from moebalance import routing as rt
 from moebalance import sim
 from moebalance.topology import HardwareProfile, TrafficClass, build_topology
 
-from oracles import exact_milp_small
+from oracles import exact_milp_small, split_table
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -126,7 +126,7 @@ def small_replication_instance(rng):
 
 
 def exact_obj(x, placement, split, topo, model, hw):
-    loads = cm.compute_loads(x, placement.home, topo, splits=split.to_split_map(placement))
+    loads = cm.compute_loads(x, placement.home, topo, split=split)
     return cm.moe_time(loads, model, hw).t_moe
 
 
@@ -219,8 +219,8 @@ def grid_objective_builder(x, home, replicated, copy_gpu, source, topo, model, h
         frac = np.zeros((g, 2))
         frac[:, 0] = 1.0
         frac[source] = [1.0 - y, y]
-        splits = {replicated: (np.array([int(home[replicated]), copy_gpu]), frac)}
-        loads = cm.compute_loads(x, home, topo, splits=splits)
+        split = split_table({replicated: (np.array([int(home[replicated]), copy_gpu]), frac)})
+        loads = cm.compute_loads(x, home, topo, split=split)
         return cm.TimeUnits.of(model, hw, topo.num_gpus).times(loads).ravel()
 
     g = topo.num_gpus

@@ -84,6 +84,24 @@ def test_lplb_reference_check_calls(bench_module):
     assert refeval.max_rel_diff(refeval.bundle_entry_times(trace, bundle), got.tolist()) <= 1e-9
 
 
+def test_reference_check_reads_splits_of_many_copies(bench_module):
+    # lplb_like's splits have 2 copies; eplb_like's uniform splits and
+    # relibra's LP splits reach 4, on 2x4 GPUs with 2 slots each
+    refeval = bench_module("refeval")
+    topo = build_topology(2, 4, HardwareProfile(2.577e10, 4.5e5, 2.5e4, 1.0))
+    model = rt.ModelProfile(num_layers=2, num_experts=16, top_k=2)
+    spec = rt.TraceGenSpec(num_domains=2, dirichlet_alpha=0.4, tokens_per_gpu=64, rng_seed=1)
+    trace = rt.generate_synthetic_trace(spec, model, topo, 2)
+    cfgs = sim.SimConfigs(anneal=ro.AnnealConfig(seeds=(0,)), replica=rep.ReplicaConfig(2))
+    for policy in ("eplb_like", "relibra"):
+        bundle, _ = sim.build_policy_bundle(trace, policy, topo, model, topo.profile, cfgs)
+        copies = [frac.shape[1] for entry in bundle.replication.entries.values()
+                  for frac in entry.split.fractions.values()]
+        assert max(copies) > 2, policy
+        got = sim.evaluate_bundle(trace, bundle, topo, model, topo.profile).entry_times
+        assert refeval.max_rel_diff(refeval.bundle_entry_times(trace, bundle), got.tolist()) <= 1e-9, policy
+
+
 def test_layer_quality_calls(bench_module):
     perlayer = bench_module("perlayer")
     trace = small_trace()

@@ -21,6 +21,8 @@ from moebalance.topology import (
     build_topology,
 )
 
+from oracles import split_table
+
 HW = HardwareProfile(flops_per_gpu=1e12, bw_nvlink=1e9, bw_rdma=1e8, bytes_per_token=1.0)
 MODEL = ModelProfile(num_layers=1, num_experts=2, top_k=1, hidden_size=1024, intermediate_size=512)
 QUICKSTART_HW = HardwareProfile(flops_per_gpu=2.577e10, bw_nvlink=4.5e5, bw_rdma=2.5e4, bytes_per_token=1.0)
@@ -257,7 +259,7 @@ def test_split_conservation_and_symmetry():
             frac_replica = rng.uniform(0, 1, size=g)
             frac = np.stack([1 - frac_replica, frac_replica], axis=1)
             splits[int(expert)] = (np.array([home, copy]), frac)
-        loads = cm.compute_loads(x, placement, topo, splits=splits)
+        loads = cm.compute_loads(x, placement, topo, split=split_table(splits))
         assert loads[COMP].sum() == pytest.approx(x.sum(), rel=1e-12)
         assert loads[NVLINK_TX].sum() == pytest.approx(loads[NVLINK_RX].sum(), rel=1e-12)
         assert loads[RDMA_TX].sum() == pytest.approx(loads[RDMA_RX].sum(), rel=1e-12)
@@ -272,7 +274,7 @@ def test_home_only_split_matches_no_split():
     one_hot = {
         3: (np.array([placement[3]]), np.ones((4, 1))),
     }
-    with_split = cm.compute_loads(x, placement, topo, splits=one_hot)
+    with_split = cm.compute_loads(x, placement, topo, split=split_table(one_hot))
     np.testing.assert_allclose(with_split, plain, rtol=1e-12)
 
 
@@ -282,14 +284,14 @@ def test_bad_split_rejected(monkeypatch):
     placement = np.array([0, 1])
     bad = {0: (np.array([0, 1]), np.array([[0.5, 0.4], [1.0, 0.0]]))}  # row sums 0.9
     with pytest.raises(ValueError):
-        cm.compute_loads(x, placement, topo, splits=bad)
+        cm.compute_loads(x, placement, topo, split=split_table(bad))
     missing_home = {0: (np.array([1]), np.ones((2, 1)))}
     with pytest.raises(ValueError):
-        cm.compute_loads(x, placement, topo, splits=missing_home)
+        cm.compute_loads(x, placement, topo, split=split_table(missing_home))
     # NaN compares false against every bound, so it needs its own check
     nan = {0: (np.array([0, 1]), np.array([[np.nan, 1.0], [1.0, 0.0]]))}
     with pytest.raises(ValueError, match="expert 0 are not finite"):
-        cm.compute_loads(x, placement, topo, splits=nan)
+        cm.compute_loads(x, placement, topo, split=split_table(nan))
 
     # a split valid for expert 1: key -1 would pass every other check if it
     # indexed from the end, so the key check must come before any load
@@ -300,9 +302,21 @@ def test_bad_split_rejected(monkeypatch):
     for key in (-1, x.shape[1]):
         split = {key: (np.array([1, 0]), np.array([[1.0, 0.0], [0.5, 0.5]]))}
         with pytest.raises(ValueError, match="unknown expert"):
-            cm.compute_loads(x, placement, topo, splits=split)
+            cm.compute_loads(x, placement, topo, split=split_table(split))
         with pytest.raises(ValueError, match="unknown expert"):
-            cm.flow_matrix(x, placement, topo, splits=split)
+            cm.flow_matrix(x, placement, topo, split=split_table(split))
+
+
+def test_split_table_form_rejected():
+    topo = one_node_pair()
+    x = np.array([[10.0, 2.0], [0.0, 4.0]])
+    placement = np.array([0, 1])
+    apart = cm.SplitPlan(np.array([0, 1, 0]), np.array([0, 1, 1]), np.array([[0.5, 1.0], [1.0, 1.0], [0.5, 0.0]]))
+    with pytest.raises(ValueError, match=r"not adjacent; experts by column run: \[0, 1, 0\]$"):
+        cm.flow_matrix(x, placement, topo, apart)
+    narrow = cm.SplitPlan(np.array([0]), np.array([0]), np.ones((1, 3)))
+    with pytest.raises(ValueError, match=r"split shares have shape \(1, 3\), expected \(1, 2\)$"):
+        cm.flow_matrix(x, placement, topo, narrow)
 
 
 @st.composite
@@ -339,12 +353,30 @@ def test_flow_matrix_matches_per_expert_loop(case):
         for j in range(g):
             for col, gpu in enumerate(gpus):
                 ref[j, gpu] += x[j, e] * frac[j, col]
-    assert np.array_equal(cm.flow_matrix(x, placement, topo, splits), ref)
+    assert np.array_equal(cm.flow_matrix(x, placement, topo, split_table(splits)), ref)
+
+
+def parent_check_split(x, home, e, gpus, frac):
+    """costmodel's check of one split expert as it was before the split
+    became one table of columns; its messages are the table check's."""
+    if home[e] not in gpus:
+        raise ValueError(f"split for expert {e} omits its home GPU {home[e]}")
+    if frac.shape != (x.shape[0], len(gpus)):
+        raise ValueError(f"split fractions for expert {e} have shape {frac.shape}, expected {(x.shape[0], len(gpus))}")
+    if not np.isfinite(frac).all():
+        raise ValueError(f"split fractions for expert {e} are not finite")
+    if frac.min() < -cm.SPLIT_TOL or frac.max() > 1 + cm.SPLIT_TOL:
+        raise ValueError(f"split fractions for expert {e} outside [0, 1]")
+    active = x[:, e] > 0
+    if active.any():
+        err = float(np.abs(frac[active].sum(axis=1) - 1.0).max())
+        if err > cm.SPLIT_TOL:
+            raise ValueError(f"split fractions for expert {e} violate conservation by {err:.3e}")
 
 
 def parent_flow_matrix(x, placement, topo, splits):
     """costmodel.flow_matrix as it was before its split shares were batched:
-    one `check_split` and one fancy-indexed add per split expert, in order."""
+    one check and one fancy-indexed add per split expert, in order."""
     g = topo.num_gpus
     num_experts = x.shape[1]
     x = np.asarray(x, dtype=np.float64)
@@ -357,7 +389,7 @@ def parent_flow_matrix(x, placement, topo, splits):
     home[np.flatnonzero(kept), placement[kept]] = 1.0
     flow = x @ home
     for e, (gpus, frac) in splits.items():
-        cm.check_split(x, placement, e, gpus, frac)
+        parent_check_split(x, placement, e, gpus, frac)
         flow[:, gpus] += x[:, e, None] * frac
     return flow
 
@@ -414,7 +446,7 @@ def outcome(fn, *args):
 @given(routing_with_faulty_splits())
 def test_flow_matrix_matches_parent_loop(case):
     topo, x, placement, splits = case
-    got = outcome(cm.flow_matrix, x, placement, topo, splits)
+    got = outcome(cm.flow_matrix, x, placement, topo, split_table(splits))
     ref = outcome(parent_flow_matrix, x, placement, topo, splits)
     if isinstance(ref, str):
         assert got == ref  # the same first failing expert, with the same message

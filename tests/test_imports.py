@@ -46,8 +46,10 @@ def test_each_module_imports_on_its_own(module):
 
 
 # defined for a caller that is still to come: ROADMAP item 4 reports the
-# replica memory of each buffer scheme through it
-UNREFERENCED_ALLOWED = {"replica_memory"}
+# replica memory of each buffer scheme through it. `SplitPlan.fractions` is
+# the per-expert view of a split that `benchmarks/refeval.py`
+# (`bundle_entry_times`) reads; the package reads the split's columns.
+UNREFERENCED_ALLOWED = {"replica_memory", "fractions"}
 
 
 def test_every_definition_has_a_caller_in_the_package():

@@ -33,7 +33,7 @@ def replication_entry(draw, trace, home):
     topo = trace.topo
     g = topo.num_gpus
     placement = rep.ReplicaPlacement(home=home)
-    split = rep.SplitPlan()
+    split = {}
     for e in draw(st.lists(st.integers(0, len(home) - 1), unique=True, max_size=3)):
         candidates = rep.candidate_gpus(e, home, topo)
         if not candidates:
@@ -48,9 +48,9 @@ def replication_entry(draw, trace, home):
                 frac[j, 1:] = np.array(shares) / max(1.0, sum(shares))
                 # a written fraction is positive, so rounding below zero must not be kept
                 frac[j, 0] = max(0.0, 1.0 - frac[j, 1:].sum())
-            split.fractions[e] = frac
+            split[e] = frac
     objective = draw(st.floats(0.0, 1e6, allow_nan=False))
-    return rep.ReplicationEntry(placement=placement, split=split, objective=objective)
+    return rep.ReplicationEntry(placement=placement, split=rep.split_of(placement, split), objective=objective)
 
 
 @st.composite

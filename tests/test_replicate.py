@@ -28,7 +28,7 @@ def twelve_vs_four():
 
 
 def objective(x, placement, split, topo, model, hw):
-    loads = cm.compute_loads(x, placement.home, topo, splits=split.to_split_map(placement))
+    loads = cm.compute_loads(x, placement.home, topo, split=split)
     return cm.moe_time(loads, model, hw).t_moe
 
 
@@ -214,7 +214,7 @@ class TestTokenSplitLP:
         placement = rep.ReplicaPlacement(home=plan.assignment, replicas={0: [1]})
         split = rep.solve_token_split_lp(x, placement, topo, UNIT_MODEL, COMM_FREE)
         assert split.fractions[0][0] == pytest.approx([2 / 3, 1 / 3], abs=1e-9)
-        loads = cm.compute_loads(x, plan.assignment, topo, splits=split.to_split_map(placement))
+        loads = cm.compute_loads(x, plan.assignment, topo, split=split)
         np.testing.assert_allclose(loads[COMP], [8.0, 8.0], atol=1e-9)
 
     def test_never_worse_than_home_only(self):
@@ -254,7 +254,7 @@ class TestTokenSplitLP:
         placement = rep.ReplicaPlacement(home=plan.assignment, replicas={0: [1, 2]})
         split = rep.solve_token_split_lp(x, placement, topo, model, hw)
         rep.validate_split(split, placement, x)
-        loads = cm.compute_loads(x, plan.assignment, topo, splits=split.to_split_map(placement))
+        loads = cm.compute_loads(x, plan.assignment, topo, split=split)
         np.testing.assert_allclose(loads[COMP], [12.0, 12.0, 12.0], atol=1e-6)
 
     @settings(max_examples=40, deadline=None)
@@ -412,7 +412,7 @@ class TestGreedy:
         x, plan, topo = twelve_vs_four()
         placement, split = rep.greedy_replicate(x, plan, topo, UNIT_MODEL, COMM_FREE, rep.ReplicaConfig(1))
         assert placement.replicas == {0: [1]}
-        loads = cm.compute_loads(x, plan.assignment, topo, splits=split.to_split_map(placement))
+        loads = cm.compute_loads(x, plan.assignment, topo, split=split)
         np.testing.assert_allclose(loads[COMP], [8.0, 8.0], atol=1e-6)
         assert rt.skewness(loads[COMP]) == pytest.approx(1.0, abs=1e-9)
 

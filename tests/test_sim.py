@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -96,7 +97,7 @@ class TestEvaluateBundle:
         trace = rt.RoutingTrace(model=model, topo=topo, matrices=matrices, tokens_per_gpu=0)
         plan = ro.ReorderPlan(np.array([0, 1]))
         placement = rep.ReplicaPlacement(home=plan.assignment, replicas={0: [1]})
-        entries = {(mb, 0): rep.ReplicationEntry(placement, rep.SplitPlan({0: np.tile(row, (2, 1))}), 0.0)
+        entries = {(mb, 0): rep.ReplicationEntry(placement, rep.split_of(placement, {0: np.tile(row, (2, 1))}), 0.0)
                    for mb, row in enumerate(fractions)}
         return trace, sim.PlanBundle([plan], replication=rep.ReplicationPlan(entries)), topo, model
 
@@ -127,6 +128,28 @@ class TestEvaluateBundle:
         with pytest.raises(ValueError, match=r"^replication entry \(0, 0\): duplicate replica GPUs for expert 0$"):
             sim.evaluate_bundle(trace, bundle, topo, model, HW)
 
+    @pytest.mark.parametrize("replicas, gpus, copies", [({}, [0, 1], [0]), ({0: [1]}, [1, 0], [0, 1])])
+    def test_split_columns_are_the_copies_in_order(self, replicas, gpus, copies):
+        # entry (1, 0) splits expert 0 onto a GPU with no copy of it, or
+        # lists its copies out of order; its shares pass every other check
+        trace, bundle, topo, model = self.split_bundle([[1.0, 0.0], [0.5, 0.5]])
+        entry = bundle.replication.entries[1, 0]
+        bundle.replication.entries[1, 0] = rep.ReplicationEntry(
+            rep.ReplicaPlacement(entry.placement.home, replicas),
+            dataclasses.replace(entry.split, gpu=np.array(gpus)), 0.0)
+        message = (f"^{re.escape(f'replication entry (1, 0): split columns of expert 0 serve GPUs {gpus}')}"
+                   f", not its copies {re.escape(str(copies))} in order$")
+        with pytest.raises(ValueError, match=message):
+            sim.check_replication(trace, bundle, topo, sim.scored_matrices(trace, None))
+        with pytest.raises(ValueError, match=message):
+            sim.evaluate_bundle(trace, bundle, topo, model, HW)
+
+    def test_split_fractions_are_a_read_only_view(self):
+        split = self.split_bundle([[0.25, 0.75]])[1].replication.entries[0, 0].split
+        assert split.fractions[0].tolist() == [[0.25, 0.75], [0.25, 0.75]]
+        with pytest.raises(TypeError):
+            split.fractions[0] = np.ones((2, 2))
+
 
 class TestBaselines:
     def test_every_policy_conserves_tokens(self):
@@ -139,8 +162,8 @@ class TestBaselines:
             got = []
             for mb in range(trace.num_micro_batches):
                 entry = bundle.replication.entries.get((mb, 0))
-                splits = entry.split.to_split_map(entry.placement) if entry is not None else None
-                loads = cm.compute_loads(matrices[mb, 0], bundle.reorder[0].assignment, topo, splits=splits)
+                split = entry.split if entry is not None else None
+                loads = cm.compute_loads(matrices[mb, 0], bundle.reorder[0].assignment, topo, split=split)
                 got.append(loads[COMP].sum())
             np.testing.assert_allclose(got, expected, rtol=1e-9)
 
@@ -397,8 +420,8 @@ def evaluate_per_entry(trace, bundle, topo, model, hw):
     for mb, layer in np.ndindex(shape):
         x = matrices[mb, layer]
         entry = bundle.replication.entries.get((mb, layer))
-        splits = entry.split.to_split_map(entry.placement) if entry is not None else None
-        loads = cm.compute_loads(x, bundle.reorder[layer].assignment, topo, splits=splits)
+        split = entry.split if entry is not None else None
+        loads = cm.compute_loads(x, bundle.reorder[layer].assignment, topo, split=split)
         entry_times[mb, layer] = cm.moe_time(loads, model, hw).t_moe
         skew[mb, layer] = rt.skewness(loads[COMP]) if x.sum() > 0 else 1.0
     return entry_times, skew
@@ -441,7 +464,7 @@ def scored_bundles(draw):
             continue
         home = plans[layer].assignment
         entry_placement = rep.ReplicaPlacement(home=home)
-        split = rep.SplitPlan()
+        split = {}
         if kind == "split":
             for e in draw(st.lists(st.integers(0, num_experts - 1), unique=True, min_size=1, max_size=3)):
                 cands = rep.candidate_gpus(e, home, topo)
@@ -455,8 +478,9 @@ def scored_bundles(draw):
                 frac = weights.reshape(g, k)
                 frac[frac.sum(axis=1) == 0, 0] = 1.0
                 drift = np.array(draw(st.lists(st.sampled_from([-5e-7, 0.0, 5e-7]), min_size=g, max_size=g)))
-                split.fractions[e] = frac / frac.sum(axis=1, keepdims=True) * (1 + drift[:, None])
-        replication.entries[(mb, layer)] = rep.ReplicationEntry(entry_placement, split, float("nan"))
+                split[e] = frac / frac.sum(axis=1, keepdims=True) * (1 + drift[:, None])
+        replication.entries[(mb, layer)] = rep.ReplicationEntry(entry_placement, rep.split_of(entry_placement, split),
+                                                                float("nan"))
     bundle = sim.PlanBundle(reorder=plans, sample_placement=placement, replication=replication)
     return trace, bundle, topo, model, hw
 
